@@ -28,6 +28,10 @@ struct NodeMessageStats {
   // persistently non-zero value means ENOBUFS-style local overload that the
   // protocol otherwise mistakes for wire loss.
   uint64_t send_failures = 0;
+  // Datagrams the UDP receive path discarded before any handler saw them:
+  // runt frames shorter than the header, or an unknown message class. Zero
+  // in simulation.
+  uint64_t malformed = 0;
 
   uint64_t TotalSent() const {
     return sent[0] + sent[1] + sent[2];

@@ -1,7 +1,9 @@
 #include "src/runtime/node.h"
 
 #include <chrono>
-#include <future>
+#include <condition_variable>
+#include <mutex>
+#include <optional>
 
 #include "src/common/check.h"
 #include "src/fs/journal.h"
@@ -10,34 +12,39 @@ namespace leases {
 namespace {
 
 // Bridges an async protocol call into a blocking one with a timeout. The
-// shared state keeps the promise alive even if the callback outlives the
-// caller's wait.
+// shared state outlives the caller's wait if the callback fires late; a
+// callback that already fired (a call completed inline) returns at once.
 template <typename T>
 class Waiter {
  public:
   std::function<void(Result<T>)> MakeCallback() {
-    auto state = state_;
-    return [state](Result<T> r) {
-      bool expected = false;
-      if (state->done.compare_exchange_strong(expected, true)) {
-        state->promise.set_value(std::move(r));
+    return [state = state_](Result<T> r) {
+      {
+        std::lock_guard<std::mutex> lock(state->mu);
+        if (state->result.has_value()) {
+          return;
+        }
+        state->result.emplace(std::move(r));
       }
+      state->cv.notify_one();
     };
   }
 
   Result<T> Wait(Duration timeout) {
-    std::future<Result<T>> future = state_->promise.get_future();
-    if (future.wait_for(std::chrono::microseconds(timeout.ToMicros())) !=
-        std::future_status::ready) {
+    std::unique_lock<std::mutex> lock(state_->mu);
+    if (!state_->cv.wait_for(
+            lock, std::chrono::microseconds(timeout.ToMicros()),
+            [this]() { return state_->result.has_value(); })) {
       return Error{ErrorCode::kTimeout, "blocking call timed out"};
     }
-    return future.get();
+    return std::move(*state_->result);
   }
 
  private:
   struct State {
-    std::promise<Result<T>> promise;
-    std::atomic<bool> done{false};
+    std::mutex mu;
+    std::condition_variable cv;
+    std::optional<Result<T>> result;
   };
   std::shared_ptr<State> state_ = std::make_shared<State>();
 };
@@ -188,35 +195,49 @@ void RuntimeClient::Stop() {
   loop_.reset();
 }
 
-Result<OpenResult> RuntimeClient::Open(const std::string& path,
-                                       Duration timeout) {
+template <typename T, typename Call>
+Result<T> RuntimeClient::Blocking(Call call, Duration timeout) {
   LEASES_CHECK(client_ != nullptr);
-  Waiter<OpenResult> waiter;
-  loop_->Post([this, path, cb = waiter.MakeCallback()]() mutable {
-    client_->Open(path, std::move(cb));
-  });
+  Waiter<T> waiter;
+  auto run = [this, call = std::move(call),
+              cb = waiter.MakeCallback()]() mutable {
+    call(*client_, std::move(cb));
+  };
+  // An idle loop lets the call run right here: a cache hit completes with
+  // no thread switch, and a miss puts its request on the wire from this
+  // thread. Otherwise the call queues behind the loop's work.
+  if (!loop_->TryRunHere(run)) {
+    loop_->Post(std::move(run));
+  }
   return waiter.Wait(timeout);
 }
 
+Result<OpenResult> RuntimeClient::Open(const std::string& path,
+                                       Duration timeout) {
+  return Blocking<OpenResult>(
+      [path](CacheClient& client, OpenCallback cb) {
+        client.Open(path, std::move(cb));
+      },
+      timeout);
+}
+
 Result<ReadResult> RuntimeClient::Read(FileId file, Duration timeout) {
-  LEASES_CHECK(client_ != nullptr);
-  Waiter<ReadResult> waiter;
-  loop_->Post([this, file, cb = waiter.MakeCallback()]() mutable {
-    client_->Read(file, std::move(cb));
-  });
-  return waiter.Wait(timeout);
+  return Blocking<ReadResult>(
+      [file](CacheClient& client, ReadCallback cb) {
+        client.Read(file, std::move(cb));
+      },
+      timeout);
 }
 
 Result<WriteResult> RuntimeClient::Write(FileId file,
                                          std::vector<uint8_t> data,
                                          Duration timeout) {
-  LEASES_CHECK(client_ != nullptr);
-  Waiter<WriteResult> waiter;
-  loop_->Post(
-      [this, file, data = std::move(data), cb = waiter.MakeCallback()]() mutable {
-        client_->Write(file, std::move(data), std::move(cb));
-      });
-  return waiter.Wait(timeout);
+  return Blocking<WriteResult>(
+      [file, data = std::move(data)](CacheClient& client,
+                                     WriteCallback cb) mutable {
+        client.Write(file, std::move(data), std::move(cb));
+      },
+      timeout);
 }
 
 void RuntimeClient::WithClient(std::function<void(CacheClient&)> fn) {

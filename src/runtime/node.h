@@ -2,8 +2,9 @@
 // running over real UDP sockets and the monotonic system clock.
 //
 // RuntimeServer and RuntimeClient each own an event loop, a UDP transport
-// and a clock; all protocol work happens on the loop thread. RuntimeClient
-// additionally offers blocking wrappers for application code.
+// and a clock; all protocol work runs as loop work (see event_loop.h).
+// RuntimeClient additionally offers blocking wrappers for application code,
+// which run the call on the caller's thread when the loop is idle.
 #ifndef SRC_RUNTIME_NODE_H_
 #define SRC_RUNTIME_NODE_H_
 
@@ -43,6 +44,9 @@ class RuntimeServer {
   void AddPeer(NodeId peer, uint16_t peer_port) {
     transport_->AddPeer(peer, peer_port);
   }
+
+  // Valid between Start and Stop.
+  UdpTransport& transport() { return *transport_; }
 
   // Direct (pre-start) store setup; not thread-safe once serving.
   FileStore& store() { return store_; }
@@ -85,7 +89,8 @@ class RuntimeClient {
 
   uint16_t port() const { return transport_->port(); }
 
-  // Blocking wrappers (call from any non-loop thread).
+  // Blocking wrappers (call from any thread outside this client's loop
+  // work).
   Result<OpenResult> Open(const std::string& path,
                           Duration timeout = Duration::Seconds(30));
   Result<ReadResult> Read(FileId file,
@@ -102,6 +107,11 @@ class RuntimeClient {
   FaultInjectingTransport& faults() { return *faulty_; }
 
  private:
+  // Runs `call` against the CacheClient as loop work and waits for its
+  // callback.
+  template <typename T, typename Call>
+  Result<T> Blocking(Call call, Duration timeout);
+
   NodeId id_;
   NodeId server_id_;
   FileId root_;

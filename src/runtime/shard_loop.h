@@ -1,9 +1,9 @@
 // ShardLoop: one run-to-completion worker shard of the sharded runtime
 // server.
 //
-// Each shard owns a thread, an SPSC inbound queue fed by the UDP receiver
-// thread, and a private timer queue (it implements TimerHost for its
-// LeaseServer). All shard state -- the LeaseServer, its FileStore partition,
+// Each shard owns a thread, an SPSC inbound queue fed by the UDP
+// transport's event loop, and a private timer queue (it implements
+// TimerHost for its LeaseServer). All shard state -- the LeaseServer, its FileStore partition,
 // its timers, its outbound batcher -- is touched only from the shard thread
 // once Start() has run, so the grant/extend/relinquish hot path takes no
 // locks at all. The only synchronization is the SPSC ring (two atomics) and
@@ -55,8 +55,8 @@ class ShardLoop : public TimerHost {
              std::function<void()> idle);
   void Stop();
 
-  // Producer side (the UDP receiver thread). False = ring full, message
-  // dropped; the caller counts it.
+  // Producer side (the UDP transport's loop work). False = ring full,
+  // message dropped; the caller counts it.
   bool Enqueue(ShardInbound&& msg);
 
   // Control plane: runs `fn` on the shard thread between messages. Rare

@@ -24,8 +24,8 @@ ShardedRuntimeServer::ShardedRuntimeServer(NodeId id, ServerParams params,
 ShardedRuntimeServer::~ShardedRuntimeServer() { Stop(); }
 
 Status ShardedRuntimeServer::Start(uint16_t port) {
-  // Raw-handler mode: no EventLoop; the receiver thread routes straight to
-  // the shard queues.
+  // Raw-handler mode: the transport runs a private event loop whose only
+  // work is routing datagrams straight into the shard queues.
   transport_ = std::make_unique<UdpTransport>(id_, nullptr, nullptr);
 
   const size_t num_shards = config_.num_shards;
@@ -79,9 +79,9 @@ Status ShardedRuntimeServer::Start(uint16_t port) {
         [sender = rig->sender.get()]() { sender->Flush(); });
   }
 
-  // Routing runs on the receiver thread; only the enqueue touches shard
-  // state, through the SPSC ring. A full ring means the shard is saturated:
-  // shed the datagram like the wire would.
+  // Routing runs as the transport loop's work; only the enqueue touches
+  // shard state, through the SPSC ring. A full ring means the shard is
+  // saturated: shed the datagram like the wire would.
   transport_->SetRawHandler([this](NodeId from, MessageClass cls,
                                    std::span<const uint8_t> payload) {
     std::optional<Packet> packet = DecodePacket(payload);
@@ -102,7 +102,7 @@ Status ShardedRuntimeServer::Start(uint16_t port) {
 
 void ShardedRuntimeServer::Stop() {
   if (transport_ != nullptr) {
-    transport_->Stop();  // joins the receiver thread: no more enqueues
+    transport_->Stop();  // no receive callback runs after this: no enqueues
   }
   for (auto& rig : rigs_) {
     if (rig->loop != nullptr) {

@@ -1,8 +1,9 @@
 // ShardedRuntimeServer: the FileId-partitioned grant plane on real sockets.
 //
-// One UDP transport (one port, one receiver thread) fronts N run-to-
-// completion shard threads. The receiver thread decodes each datagram and
-// routes it with the same shard_router.h functions the simulator uses
+// One UDP transport (one port, served by the transport's private event
+// loop) fronts N run-to-completion shard threads. The transport's loop
+// decodes each datagram straight from its receive buffer and routes it with
+// the same shard_router.h functions the simulator uses
 // (ShardedLeaseServer::Route), pushing it onto the owning shard's SPSC
 // queue; the shard thread then runs the LeaseServer state machine against
 // its private FileStore partition, timer queue and outbound batch sender.

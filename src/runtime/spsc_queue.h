@@ -1,9 +1,9 @@
 // Bounded single-producer single-consumer ring queue.
 //
-// The shard engine's inbound path: the UDP receiver thread (the single
-// producer) routes each decoded datagram to its owning shard and pushes it
-// here; the shard's worker thread (the single consumer) drains it and runs
-// the handler to completion. One atomic load plus one store per side, no
+// The shard engine's inbound path: the UDP transport's event loop (the
+// single producer) routes each decoded datagram to its owning shard and
+// pushes it here; the shard's worker thread (the single consumer) drains it
+// and runs the handler to completion. One atomic load plus one store per side, no
 // locks, no CAS -- the queue is the reason the sharded hot path scales
 // linearly instead of serializing on a mutex.
 //

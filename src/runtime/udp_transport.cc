@@ -15,16 +15,40 @@ namespace {
 
 constexpr size_t kMaxDatagram = 60 * 1024;
 constexpr size_t kHeaderSize = 5;  // u32 sender + u8 class
+// Datagrams taken per ::recvmmsg; a loaded socket amortizes the syscall
+// across the burst, and level-triggered readiness brings the loop back for
+// the rest.
+constexpr unsigned kRecvBatch = 16;
 
 }  // namespace
+
+// The recvmmsg headers and their buffers. The buffers are left
+// uninitialized, so only pages the kernel writes a datagram into become
+// resident -- a few KiB per slot, not the 60 KiB each slot reserves.
+struct UdpTransport::ReceiveBatch {
+  ReceiveBatch() : data(new uint8_t[kRecvBatch * kMaxDatagram]) {
+    for (unsigned i = 0; i < kRecvBatch; ++i) {
+      iovs[i] = {data.get() + i * kMaxDatagram, kMaxDatagram};
+      std::memset(&msgs[i], 0, sizeof(msgs[i]));
+      msgs[i].msg_hdr.msg_iov = &iovs[i];
+      msgs[i].msg_hdr.msg_iovlen = 1;
+    }
+  }
+  const uint8_t* frame(unsigned i) const {
+    return data.get() + i * kMaxDatagram;
+  }
+
+  std::unique_ptr<uint8_t[]> data;
+  mmsghdr msgs[kRecvBatch];
+  iovec iovs[kRecvBatch];
+};
 
 UdpTransport::UdpTransport(NodeId self, EventLoop* loop,
                            PacketHandler* handler)
     : self_(self),
-      loop_(loop),
-      recv_state_(std::make_shared<ReceiveState>()) {
-  recv_state_->handler = handler;
-}
+      own_loop_(loop == nullptr ? std::make_unique<EventLoop>() : nullptr),
+      loop_(loop == nullptr ? own_loop_.get() : loop),
+      handler_(handler) {}
 
 UdpTransport::~UdpTransport() { Stop(); }
 
@@ -49,8 +73,10 @@ Status UdpTransport::Start(uint16_t port) {
     return Status(ErrorCode::kUnavailable, "getsockname() failed");
   }
   port_ = ntohs(addr.sin_port);
-  stopping_ = false;
-  receiver_ = std::thread([this]() { ReceiverThread(); });
+  if (recv_ == nullptr) {
+    recv_ = std::make_unique<ReceiveBatch>();
+  }
+  loop_->Watch(fd_, [this]() { OnReadable(); });
   return Status::Ok();
 }
 
@@ -58,23 +84,7 @@ void UdpTransport::Stop() {
   if (fd_ < 0) {
     return;
   }
-  stopping_ = true;
-  ::shutdown(fd_, SHUT_RDWR);
-  // shutdown() does not reliably wake a blocked recvfrom on UDP; nudge it.
-  int wake = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (wake >= 0) {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port_);
-    uint8_t zero = 0;
-    ::sendto(wake, &zero, 1, 0, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr));
-    ::close(wake);
-  }
-  if (receiver_.joinable()) {
-    receiver_.join();
-  }
+  loop_->Unwatch(fd_);
   std::lock_guard<std::mutex> lock(fd_mu_);
   ::close(fd_);
   fd_ = -1;
@@ -214,89 +224,27 @@ void UdpTransport::Multicast(std::span<const NodeId> dst, MessageClass cls,
   }
 }
 
-std::vector<uint8_t> UdpTransport::AcquireBuffer(ReceiveState& state) {
-  std::lock_guard<std::mutex> lock(state.pool_mu);
-  if (state.pool.empty()) {
-    return {};
-  }
-  std::vector<uint8_t> buf = std::move(state.pool.back());
-  state.pool.pop_back();
-  return buf;
-}
-
-void UdpTransport::ReleaseBuffer(ReceiveState& state,
-                                 std::vector<uint8_t> buf) {
-  std::lock_guard<std::mutex> lock(state.pool_mu);
-  state.pool.push_back(std::move(buf));
-}
-
-void UdpTransport::ReceiverThread() {
-  // Batched receive: one ::recvmmsg drains up to kRecvBatch queued datagrams
-  // per syscall. MSG_WAITFORONE blocks for the first and then takes whatever
-  // else is already queued, so an idle socket still costs one blocking call
-  // while a loaded one amortizes the syscall across the burst -- the
-  // receive-side half of the batching the sharded server needs to keep its
-  // single receiver thread ahead of N shard threads.
-  constexpr unsigned kRecvBatch = 16;
-  std::vector<std::vector<uint8_t>> buffers(kRecvBatch);
-  mmsghdr msgs[kRecvBatch];
-  iovec iovs[kRecvBatch];
-  for (unsigned i = 0; i < kRecvBatch; ++i) {
-    buffers[i].resize(kMaxDatagram);
-    iovs[i] = {buffers[i].data(), buffers[i].size()};
-    std::memset(&msgs[i], 0, sizeof(msgs[i]));
-    msgs[i].msg_hdr.msg_iov = &iovs[i];
-    msgs[i].msg_hdr.msg_iovlen = 1;
-  }
-  while (!stopping_) {
-    int got = ::recvmmsg(fd_, msgs, kRecvBatch, MSG_WAITFORONE, nullptr);
-    if (stopping_) {
-      return;
-    }
-    if (got < 0) {
+void UdpTransport::OnReadable() {
+  ReceiveBatch& batch = *recv_;
+  int got = ::recvmmsg(fd_, batch.msgs, kRecvBatch, MSG_DONTWAIT, nullptr);
+  for (int m = 0; m < got; ++m) {
+    const uint8_t* frame = batch.frame(static_cast<unsigned>(m));
+    const size_t n = batch.msgs[m].msg_len;
+    if (n < kHeaderSize || frame[4] >= kNumMessageClasses) {
+      malformed_.fetch_add(1, std::memory_order_relaxed);  // runt or bad class
       continue;
     }
-    for (int m = 0; m < got; ++m) {
-      const std::vector<uint8_t>& buffer = buffers[m];
-      auto n = static_cast<ssize_t>(msgs[m].msg_len);
-      if (n < static_cast<ssize_t>(kHeaderSize)) {
-        continue;  // wake-up byte or damaged frame
-      }
-      uint32_t sender = static_cast<uint32_t>(buffer[0]) |
-                        (static_cast<uint32_t>(buffer[1]) << 8) |
-                        (static_cast<uint32_t>(buffer[2]) << 16) |
-                        (static_cast<uint32_t>(buffer[3]) << 24);
-      auto cls = static_cast<MessageClass>(buffer[4]);
-      if (static_cast<int>(cls) >= kNumMessageClasses) {
-        continue;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        stats_.received[static_cast<int>(cls)]++;
-      }
-      if (raw_handler_) {
-        // Shard-engine path: decode + route on this thread; the protocol
-        // work itself runs on the owning shard's thread.
-        raw_handler_(NodeId(sender), cls,
-                     std::span<const uint8_t>(buffer.data() + kHeaderSize,
-                                              static_cast<size_t>(n) -
-                                                  kHeaderSize));
-        continue;
-      }
-      // Pooled payload: the vector cycles back after the handler runs, so
-      // steady-state receives reuse capacity instead of allocating. The
-      // callback co-owns the receive state rather than capturing `this`,
-      // since it may still be queued when the transport is destroyed.
-      std::vector<uint8_t> payload = AcquireBuffer(*recv_state_);
-      payload.assign(buffer.begin() + kHeaderSize, buffer.begin() + n);
-      loop_->Post([state = recv_state_, sender, cls,
-                   payload = std::move(payload)]() mutable {
-        PacketHandler* handler = state->handler.load();
-        if (handler != nullptr) {
-          handler->HandlePacket(NodeId(sender), cls, payload);
-        }
-        ReleaseBuffer(*state, std::move(payload));
-      });
+    uint32_t sender = static_cast<uint32_t>(frame[0]) |
+                      (static_cast<uint32_t>(frame[1]) << 8) |
+                      (static_cast<uint32_t>(frame[2]) << 16) |
+                      (static_cast<uint32_t>(frame[3]) << 24);
+    auto cls = static_cast<MessageClass>(frame[4]);
+    received_[frame[4]].fetch_add(1, std::memory_order_relaxed);
+    std::span<const uint8_t> payload(frame + kHeaderSize, n - kHeaderSize);
+    if (raw_handler_) {
+      raw_handler_(NodeId(sender), cls, payload);
+    } else if (PacketHandler* handler = handler_.load()) {
+      handler->HandlePacket(NodeId(sender), cls, payload);
     }
   }
 }
@@ -304,6 +252,10 @@ void UdpTransport::ReceiverThread() {
 NodeMessageStats UdpTransport::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   NodeMessageStats merged = stats_;
+  for (int cls = 0; cls < kNumMessageClasses; ++cls) {
+    merged.received[cls] = received_[cls].load(std::memory_order_relaxed);
+  }
+  merged.malformed = malformed_.load(std::memory_order_relaxed);
   for (const std::atomic<uint64_t>* counters : batch_counters_) {
     for (int cls = 0; cls < kNumMessageClasses; ++cls) {
       merged.sent[cls] += counters[cls].load(std::memory_order_relaxed);
@@ -337,7 +289,10 @@ void UdpTransport::UnregisterBatchCounters(
 // --- UdpBatchSender ---
 
 UdpBatchSender::UdpBatchSender(UdpTransport* transport, size_t max_batch)
-    : transport_(transport), slots_(max_batch) {
+    : transport_(transport),
+      slots_(max_batch),
+      msgs_(max_batch),
+      iovs_(max_batch) {
   transport_->RegisterBatchCounters(sent_);
 }
 
@@ -434,17 +389,13 @@ void UdpBatchSender::Flush() {
   if (pending_ == 0) {
     return;
   }
-  // Scratch headers built per flush (cheap, stack-free growth avoided by
-  // the modest batch bound).
-  std::vector<mmsghdr> msgs(pending_);
-  std::vector<iovec> iovs(pending_);
   for (size_t i = 0; i < pending_; ++i) {
-    iovs[i] = {slots_[i].frame.data(), slots_[i].frame.size()};
-    std::memset(&msgs[i], 0, sizeof(msgs[i]));
-    msgs[i].msg_hdr.msg_iov = &iovs[i];
-    msgs[i].msg_hdr.msg_iovlen = 1;
-    msgs[i].msg_hdr.msg_name = &slots_[i].addr;
-    msgs[i].msg_hdr.msg_namelen = sizeof(slots_[i].addr);
+    iovs_[i] = {slots_[i].frame.data(), slots_[i].frame.size()};
+    std::memset(&msgs_[i], 0, sizeof(msgs_[i]));
+    msgs_[i].msg_hdr.msg_iov = &iovs_[i];
+    msgs_[i].msg_hdr.msg_iovlen = 1;
+    msgs_[i].msg_hdr.msg_name = &slots_[i].addr;
+    msgs_[i].msg_hdr.msg_namelen = sizeof(slots_[i].addr);
   }
   size_t done = 0;
   {
@@ -454,7 +405,7 @@ void UdpBatchSender::Flush() {
       return;  // transport stopped; like a crash, the batch is lost
     }
     while (done < pending_) {
-      int sent = ::sendmmsg(transport_->fd_, msgs.data() + done,
+      int sent = ::sendmmsg(transport_->fd_, msgs_.data() + done,
                             static_cast<unsigned>(pending_ - done), 0);
       if (sent <= 0) {
         break;
@@ -462,7 +413,7 @@ void UdpBatchSender::Flush() {
       // A short datagram write within a successful sendmmsg is a failure
       // for that message only.
       for (int i = 0; i < sent; ++i) {
-        if (msgs[done + i].msg_len != slots_[done + i].frame.size()) {
+        if (msgs_[done + i].msg_len != slots_[done + i].frame.size()) {
           transport_->CountSendFailure();
         }
       }

@@ -1,21 +1,23 @@
 // UDP datagram transport on localhost for the real-time runtime.
 //
-// Frame layout: [sender NodeId u32 LE][MessageClass u8][payload]. Incoming
-// datagrams are posted onto the owning node's EventLoop, preserving the
-// single-threaded execution model the protocol objects require. Multicast is
-// emulated by iterated sendto over the recipient list -- the paper's cost
-// model charges the sender once, which the stats mirror.
+// Frame layout: [sender NodeId u32 LE][MessageClass u8][payload]. The
+// socket is watched by the owning node's EventLoop: each readiness event
+// drains a ::recvmmsg batch and hands every datagram to the handler as loop
+// work, straight from the receive buffers (no copy, no queue hop), which
+// preserves the serialized execution model the protocol objects require.
+// Multicast is emulated by iterated sendto over the recipient list -- the
+// paper's cost model charges the sender once, which the stats mirror.
 #ifndef SRC_RUNTIME_UDP_TRANSPORT_H_
 #define SRC_RUNTIME_UDP_TRANSPORT_H_
 
 #include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -30,28 +32,30 @@ class UdpBatchSender;
 
 class UdpTransport : public Transport {
  public:
-  // `handler` is invoked on `loop`'s thread for each datagram; it may be
-  // null until SetHandler is called. `loop` may be null when the owner uses
-  // SetRawHandler (shard-engine dispatch) instead of loop delivery.
+  // `handler` is invoked as `loop`'s work for each datagram; it may be
+  // null until SetHandler is called. When `loop` is null the transport
+  // runs a private EventLoop (the shard engine's SetRawHandler mode).
   UdpTransport(NodeId self, EventLoop* loop, PacketHandler* handler);
   ~UdpTransport() override;
 
   UdpTransport(const UdpTransport&) = delete;
   UdpTransport& operator=(const UdpTransport&) = delete;
 
-  // Binds 127.0.0.1:`port` (0 picks an ephemeral port) and starts the
-  // receiver thread.
+  // Binds 127.0.0.1:`port` (0 picks an ephemeral port) and registers the
+  // socket with the loop.
   Status Start(uint16_t port = 0);
+  // Unregisters the socket and closes it. On return no receive callback is
+  // running or will run.
   void Stop();
 
   uint16_t port() const { return port_; }
-  void SetHandler(PacketHandler* handler) { recv_state_->handler = handler; }
+  void SetHandler(PacketHandler* handler) { handler_ = handler; }
 
   // Shard-engine dispatch: when set, every datagram is handed to `handler`
-  // *on the receiver thread* (sender id + class + raw payload) instead of
-  // being posted to the EventLoop. The handler decodes and routes to the
-  // owning shard's queue; run-to-completion then happens on the shard
-  // thread. Must be set before Start().
+  // (sender id + class + raw payload) instead of the PacketHandler. The
+  // handler decodes and routes to the owning shard's queue; run-to-
+  // completion then happens on the shard thread. Must be set before
+  // Start().
   using RawHandler = std::function<void(NodeId from, MessageClass cls,
                                         std::span<const uint8_t> payload)>;
   void SetRawHandler(RawHandler handler) { raw_handler_ = std::move(handler); }
@@ -86,7 +90,8 @@ class UdpTransport : public Transport {
   void RegisterBatchCounters(const std::atomic<uint64_t>* counters);
   void UnregisterBatchCounters(const std::atomic<uint64_t>* counters);
 
-  void ReceiverThread();
+  // Receives one ::recvmmsg batch and dispatches it (loop work).
+  void OnReadable();
   void SendFrame(NodeId dst, MessageClass cls,
                  const std::vector<uint8_t>& frame);
   // Resolves a peer's loopback address; false (and one counted send failure)
@@ -99,31 +104,23 @@ class UdpTransport : public Transport {
   // appends the payload. Must hold send_mu_.
   void BeginFrameLocked(MessageClass cls);
 
-  // Receive-side state shared between the transport and in-flight EventLoop
-  // callbacks: the payload buffer pool (vectors cycle between the receiver
-  // thread and the callbacks instead of being allocated per datagram) and
-  // the handler pointer. Callbacks co-own it via shared_ptr, so one that
-  // runs after the transport is destroyed touches only this block.
-  struct ReceiveState {
-    std::atomic<PacketHandler*> handler{nullptr};
-    std::mutex pool_mu;
-    std::vector<std::vector<uint8_t>> pool;
-  };
-  static std::vector<uint8_t> AcquireBuffer(ReceiveState& state);
-  static void ReleaseBuffer(ReceiveState& state, std::vector<uint8_t> buf);
+  struct ReceiveBatch;
 
   NodeId self_;
+  std::unique_ptr<EventLoop> own_loop_;  // set when built without a loop
   EventLoop* loop_;
-  RawHandler raw_handler_;  // set before Start(); receiver thread only
-  std::shared_ptr<ReceiveState> recv_state_;
-  // fd_mu_ serializes sendto against close: EventLoop callbacks may still be
-  // sending replies while the owner tears the transport down. recvfrom needs
-  // no lock -- the receiver thread is joined before the fd is closed.
+  std::atomic<PacketHandler*> handler_;
+  RawHandler raw_handler_;  // set before Start(); loop work only
+  std::unique_ptr<ReceiveBatch> recv_;  // loop work only
+  // fd_mu_ serializes sendto against close: sends may come from any thread
+  // while the owner tears the transport down. recvmmsg needs no lock -- it
+  // is loop work, and Stop unwatches the socket before closing it.
   std::mutex fd_mu_;
   int fd_ = -1;
   uint16_t port_ = 0;
-  std::thread receiver_;
-  std::atomic<bool> stopping_{false};
+  // Receive-side counters, written by loop work only and merged by stats().
+  std::atomic<uint64_t> received_[kNumMessageClasses] = {};
+  std::atomic<uint64_t> malformed_{0};
 
   mutable std::mutex mu_;
   std::unordered_map<NodeId, uint16_t> peers_;
@@ -188,6 +185,9 @@ class UdpBatchSender : public Transport {
   UdpTransport* transport_;
   std::vector<Slot> slots_;
   size_t pending_ = 0;
+  // sendmmsg headers, one per slot, kept across flushes.
+  std::vector<mmsghdr> msgs_;
+  std::vector<iovec> iovs_;
   std::vector<uint8_t> scratch_;  // multicast encode-once buffer
   // Sends counted shard-locally (relaxed: only this shard writes; readers
   // tolerate a momentarily stale merge in UdpTransport::stats()). Replaces

@@ -1,10 +1,17 @@
 // Unit tests for the real-time event loop, UDP transport and the
 // fault-injection decorator over the real backend.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/eventfd.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "src/net/faulty_transport.h"
 #include "src/runtime/event_loop.h"
@@ -94,6 +101,292 @@ TEST(EventLoopTest, StopIsIdempotentAndDropsPendingWork) {
   loop->Stop();
   loop.reset();
   EXPECT_FALSE(fired);
+}
+
+TEST(EventLoopTest, TimersKeepMicrosecondPrecision) {
+  // Whole-millisecond rounding of the sleep would make every 200 us timer
+  // at least 800 us late; the timerfd keeps the median far below that
+  // (tens of microseconds on an idle 4-vCPU x86 VM).
+  EventLoop loop;
+  std::vector<int64_t> lateness_us;
+  for (int i = 0; i < 100; ++i) {
+    std::atomic<bool> fired{false};
+    std::chrono::steady_clock::time_point at;
+    auto start = std::chrono::steady_clock::now();
+    loop.ScheduleAfter(Duration::Micros(200), [&]() {
+      at = std::chrono::steady_clock::now();
+      fired = true;
+    });
+    while (!fired) {
+      std::this_thread::yield();
+    }
+    lateness_us.push_back(
+        std::chrono::duration_cast<std::chrono::microseconds>(at - start)
+            .count() -
+        200);
+  }
+  std::sort(lateness_us.begin(), lateness_us.end());
+  EXPECT_GE(lateness_us.front(), 0);
+  EXPECT_LT(lateness_us[lateness_us.size() / 2], 500);
+}
+
+TEST(EventLoopTest, TryRunHereRunsOnTheCallerWhenIdle) {
+  EventLoop loop;
+  loop.RunSync([]() {});  // the loop thread is up and about to sleep
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  bool on_loop_thread = true;
+  ASSERT_TRUE(loop.TryRunHere([&]() { on_loop_thread = loop.InLoopThread(); }));
+  EXPECT_FALSE(on_loop_thread);
+}
+
+TEST(EventLoopTest, TryRunHereRefusesWhileAPostedTaskIsQueued) {
+  // Each round posts a task from inside inline work and then tries to run
+  // inline again. The second attempt must either be refused (the task is
+  // still queued) or come after the task: posted work stays in FIFO order.
+  EventLoop loop;
+  std::vector<char> order;  // loop work only
+  int refused = 0;
+  constexpr int kRounds = 500;
+  for (int i = 0; i < kRounds; ++i) {
+    while (!loop.TryRunHere([&]() {
+      loop.Post([&]() { order.push_back('P'); });
+    })) {
+      std::this_thread::yield();
+    }
+    auto inline_work = [&]() { order.push_back('I'); };
+    if (!loop.TryRunHere(inline_work)) {
+      ++refused;
+      loop.Post(inline_work);
+    }
+  }
+  loop.RunSync([]() {});
+  ASSERT_EQ(order.size(), 2u * kRounds);
+  for (int i = 0; i < kRounds; ++i) {
+    EXPECT_EQ(order[2 * i], 'P');
+    EXPECT_EQ(order[2 * i + 1], 'I');
+  }
+  EXPECT_GT(refused, 0);
+}
+
+TEST(EventLoopTest, TryRunHereRefusesWhileACallbackRuns) {
+  EventLoop loop;
+  int fd = ::eventfd(0, EFD_NONBLOCK);
+  ASSERT_GE(fd, 0);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  loop.Watch(fd, [&]() {
+    uint64_t count;
+    (void)!::read(fd, &count, sizeof(count));
+    entered = true;
+    while (!release) {
+      std::this_thread::yield();
+    }
+  });
+  uint64_t one = 1;
+  ASSERT_EQ(::write(fd, &one, sizeof(one)), 8);
+  while (!entered) {
+    std::this_thread::yield();
+  }
+  bool ran = false;
+  EXPECT_FALSE(loop.TryRunHere([&]() { ran = true; }));
+  EXPECT_FALSE(ran);
+  release = true;
+  loop.Unwatch(fd);
+  ::close(fd);
+}
+
+TEST(EventLoopTest, PostFromInlineWorkWakesTheLoop) {
+  EventLoop loop;
+  loop.RunSync([]() {});
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // asleep
+  std::atomic<bool> ran{false};
+  ASSERT_TRUE(loop.TryRunHere([&]() { loop.Post([&]() { ran = true; }); }));
+  for (int i = 0; i < 400 && !ran; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(ran);
+}
+
+TEST(EventLoopTest, TimerScheduledInlineWakesASleepingLoop) {
+  EventLoop loop;
+  loop.ScheduleAfter(Duration::Seconds(30), []() {});  // armed far out
+  loop.RunSync([]() {});
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::atomic<bool> fired{false};
+  ASSERT_TRUE(loop.TryRunHere([&]() {
+    loop.ScheduleAfter(Duration::Millis(1), [&]() { fired = true; });
+  }));
+  for (int i = 0; i < 400 && !fired; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(fired);
+}
+
+TEST(EventLoopDeathTest, RunSyncFromInsideLoopWorkFails) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        EventLoop loop;
+        loop.RunSync([&]() { loop.RunSync([]() {}); });
+      },
+      "CHECK failed");
+  EXPECT_DEATH(
+      {
+        EventLoop loop;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        while (!loop.TryRunHere([&]() { loop.RunSync([]() {}); })) {
+          std::this_thread::yield();
+        }
+      },
+      "CHECK failed");
+}
+
+// A socket that keeps receiving datagrams from a background sprayer.
+class Sprayer {
+ public:
+  explicit Sprayer(uint16_t port) : port_(port) {
+    thread_ = std::thread([this]() {
+      int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+      sockaddr_in addr{};
+      addr.sin_family = AF_INET;
+      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+      addr.sin_port = htons(port_);
+      // A valid header: sender 7, class kData, one payload byte.
+      uint8_t frame[6] = {7, 0, 0, 0, 0, 1};
+      while (!stop_) {
+        ::sendto(fd, frame, sizeof(frame), 0,
+                 reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+      ::close(fd);
+    });
+  }
+  ~Sprayer() {
+    stop_ = true;
+    thread_.join();
+  }
+
+ private:
+  uint16_t port_;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+int BoundUdpSocket(uint16_t* port) {
+  int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  socklen_t len = sizeof(addr);
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  *port = ntohs(addr.sin_port);
+  return fd;
+}
+
+TEST(EventLoopTest, NoCallbackAfterUnwatchReturns) {
+  EventLoop loop;
+  uint16_t port = 0;
+  int fd = BoundUdpSocket(&port);
+  ASSERT_GE(fd, 0);
+  std::atomic<int> calls{0};
+  std::atomic<bool> unwatched{false};
+  std::atomic<bool> late{false};
+  loop.Watch(fd, [&]() {
+    uint8_t buf[64];
+    while (::recv(fd, buf, sizeof(buf), 0) > 0) {
+    }
+    if (unwatched) {
+      late = true;
+    }
+    // Widen the window in which Unwatch has to wait for this callback.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    ++calls;
+  });
+  Sprayer sprayer(port);
+  for (int i = 0; i < 400 && calls < 20; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GE(calls, 20);
+  loop.Unwatch(fd);
+  unwatched = true;
+  const int at_unwatch = calls;
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(late);
+  EXPECT_EQ(calls, at_unwatch);
+  ::close(fd);
+}
+
+TEST(UdpTransportTest, NoHandlerCallAfterStopReturns) {
+  EventLoop loop;
+  struct Flagger : PacketHandler {
+    std::atomic<int> count{0};
+    std::atomic<bool> stopped{false};
+    std::atomic<bool> late{false};
+    void HandlePacket(NodeId, MessageClass,
+                      std::span<const uint8_t>) override {
+      if (stopped) {
+        late = true;
+      }
+      ++count;
+    }
+  } handler;
+  UdpTransport t(NodeId(2), &loop, &handler);
+  ASSERT_TRUE(t.Start().ok());
+  Sprayer sprayer(t.port());
+  for (int i = 0; i < 400 && handler.count < 20; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GE(handler.count, 20);
+  t.Stop();
+  handler.stopped = true;
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(handler.late);
+}
+
+TEST(UdpTransportTest, StopsCleanlyAfterItsLoopStopped) {
+  auto loop = std::make_unique<EventLoop>();
+  struct Counter : PacketHandler {
+    std::atomic<int> count{0};
+    void HandlePacket(NodeId, MessageClass,
+                      std::span<const uint8_t>) override {
+      ++count;
+    }
+  } counter;
+  UdpTransport t(NodeId(2), loop.get(), &counter);
+  ASSERT_TRUE(t.Start().ok());
+  {
+    Sprayer sprayer(t.port());
+    for (int i = 0; i < 400 && counter.count == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    loop->Stop();  // the socket is still watched
+  }
+  const int at_stop = counter.count;
+  EXPECT_GT(at_stop, 0);
+  t.Stop();
+  t.Stop();
+  loop.reset();
+  EXPECT_EQ(counter.count, at_stop);
+}
+
+TEST(UdpTransportTest, LooplessTransportDeliversOnItsOwnLoop) {
+  std::atomic<int> count{0};
+  UdpTransport t(NodeId(2), nullptr, nullptr);
+  t.SetRawHandler([&](NodeId from, MessageClass cls,
+                      std::span<const uint8_t> payload) {
+    EXPECT_EQ(from, NodeId(7));
+    EXPECT_EQ(cls, MessageClass::kData);
+    EXPECT_EQ(payload.size(), 1u);
+    ++count;
+  });
+  ASSERT_TRUE(t.Start().ok());
+  Sprayer sprayer(t.port());
+  for (int i = 0; i < 400 && count < 5; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(count, 5);
+  t.Stop();
 }
 
 TEST(UdpTransportTest, LoopbackDelivery) {

@@ -1,14 +1,19 @@
 // Proves the typed fast path's zero-allocation claim: once the message
 // pool and scheduler have warmed up, pumping messages through SimNetwork
-// performs no heap allocation at all -- counted by replacing global
-// operator new/delete.
+// performs no heap allocation at all, and neither does a shard's batched
+// UDP send path -- counted by replacing global operator new/delete.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
 
 #include "src/net/sim_network.h"
+#include "src/runtime/udp_transport.h"
 #include "src/sim/simulator.h"
 
 namespace {
@@ -121,6 +126,49 @@ TEST(FastPathAllocTest, TypedMulticastSteadyStateDoesNotAllocate) {
   EXPECT_EQ(after - before, 0u) << "typed multicast allocated";
   EXPECT_EQ(r1.handled, 100u);
   EXPECT_EQ(r3.handled, 100u);
+}
+
+TEST(FastPathAllocTest, BatchSenderSendAndFlushDoNotAllocate) {
+  // A bound socket nobody reads is the sink: loopback datagrams beyond its
+  // buffer are dropped by the kernel, which sendmmsg does not report.
+  int sink = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(sink, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(sink, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(sink, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  UdpTransport transport(NodeId(1), nullptr, nullptr);
+  ASSERT_TRUE(transport.Start().ok());
+  transport.AddPeer(NodeId(2), ntohs(addr.sin_port));
+  {
+    UdpBatchSender sender(&transport, /*max_batch=*/8);
+    auto burst = [&sender]() {
+      for (int i = 0; i < 5; ++i) {
+        sender.Send(NodeId(2), MessageClass::kControl,
+                    Packet(Ping{RequestId(1)}));
+      }
+      sender.Flush();
+    };
+    for (int i = 0; i < 20; ++i) {  // warm up: frame capacities grow
+      burst();
+    }
+    uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    for (int i = 0; i < 200; ++i) {
+      burst();
+    }
+    uint64_t after = g_allocs.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u) << "batched send path allocated";
+    EXPECT_EQ(sender.pending(), 0u);
+  }
+  EXPECT_EQ(transport.stats().sent[static_cast<int>(MessageClass::kControl)],
+            220u * 5);
+  EXPECT_EQ(transport.stats().send_failures, 0u);
+  transport.Stop();
+  ::close(sink);
 }
 
 }  // namespace

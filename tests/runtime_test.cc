@@ -1,6 +1,9 @@
 // The lease protocol over real UDP sockets and real timers: the same state
 // machines as the simulation, on the localhost runtime.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -113,6 +116,42 @@ TEST_F(RuntimeFixture, DuplicatedAndDelayedDatagramsAreHarmless) {
   Result<ReadResult> read = client->Read(file, Duration::Seconds(10));
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(std::string(read->data.begin(), read->data.end()), "d3");
+}
+
+TEST_F(RuntimeFixture, MalformedDatagramsAreCountedAndDropped) {
+  // Empty, runt (shorter than the 5-byte header) and unknown-class frames
+  // at both ends: each is counted once, none reaches a handler, and the
+  // protocol keeps serving.
+  int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  auto spray = [fd](uint16_t port) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    const uint8_t runt[3] = {2, 0, 0};
+    const uint8_t bad_class[6] = {2, 0, 0, 0, 0x7f, 1};
+    auto* to = reinterpret_cast<sockaddr*>(&addr);
+    ::sendto(fd, runt, 0, 0, to, sizeof(addr));
+    ::sendto(fd, runt, sizeof(runt), 0, to, sizeof(addr));
+    ::sendto(fd, bad_class, sizeof(bad_class), 0, to, sizeof(addr));
+  };
+  spray(server->port());
+  spray(client->port());
+  for (int i = 0; i < 400 && (server->transport().stats().malformed < 3 ||
+                              client->transport().stats().malformed < 3);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ::close(fd);
+  EXPECT_EQ(server->transport().stats().malformed, 3u);
+  EXPECT_EQ(client->transport().stats().malformed, 3u);
+  EXPECT_EQ(server->transport().stats().TotalReceived(), 0u);
+
+  Result<ReadResult> read = client->Read(file);
+  ASSERT_TRUE(read.ok()) << read.error().ToString();
+  EXPECT_EQ(std::string(read->data.begin(), read->data.end()), "world");
+  EXPECT_EQ(server->transport().stats().malformed, 3u);
 }
 
 TEST(RuntimeMultiClient, SharedWriteInvalidatesOtherClient) {
