@@ -338,9 +338,8 @@ void MeasureSweep(double* serial_s, double* parallel_s, size_t* threads,
 // --- Protocol message-path metrics ---
 
 // A node that pumps messages back and forth: on each arrival it produces a
-// fresh reply packet while replies remain. In force-wire mode arrivals come
-// through HandlePacket and are decoded (the old world, end to end); on the
-// typed path the packet arrives without any codec work.
+// fresh reply packet while replies remain. The packet arrives without any
+// codec work.
 class PumpNode : public PacketHandler {
  public:
   static Packet MakeMessage() {
@@ -353,22 +352,9 @@ class PumpNode : public PacketHandler {
     return m;
   }
 
-  void HandlePacket(NodeId from, MessageClass /*cls*/,
-                    std::span<const uint8_t> bytes) override {
-    std::optional<Packet> packet = DecodePacket(bytes);
-    if (packet.has_value()) {
-      benchmark::DoNotOptimize(*packet);
-      OnArrival(from);
-    }
-  }
-
   void HandleTyped(NodeId from, MessageClass /*cls*/,
                    const Packet& packet) override {
     benchmark::DoNotOptimize(packet);
-    OnArrival(from);
-  }
-
-  void OnArrival(NodeId from) {
     ++received;
     if (remaining > 0) {
       --remaining;
@@ -382,15 +368,13 @@ class PumpNode : public PacketHandler {
 };
 
 // Raw message-path throughput through SimNetwork: two nodes exchanging
-// 512-byte ReadReplies. The typed/wire ratio is the serialization tax the
-// fast path removes from every simulated message.
-double MeasurePumpMsgsPerSec(bool force_wire, uint64_t* messages) {
+// 512-byte ReadReplies.
+double MeasurePumpMsgsPerSec(uint64_t* messages) {
   const int kMessages = 200'000;
   double best = 0;
   for (int rep = 0; rep < 2; ++rep) {
     Simulator sim;
     SimNetwork net(&sim, NetworkParams{});
-    net.set_force_wire(force_wire);
     PumpNode a;
     PumpNode b;
     a.transport = net.AttachNode(NodeId(1), &a);
@@ -413,10 +397,9 @@ double MeasurePumpMsgsPerSec(bool force_wire, uint64_t* messages) {
 // End-to-end protocol throughput: the standard 10-client V cluster under
 // the Section 3.1 Poisson workload, measured as simulated lease operations
 // (reads + writes) completed per host second.
-double MeasureLeaseOpsPerSec(bool force_wire, uint64_t* ops) {
+double MeasureLeaseOpsPerSec(uint64_t* ops) {
   ClusterOptions options = MakeVClusterOptions(Duration::Seconds(10), 10, 7);
   SimCluster cluster(options);
-  cluster.network().set_force_wire(force_wire);
   PoissonOptions poisson;
   poisson.sharing = 5;
   poisson.seed = 7;
@@ -465,13 +448,9 @@ int WriteBenchCore(const char* path) {
   double cancel_ops = MeasureCancelOpsPerSec();
 
   uint64_t pump_messages = 0;
-  double pump_wire = MeasurePumpMsgsPerSec(/*force_wire=*/true,
-                                           &pump_messages);
-  double pump_typed = MeasurePumpMsgsPerSec(/*force_wire=*/false,
-                                            &pump_messages);
+  double pump_typed = MeasurePumpMsgsPerSec(&pump_messages);
   uint64_t lease_ops = 0;
-  double ops_wire = MeasureLeaseOpsPerSec(/*force_wire=*/true, &lease_ops);
-  double ops_typed = MeasureLeaseOpsPerSec(/*force_wire=*/false, &lease_ops);
+  double ops_typed = MeasureLeaseOpsPerSec(&lease_ops);
 
   double serial_s = 0;
   double parallel_s = 0;
@@ -503,7 +482,7 @@ int WriteBenchCore(const char* path) {
   }
   std::fprintf(f,
                "{\n"
-               "  \"schema\": 4,\n"
+               "  \"schema\": 5,\n"
                "  \"memory\": {\n"
                "    \"swarm_clients\": %u,\n"
                "    \"bytes_per_client\": %zu\n"
@@ -518,14 +497,10 @@ int WriteBenchCore(const char* path) {
                "  \"protocol\": {\n"
                "    \"pump_messages\": %llu,\n"
                "    \"pump_payload_bytes\": 512,\n"
-               "    \"pump_wire_msgs_per_sec\": %.0f,\n"
                "    \"pump_typed_msgs_per_sec\": %.0f,\n"
-               "    \"pump_typed_speedup\": %.2f,\n"
                "    \"cluster_clients\": 10,\n"
                "    \"cluster_lease_ops\": %llu,\n"
-               "    \"lease_ops_wire_per_sec\": %.0f,\n"
-               "    \"lease_ops_typed_per_sec\": %.0f,\n"
-               "    \"lease_ops_typed_speedup\": %.2f\n"
+               "    \"lease_ops_typed_per_sec\": %.0f\n"
                "  },\n"
                "  \"sweep\": {\n"
                "    \"points\": %zu,\n"
@@ -549,11 +524,9 @@ int WriteBenchCore(const char* path) {
                mem_clients, bytes_per_client,
                static_cast<unsigned long long>(events), events_per_sec,
                1e9 / events_per_sec, mixed_per_sec, cancel_ops,
-               static_cast<unsigned long long>(pump_messages), pump_wire,
-               pump_typed, pump_typed / pump_wire,
-               static_cast<unsigned long long>(lease_ops), ops_wire,
-               ops_typed, ops_typed / ops_wire, points, threads,
-               requested_threads, serial_s, parallel_s,
+               static_cast<unsigned long long>(pump_messages), pump_typed,
+               static_cast<unsigned long long>(lease_ops), ops_typed, points,
+               threads, requested_threads, serial_s, parallel_s,
                serial_s / parallel_s, identical ? "true" : "false",
                sweep_degraded ? "true" : "false", hw, kShardMax,
                shard1.ops_per_sec, shard8.ops_per_sec,
@@ -566,15 +539,13 @@ int WriteBenchCore(const char* path) {
               bytes_per_client, mem_clients);
   std::printf("wrote %s: %.1fM events/s (%.1f ns/event), %.1fM mixed-horizon "
               "events/s, %.1fM sched+cancel ops/s\n"
-              "  protocol: pump %.2fM -> %.2fM msgs/s (%.2fx typed), "
-              "cluster %.0f -> %.0f lease ops/s (%.2fx typed)\n"
+              "  protocol: pump %.2fM msgs/s, cluster %.0f lease ops/s\n"
               "  sweep %.2fs -> %.2fs (%zu threads, identical=%s%s)\n"
               "  shards: %.2fM -> %.2fM ops/s at 1 -> %zu shards "
               "(%.2fx%s)\n",
               path, events_per_sec / 1e6, 1e9 / events_per_sec,
-              mixed_per_sec / 1e6, cancel_ops / 1e6, pump_wire / 1e6,
-              pump_typed / 1e6, pump_typed / pump_wire, ops_wire, ops_typed,
-              ops_typed / ops_wire, serial_s, parallel_s, threads,
+              mixed_per_sec / 1e6, cancel_ops / 1e6, pump_typed / 1e6,
+              ops_typed, serial_s, parallel_s, threads,
               identical ? "true" : "false",
               sweep_degraded ? ", DEGRADED" : "", shard1.ops_per_sec / 1e6,
               shard8.ops_per_sec / 1e6, kShardMax,

@@ -34,13 +34,6 @@ class ShardBenchTransport : public Transport {
   explicit ShardBenchTransport(NodeId self) : self_(self) {}
 
   NodeId local_node() const override { return self_; }
-  void Send(NodeId, MessageClass, std::vector<uint8_t>) override {
-    ++replies_;
-  }
-  void Multicast(std::span<const NodeId>, MessageClass,
-                 std::vector<uint8_t>) override {
-    ++replies_;
-  }
   void Send(NodeId, MessageClass, Packet) override { ++replies_; }
   void Multicast(std::span<const NodeId>, MessageClass, Packet) override {
     ++replies_;

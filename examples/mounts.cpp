@@ -48,11 +48,11 @@ void MakeServer(Simulator& sim, SimNetwork& net, TermPolicy& policy,
 // Routes replies from each server to the matching per-server cache.
 struct Demux : PacketHandler {
   std::unordered_map<NodeId, CacheClient*> routes;
-  void HandlePacket(NodeId from, MessageClass cls,
-                    std::span<const uint8_t> bytes) override {
+  void HandleTyped(NodeId from, MessageClass cls,
+                   const Packet& packet) override {
     auto it = routes.find(from);
     if (it != routes.end()) {
-      it->second->HandlePacket(from, cls, bytes);
+      it->second->HandleTyped(from, cls, packet);
     }
   }
 };

@@ -24,7 +24,9 @@ std::string T(const std::vector<uint8_t>& b) {
 }  // namespace
 
 int main() {
-  RuntimeServer server(NodeId(1), ServerParams{}, Duration::Seconds(2));
+  EngineConfig config;
+  config.term = Duration::Seconds(2);
+  RuntimeServer server(NodeId(1), config);
   FileId file = *server.store().CreatePath("/config/flags",
                                            FileClass::kNormal,
                                            B("verbose=false"));

@@ -17,27 +17,21 @@ BaselineServer::BaselineServer(NodeId id, BaselineMode mode, FileStore* store,
       transport_(transport),
       oracle_(oracle) {}
 
-void BaselineServer::HandlePacket(NodeId from, MessageClass /*cls*/,
-                                  std::span<const uint8_t> bytes) {
-  std::optional<Packet> packet = DecodePacket(bytes);
-  if (!packet.has_value()) {
-    return;
-  }
-  if (const auto* read = std::get_if<ReadRequest>(&*packet)) {
+void BaselineServer::HandleTyped(NodeId from, MessageClass /*cls*/,
+                                 const Packet& packet) {
+  if (const auto* read = std::get_if<ReadRequest>(&packet)) {
     OnReadRequest(from, *read);
     return;
   }
-  if (const auto* validate = std::get_if<ExtendRequest>(&*packet)) {
+  if (const auto* validate = std::get_if<ExtendRequest>(&packet)) {
     OnExtendRequest(from, *validate);
     return;
   }
-  if (const auto* write = std::get_if<WriteRequest>(&*packet)) {
+  if (const auto* write = std::get_if<WriteRequest>(&packet)) {
     OnWriteRequest(from, *write);
     return;
   }
-  if (std::get_if<ApproveReply>(&*packet) != nullptr) {
-    return;  // break acknowledgement; nothing to track
-  }
+  // An ApproveReply is a break acknowledgement; nothing to track.
 }
 
 void BaselineServer::OnReadRequest(NodeId from, const ReadRequest& m) {
@@ -60,7 +54,7 @@ void BaselineServer::OnReadRequest(NodeId from, const ReadRequest& m) {
     }
   }
   ++stats_.reads_served;
-  SendTo(from, MessageClass::kData, reply);
+  transport_->Send(from, MessageClass::kData, std::move(reply));
 }
 
 void BaselineServer::OnExtendRequest(NodeId from, const ExtendRequest& m) {
@@ -88,7 +82,7 @@ void BaselineServer::OnExtendRequest(NodeId from, const ExtendRequest& m) {
     }
     reply.items.push_back(std::move(out));
   }
-  SendTo(from, MessageClass::kConsistency, reply);
+  transport_->Send(from, MessageClass::kConsistency, std::move(reply));
 }
 
 void BaselineServer::OnWriteRequest(NodeId from, const WriteRequest& m) {
@@ -98,7 +92,7 @@ void BaselineServer::OnWriteRequest(NodeId from, const WriteRequest& m) {
   Result<uint64_t> applied = store_->Apply(m.file, m.data, from);
   if (!applied.ok()) {
     reply.status = applied.code();
-    SendTo(from, MessageClass::kData, reply);
+    transport_->Send(from, MessageClass::kData, std::move(reply));
     return;
   }
   reply.version = *applied;
@@ -113,24 +107,18 @@ void BaselineServer::OnWriteRequest(NodeId from, const WriteRequest& m) {
     auto holders = callbacks_.find(m.file);
     if (holders != callbacks_.end()) {
       ApproveRequest break_msg{++next_break_seq_, m.file, LeaseKey()};
-      std::vector<uint8_t> bytes = EncodePacket(Packet(break_msg));
       for (NodeId holder : holders->second) {
         if (holder == from) {
           continue;
         }
-        transport_->Send(holder, MessageClass::kConsistency, bytes);
+        transport_->Send(holder, MessageClass::kConsistency, break_msg);
         ++stats_.breaks_sent;
       }
       callbacks_.erase(holders);
       callbacks_[m.file].insert(from);
     }
   }
-  SendTo(from, MessageClass::kData, reply);
-}
-
-void BaselineServer::SendTo(NodeId to, MessageClass cls,
-                            const Packet& packet) {
-  transport_->Send(to, cls, EncodePacket(packet));
+  transport_->Send(from, MessageClass::kData, std::move(reply));
 }
 
 // --- BaselineClient ---
@@ -152,29 +140,27 @@ BaselineClient::~BaselineClient() {
   }
 }
 
-void BaselineClient::HandlePacket(NodeId from, MessageClass /*cls*/,
-                                  std::span<const uint8_t> bytes) {
-  std::optional<Packet> packet = DecodePacket(bytes);
-  if (!packet.has_value() || from != server_) {
+void BaselineClient::HandleTyped(NodeId from, MessageClass /*cls*/,
+                                 const Packet& packet) {
+  if (from != server_) {
     return;
   }
-  if (const auto* read = std::get_if<ReadReply>(&*packet)) {
+  if (const auto* read = std::get_if<ReadReply>(&packet)) {
     OnReadReply(*read);
     return;
   }
-  if (const auto* write = std::get_if<WriteReply>(&*packet)) {
+  if (const auto* write = std::get_if<WriteReply>(&packet)) {
     OnWriteReply(*write);
     return;
   }
-  if (const auto* brk = std::get_if<ApproveRequest>(&*packet)) {
+  if (const auto* brk = std::get_if<ApproveRequest>(&packet)) {
     ++stats_.breaks_received;
     OnBreak(brk->file);
     transport_->Send(server_, MessageClass::kConsistency,
-                     EncodePacket(Packet(
-                         ApproveReply{brk->write_seq, brk->file, false})));
+                     ApproveReply{brk->write_seq, brk->file, false});
     return;
   }
-  if (const auto* validate = std::get_if<ExtendReply>(&*packet)) {
+  if (const auto* validate = std::get_if<ExtendReply>(&packet)) {
     // Poll replies are routed through the ReadReply path per item by the
     // subclasses that send them; a bare reply only refreshes the cache.
     for (const ExtendReplyItem& item : validate->items) {
@@ -273,15 +259,13 @@ void BaselineClient::SendOp(PendingOp op) {
   RequestId req = op.req;
   if (op.is_write) {
     transport_->Send(server_, MessageClass::kData,
-                     EncodePacket(Packet(WriteRequest{req, op.file, 0, false,
-                                                      op.data})));
+                     WriteRequest{req, op.file, 0, false, op.data});
   } else {
     // Validations are consistency traffic; cold fetches are data traffic.
     transport_->Send(server_,
                      op.is_validate ? MessageClass::kConsistency
                                     : MessageClass::kData,
-                     EncodePacket(Packet(
-                         ReadRequest{req, op.file, op.have_version})));
+                     ReadRequest{req, op.file, op.have_version});
   }
   auto [it, inserted] = pending_.emplace(req, std::move(op));
   LEASES_CHECK(inserted);
@@ -311,14 +295,12 @@ void BaselineClient::ResendOp(RequestId req) {
   // Re-send with the same request id.
   if (op.is_write) {
     transport_->Send(server_, MessageClass::kData,
-                     EncodePacket(Packet(WriteRequest{req, op.file, 0, false,
-                                                      op.data})));
+                     WriteRequest{req, op.file, 0, false, op.data});
   } else {
     transport_->Send(server_,
                      op.is_validate ? MessageClass::kConsistency
                                     : MessageClass::kData,
-                     EncodePacket(Packet(
-                         ReadRequest{req, op.file, op.have_version})));
+                     ReadRequest{req, op.file, op.have_version});
   }
   op.timer = timers_->ScheduleAfter(Duration::Seconds(2),
                                     [this, req]() { ResendOp(req); });
@@ -413,8 +395,7 @@ void CallbackClient::PollTick() {
     for (const auto& [file, entry] : cache_) {
       poll.items.push_back(ExtendItem{file, entry.version});
     }
-    transport_->Send(server_, MessageClass::kConsistency,
-                     EncodePacket(Packet(std::move(poll))));
+    transport_->Send(server_, MessageClass::kConsistency, std::move(poll));
   }
   poll_timer_ =
       timers_->ScheduleAfter(poll_period_, [this]() { PollTick(); });

@@ -52,8 +52,8 @@ class BaselineServer : public PacketHandler {
   BaselineServer(NodeId id, BaselineMode mode, FileStore* store,
                  Transport* transport, Oracle* oracle);
 
-  void HandlePacket(NodeId from, MessageClass cls,
-                    std::span<const uint8_t> bytes) override;
+  void HandleTyped(NodeId from, MessageClass cls,
+                   const Packet& packet) override;
 
   const BaselineServerStats& stats() const { return stats_; }
 
@@ -61,7 +61,6 @@ class BaselineServer : public PacketHandler {
   void OnReadRequest(NodeId from, const ReadRequest& m);
   void OnExtendRequest(NodeId from, const ExtendRequest& m);
   void OnWriteRequest(NodeId from, const WriteRequest& m);
-  void SendTo(NodeId to, MessageClass cls, const Packet& packet);
 
   NodeId id_;
   BaselineMode mode_;
@@ -98,8 +97,8 @@ class BaselineClient : public PacketHandler {
   const BaselineClientStats& stats() const { return stats_; }
   bool HasCached(FileId file) const { return cache_.count(file) > 0; }
 
-  void HandlePacket(NodeId from, MessageClass cls,
-                    std::span<const uint8_t> bytes) override;
+  void HandleTyped(NodeId from, MessageClass cls,
+                   const Packet& packet) override;
 
  protected:
   struct Entry {

@@ -52,23 +52,8 @@ CacheClient::~CacheClient() {
 
 // --- Packet dispatch ---
 
-void CacheClient::HandlePacket(NodeId from, MessageClass /*cls*/,
-                               std::span<const uint8_t> bytes) {
-  std::optional<Packet> packet = DecodePacket(bytes);
-  if (!packet.has_value()) {
-    LEASES_WARN("client %u: malformed packet from %u", id_.value(),
-                from.value());
-    return;
-  }
-  DispatchPacket(from, *packet);
-}
-
 void CacheClient::HandleTyped(NodeId from, MessageClass /*cls*/,
                               const Packet& packet) {
-  DispatchPacket(from, packet);
-}
-
-void CacheClient::DispatchPacket(NodeId from, const Packet& packet) {
   if (from != server_) {
     LEASES_WARN("client %u: packet from unexpected node %u", id_.value(),
                 from.value());

@@ -109,6 +109,8 @@ struct ClientStats {
   // grants whose locally-effective term was shortened by contention.
   uint64_t contention_skipped_items = 0;
   uint64_t contention_shortened_leases = 0;
+
+  bool operator==(const ClientStats&) const = default;
 };
 
 class CacheClient : public PacketHandler {
@@ -151,8 +153,6 @@ class CacheClient : public PacketHandler {
   size_t cache_size() const { return cache_.size(); }
   size_t lease_count() const { return lease_expiry_.size(); }
 
-  void HandlePacket(NodeId from, MessageClass cls,
-                    std::span<const uint8_t> bytes) override;
   void HandleTyped(NodeId from, MessageClass cls,
                    const Packet& packet) override;
 
@@ -300,9 +300,6 @@ class CacheClient : public PacketHandler {
   // Drops the key's lease and tells the server, unless another cached entry
   // still uses the key.
   void RelinquishKeyIfUnused(LeaseKey key);
-
-  // Both entry points (decoded bytes and the typed fast path) funnel here.
-  void DispatchPacket(NodeId from, const Packet& packet);
 
   void SendToServer(MessageClass cls, Packet packet);
   Oracle::ReadToken BeginRead(FileId file);

@@ -132,23 +132,8 @@ LeaseServer::~LeaseServer() {
   }
 }
 
-void LeaseServer::HandlePacket(NodeId from, MessageClass /*cls*/,
-                               std::span<const uint8_t> bytes) {
-  std::optional<Packet> packet = DecodePacket(bytes);
-  if (!packet.has_value()) {
-    LEASES_WARN("server %u: malformed packet from %u", id_.value(),
-                from.value());
-    return;
-  }
-  DispatchPacket(from, *packet);
-}
-
 void LeaseServer::HandleTyped(NodeId from, MessageClass /*cls*/,
                               const Packet& packet) {
-  DispatchPacket(from, packet);
-}
-
-void LeaseServer::DispatchPacket(NodeId from, const Packet& packet) {
   if (halted_) {
     // Boot failed to persist its counter: acknowledging anything could
     // violate recovery invariants, so behave exactly like a down server.

@@ -111,6 +111,8 @@ struct ServerStats {
                                         // holder's confirmed authority lease
   uint64_t standby_reads_served = 0;    // reads answered by a non-holder
                                         // under delegated authority
+
+  bool operator==(const ServerStats&) const = default;
 };
 
 // Durable-metadata keys of the server's recovery record. Exposed so the
@@ -133,8 +135,6 @@ class LeaseServer : public PacketHandler {
   LeaseServer(const LeaseServer&) = delete;
   LeaseServer& operator=(const LeaseServer&) = delete;
 
-  void HandlePacket(NodeId from, MessageClass cls,
-                    std::span<const uint8_t> bytes) override;
   void HandleTyped(NodeId from, MessageClass cls,
                    const Packet& packet) override;
 
@@ -266,9 +266,6 @@ class LeaseServer : public PacketHandler {
   // False when the queue is full: the caller sheds the request with
   // kUnavailable. Always true when grant_queue_limit == 0.
   bool AdmitGrantWork();
-
-  // Both entry points (decoded bytes and the typed fast path) funnel here.
-  void DispatchPacket(NodeId from, const Packet& packet);
 
   // Copies the storage-backend counters into stats_ (no-op when the meta
   // store is not backend-backed).

@@ -46,13 +46,6 @@ class PlainEngine : public ServerEngine {
 
   LeaseServer* plain() override { return server_.get(); }
 
-  void HandlePacket(NodeId from, MessageClass cls,
-                    std::span<const uint8_t> bytes) override {
-    if (server_ != nullptr) {
-      server_->HandlePacket(from, cls, bytes);
-    }
-  }
-
   void HandleTyped(NodeId from, MessageClass cls,
                    const Packet& packet) override {
     if (server_ != nullptr) {
@@ -111,13 +104,6 @@ class ShardedEngine : public ServerEngine {
   }
 
   ShardedLeaseServer* sharded() override { return server_.get(); }
-
-  void HandlePacket(NodeId from, MessageClass cls,
-                    std::span<const uint8_t> bytes) override {
-    if (server_ != nullptr) {
-      server_->HandlePacket(from, cls, bytes);
-    }
-  }
 
   void HandleTyped(NodeId from, MessageClass cls,
                    const Packet& packet) override {

@@ -30,15 +30,6 @@ ShardedLeaseServer::ShardedLeaseServer(NodeId id, std::vector<ShardEnv> envs,
 
 ShardedLeaseServer::~ShardedLeaseServer() = default;
 
-void ShardedLeaseServer::HandlePacket(NodeId from, MessageClass cls,
-                                      std::span<const uint8_t> bytes) {
-  std::optional<Packet> packet = DecodePacket(bytes);
-  if (!packet) {
-    return;  // same policy as LeaseServer: malformed datagrams are dropped
-  }
-  HandleTyped(from, cls, *packet);
-}
-
 void ShardedLeaseServer::HandleTyped(NodeId from, MessageClass cls,
                                      const Packet& packet) {
   ShardRoute route = RouteServerPacket(packet, shards_.size());

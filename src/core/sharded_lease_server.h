@@ -88,8 +88,6 @@ class ShardedLeaseServer : public PacketHandler {
   const LeaseServer& shard(size_t i) const { return *shards_[i]->server; }
 
   // --- Inline dispatch (simulator; also fine for any single thread) ---
-  void HandlePacket(NodeId from, MessageClass cls,
-                    std::span<const uint8_t> bytes) override;
   void HandleTyped(NodeId from, MessageClass cls,
                    const Packet& packet) override;
 
@@ -158,14 +156,6 @@ class ShardedLeaseServer : public PacketHandler {
         : owner_(owner), shard_(shard_index), inner_(inner) {}
 
     NodeId local_node() const override { return inner_->local_node(); }
-    void Send(NodeId dst, MessageClass cls,
-              std::vector<uint8_t> bytes) override {
-      inner_->Send(dst, cls, std::move(bytes));
-    }
-    void Multicast(std::span<const NodeId> dst, MessageClass cls,
-                   std::vector<uint8_t> bytes) override {
-      inner_->Multicast(dst, cls, std::move(bytes));
-    }
     void Send(NodeId dst, MessageClass cls, Packet packet) override;
     void Multicast(std::span<const NodeId> dst, MessageClass cls,
                    Packet packet) override {

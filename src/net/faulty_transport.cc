@@ -115,15 +115,13 @@ void FaultInjectingTransport::ForgetTimer(TimerId id) {
   live_timers_.erase(id);
 }
 
-template <typename Payload>
 void FaultInjectingTransport::Dispatch(NodeId dst, MessageClass cls,
-                                       const Payload& payload,
-                                       Duration delay) {
+                                       const Packet& packet, Duration delay) {
   if (delay == Duration::Zero()) {
-    inner_->Send(dst, cls, Payload(payload));
+    inner_->Send(dst, cls, Packet(packet));
     return;
   }
-  // The callback captures the payload by value; the timer id is recorded so
+  // The callback captures the packet by value; the timer id is recorded so
   // the destructor can cancel stragglers. The id is only known after
   // ScheduleAfter returns, and the callback may fire first, so it reads its
   // id through a shared cell: a ForgetTimer of the zero id (not yet
@@ -131,58 +129,23 @@ void FaultInjectingTransport::Dispatch(NodeId dst, MessageClass cls,
   // later cancelled harmlessly (CancelTimer returns false).
   auto cell = std::make_shared<TimerId>();
   TimerId id = timers_->ScheduleAfter(
-      delay, [this, dst, cls, payload, cell]() mutable {
+      delay, [this, dst, cls, packet, cell]() mutable {
         ForgetTimer(*cell);
-        inner_->Send(dst, cls, std::move(payload));
+        inner_->Send(dst, cls, std::move(packet));
       });
   *cell = id;
   TrackTimer(id);
 }
 
-template <typename Payload>
 void FaultInjectingTransport::SendFiltered(NodeId dst, MessageClass cls,
-                                           const Payload& payload) {
+                                           const Packet& packet) {
   Verdict v = Decide(dst);
   if (v.drop) {
     return;
   }
-  Dispatch(dst, cls, payload, v.delay);
+  Dispatch(dst, cls, packet, v.delay);
   if (v.duplicate) {
-    Dispatch(dst, cls, payload, v.dup_delay);
-  }
-}
-
-void FaultInjectingTransport::Send(NodeId dst, MessageClass cls,
-                                   std::vector<uint8_t> bytes) {
-  bool passthrough;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    passthrough = PassthroughLocked();
-  }
-  if (passthrough) {
-    inner_->Send(dst, cls, std::move(bytes));
-    return;
-  }
-  SendFiltered(dst, cls, bytes);
-}
-
-void FaultInjectingTransport::Multicast(std::span<const NodeId> dst,
-                                        MessageClass cls,
-                                        std::vector<uint8_t> bytes) {
-  bool passthrough;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    passthrough = PassthroughLocked();
-  }
-  if (passthrough) {
-    inner_->Multicast(dst, cls, std::move(bytes));
-    return;
-  }
-  // Per-destination decisions require decomposing the multicast; the inner
-  // UdpTransport iterates sendto per destination anyway, so the wire
-  // behaviour is unchanged.
-  for (NodeId d : dst) {
-    SendFiltered(d, cls, bytes);
+    Dispatch(dst, cls, packet, v.dup_delay);
   }
 }
 
@@ -211,6 +174,9 @@ void FaultInjectingTransport::Multicast(std::span<const NodeId> dst,
     inner_->Multicast(dst, cls, std::move(packet));
     return;
   }
+  // Per-destination decisions require decomposing the multicast; the inner
+  // UdpTransport iterates sendto per destination anyway, so the wire
+  // behaviour is unchanged.
   for (NodeId d : dst) {
     SendFiltered(d, cls, packet);
   }

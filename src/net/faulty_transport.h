@@ -84,9 +84,6 @@ class FaultInjectingTransport : public Transport {
 
   // --- Transport ---
   NodeId local_node() const override { return inner_->local_node(); }
-  void Send(NodeId dst, MessageClass cls, std::vector<uint8_t> bytes) override;
-  void Multicast(std::span<const NodeId> dst, MessageClass cls,
-                 std::vector<uint8_t> bytes) override;
   void Send(NodeId dst, MessageClass cls, Packet packet) override;
   void Multicast(std::span<const NodeId> dst, MessageClass cls,
                  Packet packet) override;
@@ -103,11 +100,9 @@ class FaultInjectingTransport : public Transport {
   bool PassthroughLocked() const;
 
   // Issues one (possibly delayed) copy of the message through `inner_`.
-  template <typename Payload>
-  void Dispatch(NodeId dst, MessageClass cls, const Payload& payload,
+  void Dispatch(NodeId dst, MessageClass cls, const Packet& packet,
                 Duration delay);
-  template <typename Payload>
-  void SendFiltered(NodeId dst, MessageClass cls, const Payload& payload);
+  void SendFiltered(NodeId dst, MessageClass cls, const Packet& packet);
 
   void TrackTimer(TimerId id);
   void ForgetTimer(TimerId id);

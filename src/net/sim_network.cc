@@ -7,33 +7,14 @@
 
 namespace leases {
 
-void SimTransport::Send(NodeId dst, MessageClass cls,
-                        std::vector<uint8_t> bytes) {
-  NodeId dsts[1] = {dst};
-  net_->SendInternal(node_, dsts, cls, std::move(bytes));
-}
-
-void SimTransport::Multicast(std::span<const NodeId> dst, MessageClass cls,
-                             std::vector<uint8_t> bytes) {
-  net_->SendInternal(node_, dst, cls, std::move(bytes));
-}
-
 void SimTransport::Send(NodeId dst, MessageClass cls, Packet packet) {
   NodeId dsts[1] = {dst};
-  if (net_->force_wire()) {
-    net_->SendInternal(node_, dsts, cls, EncodePacket(packet));
-    return;
-  }
-  net_->SendTyped(node_, dsts, cls, std::move(packet));
+  net_->SendPacket(node_, dsts, cls, std::move(packet));
 }
 
 void SimTransport::Multicast(std::span<const NodeId> dst, MessageClass cls,
                              Packet packet) {
-  if (net_->force_wire()) {
-    net_->SendInternal(node_, dst, cls, EncodePacket(packet));
-    return;
-  }
-  net_->SendTyped(node_, dst, cls, std::move(packet));
+  net_->SendPacket(node_, dst, cls, std::move(packet));
 }
 
 SimTransport* SimNetwork::AttachNode(NodeId node, PacketHandler* handler) {
@@ -200,12 +181,7 @@ void SimNetwork::SwarmSend(NodeId member, NodeId dst, MessageClass cls,
     return;  // member-to-member traffic is not modeled
   }
   if (conformance_) {
-    conf_buf_.clear();
-    EncodePacketInto(packet, &conf_buf_);
-    std::optional<Packet> decoded = DecodePacket(conf_buf_);
-    LEASES_CHECK(decoded.has_value());
-    LEASES_CHECK(EncodePacket(*decoded) == conf_buf_);
-    packet = std::move(*decoded);
+    RoundTripThroughCodec(&packet);
   }
   TypedMessage* msg = AcquireTyped();
   msg->packet = std::move(packet);
@@ -215,10 +191,10 @@ void SimNetwork::SwarmSend(NodeId member, NodeId dst, MessageClass cls,
   msg->refs = 1;
   Delivery del{dst, receiver->epoch};
   // Member send CPU is not modeled: the wire starts now. The receiver's
-  // m_proc charge in StartReceiveTyped is unchanged, so server-side load
+  // m_proc charge in BeginReceive is unchanged, so server-side load
   // and serialization stay exact.
   sim_->ScheduleAt(sim_->Now() + params_.prop_delay, [this, msg, del]() {
-    StartReceiveTyped(msg, del);
+    BeginReceive(msg, del);
     ReleaseTyped(msg);
   });
 }
@@ -318,122 +294,16 @@ SimNetwork::FaultDecision SimNetwork::DecideFaults(Node& sender) {
   return d;
 }
 
-void SimNetwork::SendInternal(NodeId src, std::span<const NodeId> dst,
-                              MessageClass cls, std::vector<uint8_t> bytes) {
-  Node* sender = FindNode(src);
-  LEASES_CHECK(sender != nullptr);
-  if (!sender->up) {
-    // A crashed host cannot send; protocol objects are expected to be
-    // quiescent, but stray timers may still fire.
-    return;
-  }
-  // One send-side processing charge regardless of fan-out (multicast is
-  // "sent once", Section 3.1).
-  TimePoint departure = ChargeCpu(*sender, sim_->Now());
-  sender->stats.sent[static_cast<int>(cls)]++;
-
-  auto payload = std::make_shared<std::vector<uint8_t>>(std::move(bytes));
-  std::vector<Delivery> targets;
-  targets.reserve(dst.size());
-  // Deliveries the fault plane jittered or duplicated; each gets its own
-  // wire-arrival event instead of joining the batched fan-out.
-  std::vector<std::pair<Delivery, Duration>> jittered;
-  for (NodeId d : dst) {
-    if (d == src) {
-      continue;  // no self-delivery; local effects are applied directly
-    }
-    if (tracer_) {
-      tracer_(src, d, cls, *payload);
-    }
-    if (ArePartitioned(src, d)) {
-      sender->stats.dropped_partition++;
-      continue;
-    }
-    if (params_.loss_prob > 0 && rng_.NextBernoulli(params_.loss_prob)) {
-      sender->stats.dropped_loss++;
-      continue;
-    }
-    Node* receiver = FindNode(d);
-    if (receiver == nullptr && FindSwarm(d) == nullptr) {
-      continue;
-    }
-    // Swarm destinations (group address or member) have no crash epoch.
-    Delivery del{d, receiver != nullptr ? receiver->epoch : 0};
-    if (params_.faults.Enabled()) {
-      FaultDecision fd = DecideFaults(*sender);
-      if (fd.drop) {
-        continue;
-      }
-      if (fd.duplicate) {
-        jittered.emplace_back(del, fd.dup_extra);
-      }
-      if (fd.extra > Duration::Zero()) {
-        jittered.emplace_back(del, fd.extra);
-        continue;
-      }
-    }
-    targets.push_back(del);
-  }
-  TimePoint wire_arrival = departure + params_.prop_delay;
-  for (const auto& [to, extra] : jittered) {
-    sim_->ScheduleAt(wire_arrival + extra,
-                     [this, src, cls, to, bytes = payload]() {
-                       StartReceive(src, to, cls, bytes);
-                     });
-  }
-  if (targets.empty()) {
-    return;
-  }
-  if (targets.size() == 1) {
-    // Unicast fast path: the capture fits the scheduler's inline storage.
-    Delivery t = targets.front();
-    sim_->ScheduleAt(wire_arrival, [this, src, cls, t,
-                                    bytes = std::move(payload)]() {
-      StartReceive(src, t, cls, bytes);
-    });
-    return;
-  }
-  // Multicast: one wire-arrival event fans out to every destination, instead
-  // of one scheduler entry per destination. Per-receiver epoch checks and
-  // CPU serialization are unchanged, so the paper's cost model holds.
-  sim_->ScheduleAt(wire_arrival, [this, src, cls,
-                                  targets = std::move(targets),
-                                  bytes = std::move(payload)]() {
-    for (const Delivery& t : targets) {
-      StartReceive(src, t, cls, bytes);
-    }
-  });
-}
-
-void SimNetwork::StartReceive(NodeId src, Delivery to, MessageClass cls,
-                              const std::shared_ptr<std::vector<uint8_t>>&
-                                  bytes) {
-  Node* node = FindNode(to.dst);
-  if (node == nullptr) {
-    // Swarm-addressed wire delivery: decode and hand the packet to the
-    // group receiver at wire arrival (members pay no receive m_proc).
-    std::optional<Packet> packet = DecodePacket(*bytes);
-    if (packet.has_value()) {
-      DeliverToSwarm(src, to.dst, cls, *packet);
-    }
-    return;
-  }
-  if (node->epoch != to.epoch || !node->up || node->handler == nullptr) {
-    node->stats.dropped_down++;
-    return;
-  }
-  // Receive-side processing serializes on the node's CPU; the handler
-  // runs when the processing slot completes.
-  TimePoint done = ChargeCpu(*node, sim_->Now());
-  sim_->ScheduleAt(done, [this, src, to, cls, bytes]() {
-    Node* n = FindNode(to.dst);
-    if (n == nullptr || n->epoch != to.epoch || !n->up ||
-        n->handler == nullptr) {
-      return;
-    }
-    n->stats.received[static_cast<int>(cls)]++;
-    n->handler->HandlePacket(src, cls, *bytes);
-  });
+void SimNetwork::RoundTripThroughCodec(Packet* packet) {
+  // The encode must decode, the decode must re-encode to identical bytes,
+  // and the *decoded* packet is what gets delivered -- a codec bug cannot
+  // hide behind the in-memory hand-off.
+  conf_buf_.clear();
+  EncodePacketInto(*packet, &conf_buf_);
+  std::optional<Packet> decoded = DecodePacket(conf_buf_);
+  LEASES_CHECK(decoded.has_value());
+  LEASES_CHECK(EncodePacket(*decoded) == conf_buf_);
+  *packet = std::move(*decoded);
 }
 
 SimNetwork::TypedMessage* SimNetwork::AcquireTyped() {
@@ -453,28 +323,22 @@ void SimNetwork::ReleaseTyped(TypedMessage* msg) {
   }
 }
 
-void SimNetwork::SendTyped(NodeId src, std::span<const NodeId> dst,
-                           MessageClass cls, Packet packet) {
+void SimNetwork::SendPacket(NodeId src, std::span<const NodeId> dst,
+                            MessageClass cls, Packet packet) {
   Node* sender = FindNode(src);
   LEASES_CHECK(sender != nullptr);
   if (!sender->up) {
+    // A crashed host cannot send; protocol objects are expected to be
+    // quiescent, but stray timers may still fire.
     return;
   }
-  // Identical timing to the byte path: one send-side processing charge
-  // regardless of fan-out.
+  // One send-side processing charge regardless of fan-out (multicast is
+  // "sent once", Section 3.1).
   TimePoint departure = ChargeCpu(*sender, sim_->Now());
   sender->stats.sent[static_cast<int>(cls)]++;
 
   if (conformance_) {
-    // Round-trip through the wire codec: the encode must decode, the decode
-    // must re-encode to identical bytes, and the *decoded* packet is what
-    // gets delivered -- a codec bug cannot hide behind the fast path.
-    conf_buf_.clear();
-    EncodePacketInto(packet, &conf_buf_);
-    std::optional<Packet> decoded = DecodePacket(conf_buf_);
-    LEASES_CHECK(decoded.has_value());
-    LEASES_CHECK(EncodePacket(*decoded) == conf_buf_);
-    packet = std::move(*decoded);
+    RoundTripThroughCodec(&packet);
   }
 
   TypedMessage* msg = AcquireTyped();
@@ -483,8 +347,8 @@ void SimNetwork::SendTyped(NodeId src, std::span<const NodeId> dst,
   msg->cls = cls;
   msg->targets.clear();
   // Lazy wire tap: bytes are produced once per message, and only when a
-  // tracer is actually installed; taps see exactly what the byte path
-  // would have sent.
+  // tracer is actually installed; taps see exactly what UdpTransport would
+  // put on the wire.
   bool traced = false;
   std::vector<std::pair<Delivery, Duration>> jittered;
   for (NodeId d : dst) {
@@ -514,8 +378,6 @@ void SimNetwork::SendTyped(NodeId src, std::span<const NodeId> dst,
     // Swarm destinations (group address or member) have no crash epoch.
     Delivery del{d, receiver != nullptr ? receiver->epoch : 0};
     if (params_.faults.Enabled()) {
-      // Same draw order as the byte path, so typed-vs-wire equivalence
-      // holds with the fault plane on.
       FaultDecision fd = DecideFaults(*sender);
       if (fd.drop) {
         continue;
@@ -547,7 +409,7 @@ void SimNetwork::SendTyped(NodeId src, std::span<const NodeId> dst,
   for (const auto& [to, extra] : jittered) {
     msg->refs++;
     sim_->ScheduleAt(wire_arrival + extra, [this, msg, to]() {
-      StartReceiveTyped(msg, to);
+      BeginReceive(msg, to);
       ReleaseTyped(msg);
     });
   }
@@ -555,7 +417,7 @@ void SimNetwork::SendTyped(NodeId src, std::span<const NodeId> dst,
     msg->refs++;
     sim_->ScheduleAt(wire_arrival, [this, msg]() {
       for (const Delivery& t : msg->targets) {
-        StartReceiveTyped(msg, t);
+        BeginReceive(msg, t);
       }
       ReleaseTyped(msg);
     });
@@ -563,7 +425,7 @@ void SimNetwork::SendTyped(NodeId src, std::span<const NodeId> dst,
   ReleaseTyped(msg);  // drop the construction guard
 }
 
-void SimNetwork::StartReceiveTyped(TypedMessage* msg, Delivery to) {
+void SimNetwork::BeginReceive(TypedMessage* msg, Delivery to) {
   Node* node = FindNode(to.dst);
   if (node == nullptr) {
     // Swarm-addressed delivery: the shared immutable packet goes to the
@@ -575,8 +437,8 @@ void SimNetwork::StartReceiveTyped(TypedMessage* msg, Delivery to) {
     node->stats.dropped_down++;
     return;
   }
-  // Receive-side processing serializes on the node's CPU, exactly as in
-  // StartReceive; the handler sees the shared immutable packet.
+  // Receive-side processing serializes on the node's CPU; the handler runs
+  // when the processing slot completes and sees the shared immutable packet.
   TimePoint done = ChargeCpu(*node, sim_->Now());
   msg->refs++;
   sim_->ScheduleAt(done, [this, msg, to]() {

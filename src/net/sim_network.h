@@ -23,7 +23,6 @@
 #ifndef SRC_NET_SIM_NETWORK_H_
 #define SRC_NET_SIM_NETWORK_H_
 
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <set>
@@ -109,12 +108,9 @@ class SimTransport : public Transport {
   SimTransport(SimNetwork* net, NodeId node) : net_(net), node_(node) {}
 
   NodeId local_node() const override { return node_; }
-  void Send(NodeId dst, MessageClass cls, std::vector<uint8_t> bytes) override;
-  void Multicast(std::span<const NodeId> dst, MessageClass cls,
-                 std::vector<uint8_t> bytes) override;
 
-  // Typed fast path: the packet is moved into a pooled in-flight node and
-  // handed to the receiver(s) without serialization.
+  // The packet is moved into a pooled in-flight node and handed to the
+  // receiver(s) without serialization.
   void Send(NodeId dst, MessageClass cls, Packet packet) override;
   void Multicast(std::span<const NodeId> dst, MessageClass cls,
                  Packet packet) override;
@@ -132,8 +128,6 @@ class SimNetwork {
         rng_(params.seed ^ 0x6e657477ULL),
         fault_rng_(Rng::ForStream(params.seed, kFaultStream)) {
     ValidateParams(params_);
-    const char* conf = std::getenv("LEASES_CODEC_CONFORMANCE");
-    conformance_ = conf != nullptr && conf[0] != '\0' && conf[0] != '0';
   }
 
   SimNetwork(const SimNetwork&) = delete;
@@ -199,19 +193,11 @@ class SimNetwork {
   }
   const FaultParams& faults() const { return params_.faults; }
 
-  // Routes typed sends through the byte path (encode at the sender, decode
-  // at the receiver) instead of the zero-serialization fast path. Used as
-  // the benchmark baseline and by the determinism-equivalence tests; timing
-  // and delivery semantics are identical either way.
-  void set_force_wire(bool v) { force_wire_ = v; }
-  bool force_wire() const { return force_wire_; }
-
-  // Codec conformance mode: every fast-path packet is additionally
-  // round-tripped through Encode/Decode at send time -- the decode must
-  // succeed, re-encoding it must reproduce the original bytes, and the
-  // *decoded* packet is what gets delivered. Keeps the wire format fully
-  // covered even though the sim no longer needs it. Also enabled by the
-  // LEASES_CODEC_CONFORMANCE environment variable.
+  // Codec conformance mode: every packet is additionally round-tripped
+  // through Encode/Decode at send time -- the decode must succeed,
+  // re-encoding it must reproduce the original bytes, and the *decoded*
+  // packet is what gets delivered. This is the simulator's only wire
+  // coverage: timing, RNG draws and delivery are identical with it on.
   void set_codec_conformance(bool v) { conformance_ = v; }
   bool codec_conformance() const { return conformance_; }
 
@@ -251,7 +237,7 @@ class SimNetwork {
     uint64_t epoch;
   };
 
-  // One typed message in flight. Pooled and refcounted: the packet is moved
+  // One message in flight. Pooled and refcounted: the packet is moved
   // in once at send time and shared immutably by every recipient of a
   // multicast; the node returns to the free list when the last scheduled
   // event referencing it has run. Keeping src/cls/targets inside the node
@@ -274,24 +260,21 @@ class SimNetwork {
     bool duplicate = false;
     Duration dup_extra = Duration::Zero();
   };
-  // Consumes fault_rng_ identically on the byte and typed paths so the
-  // typed-vs-wire determinism equivalence holds with faults enabled.
+  // Draws the fault plane's decision for one delivery from fault_rng_.
   FaultDecision DecideFaults(Node& sender);
 
   // Charges `proc_time` on the node's CPU starting no earlier than `at`;
   // returns when the slot ends.
   TimePoint ChargeCpu(Node& node, TimePoint at);
-  void SendInternal(NodeId src, std::span<const NodeId> dst, MessageClass cls,
-                    std::vector<uint8_t> bytes);
+  // Charges the sender's CPU once and schedules wire arrival at every
+  // destination that survives partitions, loss and the fault plane.
+  void SendPacket(NodeId src, std::span<const NodeId> dst, MessageClass cls,
+                  Packet packet);
+  // Codec-conformance round trip (see set_codec_conformance).
+  void RoundTripThroughCodec(Packet* packet);
   // Wire arrival at one destination: charges receive processing on its CPU
   // and schedules the handler when the slot completes.
-  void StartReceive(NodeId src, Delivery to, MessageClass cls,
-                    const std::shared_ptr<std::vector<uint8_t>>& bytes);
-
-  // Typed fast path counterparts.
-  void SendTyped(NodeId src, std::span<const NodeId> dst, MessageClass cls,
-                 Packet packet);
-  void StartReceiveTyped(TypedMessage* msg, Delivery to);
+  void BeginReceive(TypedMessage* msg, Delivery to);
   TypedMessage* AcquireTyped();
   void ReleaseTyped(TypedMessage* msg);
 
@@ -344,9 +327,8 @@ class SimNetwork {
   std::vector<std::unique_ptr<SwarmGroup>> swarms_;
   std::set<std::pair<NodeId, NodeId>> partitions_;
 
-  bool force_wire_ = false;
   bool conformance_ = false;
-  // Pool of in-flight typed messages: `typed_pool_` owns the nodes,
+  // Pool of in-flight messages: `typed_pool_` owns the nodes,
   // `typed_free_` indexes the idle ones. Scratch buffers back the lazy
   // tracer encode and the conformance round-trip; their capacity persists
   // across messages.

@@ -9,19 +9,14 @@
 // model* -- a multicast is sent once (one send-side processing charge) and
 // received by each recipient -- which both backends honour.
 //
-// Two message paths exist:
-//
-//   byte path   Send/Multicast with an encoded datagram, delivered to
-//               PacketHandler::HandlePacket. This is the wire format; the
-//               UDP runtime always uses it.
-//   typed path  Send/Multicast with the Packet variant itself. In the
-//               simulator both endpoints share an address space, so the
-//               packet is handed over without ever being serialized
-//               (HandleTyped). Backends without a native typed path fall
-//               back to encoding, and handlers that only speak bytes get
-//               them via the default HandleTyped shim, so the two paths are
-//               interchangeable semantically -- the typed one just skips
-//               the codec.
+// There is one message path: protocol objects send and receive the Packet
+// variant itself (Transport::Send/Multicast with a Packet,
+// PacketHandler::HandleTyped). Bytes exist only at the edge where a real
+// datagram is built or received -- UdpTransport encodes on send and hands
+// received payloads to PacketHandler::HandlePacket, whose one default body
+// decodes and calls HandleTyped. The simulator never serializes, except in
+// its codec-conformance mode, which round-trips every packet through the
+// wire codec.
 #ifndef SRC_NET_TRANSPORT_H_
 #define SRC_NET_TRANSPORT_H_
 
@@ -45,17 +40,21 @@ enum class MessageClass : uint8_t {
 
 inline constexpr int kNumMessageClasses = 3;
 
+// A handler overrides at least one of the two entry points; each default
+// forwards to the other. Protocol objects implement HandleTyped only.
 class PacketHandler {
  public:
   virtual ~PacketHandler() = default;
-  virtual void HandlePacket(NodeId from, MessageClass cls,
-                            std::span<const uint8_t> bytes) = 0;
 
-  // Typed delivery. The default shim encodes and funnels into HandlePacket
-  // so handlers written against the byte interface keep working; protocol
-  // endpoints override it to dispatch on the variant directly and skip the
-  // codec entirely. `packet` is immutable and may be shared between the
-  // recipients of one multicast -- copy any payload you keep.
+  // Wire delivery of an encoded payload. The default decodes it, drops an
+  // undecodable payload with a warning, and otherwise calls HandleTyped.
+  virtual void HandlePacket(NodeId from, MessageClass cls,
+                            std::span<const uint8_t> bytes);
+
+  // Typed delivery. `packet` is immutable and may be shared between the
+  // recipients of one multicast -- copy any payload you keep. The default
+  // encodes and calls HandlePacket, for decorators that observe the wire
+  // form.
   virtual void HandleTyped(NodeId from, MessageClass cls, const Packet& packet);
 };
 
@@ -67,21 +66,19 @@ class Transport {
 
   // Fire-and-forget datagram send. Loss, delay and reordering are the
   // backend's business; the protocol handles them with timeouts.
-  virtual void Send(NodeId dst, MessageClass cls,
-                    std::vector<uint8_t> bytes) = 0;
+  virtual void Send(NodeId dst, MessageClass cls, Packet packet) = 0;
 
   // One logical multicast delivered to every listed recipient. The sender
   // pays one processing charge regardless of fan-out.
   virtual void Multicast(std::span<const NodeId> dst, MessageClass cls,
-                         std::vector<uint8_t> bytes) = 0;
+                         Packet packet) = 0;
 
-  // Typed sends. Defaults encode and use the byte path; SimNetwork
-  // overrides them to move the packet to the receiver without
-  // serialization, and UdpTransport overrides them to encode into a
-  // reusable buffer instead of a fresh allocation.
-  virtual void Send(NodeId dst, MessageClass cls, Packet packet);
+  // Sends of an already-encoded payload. The default decodes it and
+  // forwards to the typed overload; an undecodable payload is dropped with
+  // a warning and never reaches the backend.
+  virtual void Send(NodeId dst, MessageClass cls, std::vector<uint8_t> bytes);
   virtual void Multicast(std::span<const NodeId> dst, MessageClass cls,
-                         Packet packet);
+                         std::vector<uint8_t> bytes);
 };
 
 }  // namespace leases

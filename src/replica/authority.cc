@@ -945,15 +945,6 @@ void ReplicaNode::BroadcastAuth(Packet packet) {
                             MessageClass::kControl, std::move(packet));
 }
 
-void ReplicaNode::HandlePacket(NodeId from, MessageClass cls,
-                               std::span<const uint8_t> bytes) {
-  std::optional<Packet> packet = DecodePacket(bytes);
-  if (!packet) {
-    return;  // malformed datagrams are dropped, as everywhere else
-  }
-  HandleTyped(from, cls, *packet);
-}
-
 void ReplicaNode::HandleTyped(NodeId from, MessageClass cls,
                               const Packet& packet) {
   if (!started_) {

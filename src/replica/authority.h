@@ -139,8 +139,6 @@ class ReplicaNode : public ServerEngine {
   NodeId id() const override { return env_.id; }
   void RegisterClient(NodeId client) override;
 
-  void HandlePacket(NodeId from, MessageClass cls,
-                    std::span<const uint8_t> bytes) override;
   void HandleTyped(NodeId from, MessageClass cls,
                    const Packet& packet) override;
 

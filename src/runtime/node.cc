@@ -56,14 +56,6 @@ RuntimeServer::RuntimeServer(NodeId id, EngineConfig config)
       config_(std::move(config)),
       policy_(std::make_unique<FixedTermPolicy>(config_.term)) {}
 
-RuntimeServer::RuntimeServer(NodeId id, ServerParams params, Duration term)
-    : RuntimeServer(id, [&] {
-        EngineConfig config;
-        config.server = params;
-        config.term = term;
-        return config;
-      }()) {}
-
 RuntimeServer::~RuntimeServer() { Stop(); }
 
 Status RuntimeServer::Start(uint16_t port) { return StartInternal(port); }

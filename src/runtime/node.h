@@ -28,8 +28,6 @@ class RuntimeServer {
   // runs under ShardedRuntimeServer, replicated under RuntimeReplicaServer)
   // is validated by MakeServerEngine at Start.
   RuntimeServer(NodeId id, EngineConfig config);
-  // Historical shim: plain server with a fixed `term`.
-  RuntimeServer(NodeId id, ServerParams params, Duration term);
   ~RuntimeServer();
 
   Status Start(uint16_t port = 0);

@@ -11,16 +11,6 @@ ShardedRuntimeServer::ShardedRuntimeServer(NodeId id, EngineConfig config)
   LEASES_CHECK(config_.num_shards >= 1);
 }
 
-ShardedRuntimeServer::ShardedRuntimeServer(NodeId id, ServerParams params,
-                                           Duration term, size_t num_shards)
-    : ShardedRuntimeServer(id, [&] {
-        EngineConfig config;
-        config.server = params;
-        config.term = term;
-        config.num_shards = num_shards;
-        return config;
-      }()) {}
-
 ShardedRuntimeServer::~ShardedRuntimeServer() { Stop(); }
 
 Status ShardedRuntimeServer::Start(uint16_t port) {

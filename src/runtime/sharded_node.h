@@ -36,9 +36,6 @@ class ShardedRuntimeServer {
   // and MakeServerEngine validates the combination at Start (the historical
   // LEASES_CHECK death on installed_optimization+shards is now a Status).
   ShardedRuntimeServer(NodeId id, EngineConfig config);
-  // Historical shim.
-  ShardedRuntimeServer(NodeId id, ServerParams params, Duration term,
-                       size_t num_shards);
   ~ShardedRuntimeServer();
 
   ShardedRuntimeServer(const ShardedRuntimeServer&) = delete;

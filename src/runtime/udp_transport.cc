@@ -95,18 +95,15 @@ void UdpTransport::AddPeer(NodeId peer, uint16_t port) {
   peers_[peer] = port;
 }
 
-std::vector<uint8_t> UdpTransport::BuildFrame(
-    NodeId sender, MessageClass cls, const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> frame;
-  frame.reserve(kHeaderSize + payload.size());
+void UdpTransport::WriteHeader(NodeId sender, MessageClass cls,
+                               std::vector<uint8_t>* frame) {
+  frame->clear();
   uint32_t id = sender.value();
-  frame.push_back(static_cast<uint8_t>(id));
-  frame.push_back(static_cast<uint8_t>(id >> 8));
-  frame.push_back(static_cast<uint8_t>(id >> 16));
-  frame.push_back(static_cast<uint8_t>(id >> 24));
-  frame.push_back(static_cast<uint8_t>(cls));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return frame;
+  frame->push_back(static_cast<uint8_t>(id));
+  frame->push_back(static_cast<uint8_t>(id >> 8));
+  frame->push_back(static_cast<uint8_t>(id >> 16));
+  frame->push_back(static_cast<uint8_t>(id >> 24));
+  frame->push_back(static_cast<uint8_t>(cls));
 }
 
 bool UdpTransport::ResolvePeer(NodeId dst, struct sockaddr_in* addr) {
@@ -157,66 +154,25 @@ void UdpTransport::SendFrame(NodeId dst, MessageClass /*cls*/,
   }
 }
 
-void UdpTransport::Send(NodeId dst, MessageClass cls,
-                        std::vector<uint8_t> bytes) {
-  LEASES_CHECK(bytes.size() + kHeaderSize <= kMaxDatagram);
-  std::vector<uint8_t> frame = BuildFrame(self_, cls, bytes);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.sent[static_cast<int>(cls)]++;
-  }
-  SendFrame(dst, cls, frame);
-}
-
-void UdpTransport::Multicast(std::span<const NodeId> dst, MessageClass cls,
-                             std::vector<uint8_t> bytes) {
-  LEASES_CHECK(bytes.size() + kHeaderSize <= kMaxDatagram);
-  std::vector<uint8_t> frame = BuildFrame(self_, cls, bytes);
-  {
-    // One logical send, per the paper's multicast cost model.
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.sent[static_cast<int>(cls)]++;
-  }
-  for (NodeId node : dst) {
-    if (node != self_) {
-      SendFrame(node, cls, frame);
-    }
-  }
-}
-
-void UdpTransport::BeginFrameLocked(MessageClass cls) {
-  send_frame_.clear();
-  uint32_t id = self_.value();
-  send_frame_.push_back(static_cast<uint8_t>(id));
-  send_frame_.push_back(static_cast<uint8_t>(id >> 8));
-  send_frame_.push_back(static_cast<uint8_t>(id >> 16));
-  send_frame_.push_back(static_cast<uint8_t>(id >> 24));
-  send_frame_.push_back(static_cast<uint8_t>(cls));
+void UdpTransport::EncodeFrameLocked(MessageClass cls, const Packet& packet) {
+  WriteHeader(self_, cls, &send_frame_);
+  EncodePacketInto(packet, &send_frame_);
+  LEASES_CHECK(send_frame_.size() <= kMaxDatagram);
+  std::lock_guard<std::mutex> stats_lock(mu_);
+  stats_.sent[static_cast<int>(cls)]++;
 }
 
 void UdpTransport::Send(NodeId dst, MessageClass cls, Packet packet) {
   std::lock_guard<std::mutex> lock(send_mu_);
-  BeginFrameLocked(cls);
-  EncodePacketInto(packet, &send_frame_);
-  LEASES_CHECK(send_frame_.size() <= kMaxDatagram);
-  {
-    std::lock_guard<std::mutex> stats_lock(mu_);
-    stats_.sent[static_cast<int>(cls)]++;
-  }
+  EncodeFrameLocked(cls, packet);
   SendFrame(dst, cls, send_frame_);
 }
 
 void UdpTransport::Multicast(std::span<const NodeId> dst, MessageClass cls,
                              Packet packet) {
   std::lock_guard<std::mutex> lock(send_mu_);
-  BeginFrameLocked(cls);
-  EncodePacketInto(packet, &send_frame_);
-  LEASES_CHECK(send_frame_.size() <= kMaxDatagram);
-  {
-    // One logical send, per the paper's multicast cost model.
-    std::lock_guard<std::mutex> stats_lock(mu_);
-    stats_.sent[static_cast<int>(cls)]++;
-  }
+  // One logical send, per the paper's multicast cost model.
+  EncodeFrameLocked(cls, packet);
   for (NodeId node : dst) {
     if (node != self_) {
       SendFrame(node, cls, send_frame_);
@@ -312,17 +268,6 @@ UdpBatchSender::Slot* UdpBatchSender::NextSlot(NodeId dst) {
   return &slot;
 }
 
-void UdpBatchSender::WriteHeader(std::vector<uint8_t>* frame,
-                                 MessageClass cls) {
-  frame->clear();
-  uint32_t id = transport_->self_.value();
-  frame->push_back(static_cast<uint8_t>(id));
-  frame->push_back(static_cast<uint8_t>(id >> 8));
-  frame->push_back(static_cast<uint8_t>(id >> 16));
-  frame->push_back(static_cast<uint8_t>(id >> 24));
-  frame->push_back(static_cast<uint8_t>(cls));
-}
-
 void UdpBatchSender::CountSent(MessageClass cls) {
   // Hot path: shard-local relaxed increment. The old implementation locked
   // the shared transport mutex per queued datagram, serializing every
@@ -348,39 +293,18 @@ void UdpBatchSender::Send(NodeId dst, MessageClass cls, Packet packet) {
   if (slot == nullptr) {
     return;
   }
-  WriteHeader(&slot->frame, cls);
+  UdpTransport::WriteHeader(transport_->self_, cls, &slot->frame);
   EncodePacketInto(packet, &slot->frame);
   LEASES_CHECK(slot->frame.size() <= kMaxDatagram);
   CountSent(cls);
 }
 
-void UdpBatchSender::Send(NodeId dst, MessageClass cls,
-                          std::vector<uint8_t> bytes) {
-  LEASES_CHECK(bytes.size() + kHeaderSize <= kMaxDatagram);
-  Slot* slot = NextSlot(dst);
-  if (slot == nullptr) {
-    return;
-  }
-  WriteHeader(&slot->frame, cls);
-  slot->frame.insert(slot->frame.end(), bytes.begin(), bytes.end());
-  CountSent(cls);
-}
-
 void UdpBatchSender::Multicast(std::span<const NodeId> dst, MessageClass cls,
                                Packet packet) {
-  WriteHeader(&scratch_, cls);
+  UdpTransport::WriteHeader(transport_->self_, cls, &scratch_);
   EncodePacketInto(packet, &scratch_);
   LEASES_CHECK(scratch_.size() <= kMaxDatagram);
   // One logical send, per the paper's multicast cost model.
-  CountSent(cls);
-  QueueScratchTo(dst);
-}
-
-void UdpBatchSender::Multicast(std::span<const NodeId> dst, MessageClass cls,
-                               std::vector<uint8_t> bytes) {
-  LEASES_CHECK(bytes.size() + kHeaderSize <= kMaxDatagram);
-  WriteHeader(&scratch_, cls);
-  scratch_.insert(scratch_.end(), bytes.begin(), bytes.end());
   CountSent(cls);
   QueueScratchTo(dst);
 }

@@ -64,14 +64,10 @@ class UdpTransport : public Transport {
   void AddPeer(NodeId peer, uint16_t port);
 
   NodeId local_node() const override { return self_; }
-  void Send(NodeId dst, MessageClass cls, std::vector<uint8_t> bytes) override;
-  void Multicast(std::span<const NodeId> dst, MessageClass cls,
-                 std::vector<uint8_t> bytes) override;
 
-  // Typed sends: the packet is encoded straight into a reusable frame
-  // buffer (header + payload in one buffer, no intermediate payload
-  // vector), so steady-state sends do not allocate. The wire format is
-  // identical to the byte overloads.
+  // The packet is encoded straight into a reusable frame buffer (header +
+  // payload in one buffer, no intermediate payload vector), so steady-state
+  // sends do not allocate.
   void Send(NodeId dst, MessageClass cls, Packet packet) override;
   void Multicast(std::span<const NodeId> dst, MessageClass cls,
                  Packet packet) override;
@@ -98,11 +94,13 @@ class UdpTransport : public Transport {
   // when the peer was never registered.
   bool ResolvePeer(NodeId dst, struct sockaddr_in* addr);
   void CountSendFailure();
-  static std::vector<uint8_t> BuildFrame(NodeId sender, MessageClass cls,
-                                         const std::vector<uint8_t>& payload);
-  // Writes [sender u32][class u8] into the reusable send frame; the caller
-  // appends the payload. Must hold send_mu_.
-  void BeginFrameLocked(MessageClass cls);
+  // Replaces `frame` with the header [sender u32][class u8]; the caller
+  // appends the encoded packet.
+  static void WriteHeader(NodeId sender, MessageClass cls,
+                          std::vector<uint8_t>* frame);
+  // Frames and encodes `packet` into send_frame_ and counts one logical
+  // send. Must hold send_mu_.
+  void EncodeFrameLocked(MessageClass cls, const Packet& packet);
 
   struct ReceiveBatch;
 
@@ -128,8 +126,7 @@ class UdpTransport : public Transport {
   // Live batch senders' per-class sent counters, merged by stats().
   std::vector<const std::atomic<uint64_t>*> batch_counters_;
 
-  // Scratch frame for the typed send path; its capacity persists across
-  // sends. Guarded by its own mutex so encoding does not hold up AddPeer
+  // Scratch send frame; its capacity persists across sends. Guarded by its own mutex so encoding does not hold up AddPeer
   // or stats readers.
   std::mutex send_mu_;
   std::vector<uint8_t> send_frame_;
@@ -157,9 +154,6 @@ class UdpBatchSender : public Transport {
   UdpBatchSender& operator=(const UdpBatchSender&) = delete;
 
   NodeId local_node() const override { return transport_->local_node(); }
-  void Send(NodeId dst, MessageClass cls, std::vector<uint8_t> bytes) override;
-  void Multicast(std::span<const NodeId> dst, MessageClass cls,
-                 std::vector<uint8_t> bytes) override;
   void Send(NodeId dst, MessageClass cls, Packet packet) override;
   void Multicast(std::span<const NodeId> dst, MessageClass cls,
                  Packet packet) override;
@@ -177,7 +171,6 @@ class UdpBatchSender : public Transport {
   // Returns the slot to encode into (flushes first when full), or null when
   // the destination is unregistered (counted as a send failure).
   Slot* NextSlot(NodeId dst);
-  void WriteHeader(std::vector<uint8_t>* frame, MessageClass cls);
   void CountSent(MessageClass cls);
   // Queues a copy of `scratch_` (an already-framed datagram) per recipient.
   void QueueScratchTo(std::span<const NodeId> dst);

@@ -3,8 +3,12 @@
 // and every supported shape must come up through the one factory.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <variant>
+#include <vector>
 
+#include "src/common/logging.h"
 #include "src/core/sim_cluster.h"
 #include "src/workload/v_config.h"
 
@@ -150,6 +154,157 @@ TEST(EngineFactoryTest, EngineLifecycleDrivesRecovery) {
   EXPECT_GT(cluster.server_stats().recovery_window.ToMicros(), 0);
   EXPECT_EQ(cluster.oracle().violations(), 0u);
 }
+
+// --- The one shared decode entry ------------------------------------------
+//
+// Every protocol object receives wire bytes through the default
+// PacketHandler::HandlePacket. Feed it every truncated prefix of one sample
+// of each Packet alternative, plus a frame with an unknown tag: each must be
+// dropped with one warning, having sent nothing and touched no stats, and
+// the target must still serve a valid read afterwards.
+
+std::vector<Packet> OneOfEveryPacket() {
+  ReadReply read_reply;
+  read_reply.req = RequestId(1);
+  read_reply.file = FileId(2);
+  read_reply.version = 3;
+  read_reply.lease = LeaseGrant{LeaseKey(2), Duration::Seconds(5)};
+  read_reply.data = {1, 2, 3};
+  ExtendReplyItem item;
+  item.file = FileId(2);
+  item.version = 3;
+  item.refreshed = true;
+  item.lease = LeaseGrant{LeaseKey(2), Duration::Seconds(5)};
+  item.data = {4, 5};
+  AuthorityPromise promise;
+  promise.ballot = 7;
+  promise.ok = true;
+  promise.holder = 1;
+  promise.holder_remaining = Duration::Seconds(1);
+  promise.members = {1, 2, 3};
+  promise.next_members = {1, 2};
+  AuthorityPropose propose;
+  propose.ballot = 7;
+  propose.owner = 1;
+  propose.term = Duration::Seconds(2);
+  propose.members = {1, 2, 3};
+  propose.write_locked = {2};
+  AuthorityAccept accept;
+  accept.ballot = 7;
+  accept.ok = true;
+  accept.members = {1, 2, 3};
+  std::vector<Packet> packets = {
+      ReadRequest{RequestId(1), FileId(2), 3, 4},
+      read_reply,
+      WriteRequest{RequestId(1), FileId(2), 3, true, {1, 2, 3}},
+      WriteReply{RequestId(1), FileId(2), ErrorCode::kOk, 4},
+      ExtendRequest{RequestId(1), {{FileId(2), 3}, {FileId(4), 5}}, 6},
+      ExtendReply{RequestId(1), {item}},
+      ApproveRequest{5, FileId(2), LeaseKey(2)},
+      ApproveReply{5, FileId(2), true},
+      Relinquish{{LeaseKey(1), LeaseKey(2)}},
+      InstalledExtend{Duration::Seconds(1), {LeaseKey(1)}},
+      Ping{RequestId(1)},
+      Pong{RequestId(1)},
+      AuthorityPrepare{7},
+      promise,
+      propose,
+      accept,
+  };
+  std::set<size_t> kinds;
+  for (const Packet& packet : packets) {
+    kinds.insert(packet.index());
+  }
+  EXPECT_EQ(kinds.size(), std::variant_size_v<Packet>);
+  EXPECT_EQ(packets.size(), std::variant_size_v<Packet>);
+  return packets;
+}
+
+std::vector<std::vector<uint8_t>> MalformedDatagrams() {
+  std::vector<std::vector<uint8_t>> datagrams;
+  for (const Packet& packet : OneOfEveryPacket()) {
+    std::vector<uint8_t> bytes = EncodePacket(packet);
+    for (size_t keep = 0; keep < bytes.size(); ++keep) {
+      datagrams.emplace_back(bytes.begin(),
+                             bytes.begin() + static_cast<ptrdiff_t>(keep));
+    }
+  }
+  datagrams.push_back({0xEE, 1, 2, 3});  // unknown message tag
+  return datagrams;
+}
+
+enum class DecodeTarget { kLeaseServer, kCacheClient, kTwoShards, kOneReplica };
+
+class SharedDecodeTest : public ::testing::TestWithParam<DecodeTarget> {};
+
+TEST_P(SharedDecodeTest, MalformedDatagramsAreDroppedWithoutSideEffects) {
+  ClusterOptions options = MakeVClusterOptions(Duration::Seconds(5), 2, 1);
+  if (GetParam() == DecodeTarget::kTwoShards) {
+    options.num_shards = 2;
+  } else if (GetParam() == DecodeTarget::kOneReplica) {
+    options.replica.num_replicas = 1;
+  }
+  SimCluster cluster(options);
+  FileId f = *cluster.store().CreatePath("/x", FileClass::kNormal,
+                                         Bytes("v0"));
+  ASSERT_TRUE(cluster.SyncRead(1, f).ok());  // some live lease state
+
+  PacketHandler* target = nullptr;
+  NodeId from = cluster.client_id(0);
+  switch (GetParam()) {
+    case DecodeTarget::kLeaseServer:
+      target = &cluster.server();
+      break;
+    case DecodeTarget::kTwoShards:
+      target = &cluster.engine();
+      break;
+    case DecodeTarget::kCacheClient:
+      target = &cluster.client(0);
+      from = cluster.server_id();  // the one peer a client listens to
+      break;
+    case DecodeTarget::kOneReplica:
+      target = &cluster.replica(0);
+      break;
+  }
+
+  const uint64_t handled = cluster.network().TotalHandled();
+  const ServerStats server_stats = cluster.server_stats();
+  const ClientStats client_stats = cluster.client(0).stats();
+  size_t warnings = 0;
+  Logger::Get().set_sink([&](LogLevel, const std::string&) { ++warnings; });
+  const std::vector<std::vector<uint8_t>> datagrams = MalformedDatagrams();
+  for (const std::vector<uint8_t>& datagram : datagrams) {
+    target->HandlePacket(from, MessageClass::kData, datagram);
+  }
+  Logger::Get().set_sink(nullptr);
+
+  EXPECT_EQ(warnings, datagrams.size());
+  EXPECT_EQ(cluster.network().TotalHandled(), handled);
+  EXPECT_TRUE(cluster.server_stats() == server_stats);
+  EXPECT_TRUE(cluster.client(0).stats() == client_stats);
+  auto read = cluster.SyncRead(0, f);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(Text(read.value().data), "v0");
+  EXPECT_EQ(cluster.oracle().violations(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Targets, SharedDecodeTest,
+    ::testing::Values(DecodeTarget::kLeaseServer, DecodeTarget::kCacheClient,
+                      DecodeTarget::kTwoShards, DecodeTarget::kOneReplica),
+    [](const ::testing::TestParamInfo<DecodeTarget>& param_info) {
+      switch (param_info.param) {
+        case DecodeTarget::kLeaseServer:
+          return std::string("LeaseServer");
+        case DecodeTarget::kCacheClient:
+          return std::string("CacheClient");
+        case DecodeTarget::kTwoShards:
+          return std::string("TwoShardEngine");
+        case DecodeTarget::kOneReplica:
+          return std::string("OneReplicaEngine");
+      }
+      return std::string();
+    });
 
 }  // namespace
 }  // namespace leases

@@ -272,6 +272,9 @@ class Sprayer {
   std::thread thread_;
 };
 
+// A distinguishable packet for the UDP send tests.
+Packet Tagged(uint64_t tag) { return Ping{RequestId(tag)}; }
+
 int BoundUdpSocket(uint16_t* port) {
   int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
   sockaddr_in addr{};
@@ -414,12 +417,12 @@ TEST(UdpTransportTest, LoopbackDelivery) {
   EXPECT_NE(a.port(), 0);
   a.AddPeer(NodeId(2), b.port());
 
-  a.Send(NodeId(2), MessageClass::kConsistency, {9, 8, 7});
+  a.Send(NodeId(2), MessageClass::kConsistency, Tagged(987));
   for (int i = 0; i < 200 && capture.count == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   ASSERT_EQ(capture.count, 1);
-  EXPECT_EQ(capture.last, (std::vector<uint8_t>{9, 8, 7}));
+  EXPECT_EQ(capture.last, EncodePacket(Tagged(987)));
   EXPECT_EQ(capture.last_from, NodeId(1));
   EXPECT_EQ(capture.last_cls, MessageClass::kConsistency);
   EXPECT_EQ(a.stats().sent[static_cast<int>(MessageClass::kConsistency)], 1u);
@@ -451,7 +454,7 @@ TEST(UdpTransportTest, MulticastCountsOneSend) {
   a.AddPeer(NodeId(3), c.port());
 
   NodeId dst[2] = {NodeId(2), NodeId(3)};
-  a.Multicast(dst, MessageClass::kConsistency, {1});
+  a.Multicast(dst, MessageClass::kConsistency, Tagged(1));
   for (int i = 0; i < 200 && (cb.count == 0 || cc.count == 0); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -468,7 +471,7 @@ TEST(UdpTransportTest, SendToUnknownPeerIsDroppedSafely) {
   EventLoop loop;
   UdpTransport a(NodeId(1), &loop, nullptr);
   ASSERT_TRUE(a.Start().ok());
-  a.Send(NodeId(99), MessageClass::kData, {1});  // no peer registered
+  a.Send(NodeId(99), MessageClass::kData, Tagged(1));  // no peer registered
   a.Stop();
   SUCCEED();
 }
@@ -493,7 +496,7 @@ TEST(UdpTransportTest, DropEveryNthLosesDeterministically) {
   FaultInjectingTransport faulty(&a, &loop_a);
   faulty.set_drop_every_nth(2);
   for (int i = 0; i < 10; ++i) {
-    faulty.Send(NodeId(2), MessageClass::kData, {static_cast<uint8_t>(i)});
+    faulty.Send(NodeId(2), MessageClass::kData, Tagged(i));
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   EXPECT_EQ(counter.count, 5);
@@ -526,7 +529,7 @@ TEST(FaultInjectingTransportTest, DuplicatesAndDelaysArriveOverUdp) {
   faults.seed = 7;
   faulty.SetFaults(faults);
   for (int i = 0; i < 10; ++i) {
-    faulty.Send(NodeId(2), MessageClass::kData, {static_cast<uint8_t>(i)});
+    faulty.Send(NodeId(2), MessageClass::kData, Tagged(i));
   }
   for (int i = 0; i < 200 && counter.count < 20; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -556,15 +559,15 @@ TEST(FaultInjectingTransportTest, BlockedPeerPartitionsSendSide) {
   a.AddPeer(NodeId(2), b.port());
   FaultInjectingTransport faulty(&a, &loop_a);
   faulty.SetPeerBlocked(NodeId(2), true);
-  faulty.Send(NodeId(2), MessageClass::kData, {1});
+  faulty.Send(NodeId(2), MessageClass::kData, Tagged(1));
   NodeId dst[1] = {NodeId(2)};
-  faulty.Multicast(dst, MessageClass::kData, {2});
+  faulty.Multicast(dst, MessageClass::kData, Tagged(2));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_EQ(counter.count, 0);
   EXPECT_EQ(faulty.fault_stats().dropped_blocked, 2u);
 
   faulty.SetPeerBlocked(NodeId(2), false);  // heal
-  faulty.Send(NodeId(2), MessageClass::kData, {3});
+  faulty.Send(NodeId(2), MessageClass::kData, Tagged(3));
   for (int i = 0; i < 200 && counter.count == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }

@@ -58,12 +58,12 @@ struct TwoServerWorld {
   struct Demux : PacketHandler {
     CacheClient* from_home = nullptr;
     CacheClient* from_usr = nullptr;
-    void HandlePacket(NodeId from, MessageClass cls,
-                      std::span<const uint8_t> bytes) override {
+    void HandleTyped(NodeId from, MessageClass cls,
+                     const Packet& packet) override {
       if (from == NodeId(1)) {
-        from_home->HandlePacket(from, cls, bytes);
+        from_home->HandleTyped(from, cls, packet);
       } else if (from == NodeId(2)) {
-        from_usr->HandlePacket(from, cls, bytes);
+        from_usr->HandleTyped(from, cls, packet);
       }
     }
   } demux;

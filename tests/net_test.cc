@@ -16,20 +16,25 @@ class Recorder : public PacketHandler {
   struct Received {
     NodeId from;
     MessageClass cls;
-    std::vector<uint8_t> bytes;
+    Packet packet;
     TimePoint at;
   };
 
   explicit Recorder(Simulator* sim) : sim_(sim) {}
 
+  // Counts wire deliveries; the simulator should never make one.
   void HandlePacket(NodeId from, MessageClass cls,
                     std::span<const uint8_t> bytes) override {
-    received.push_back(Received{from, cls,
-                                std::vector<uint8_t>(bytes.begin(),
-                                                     bytes.end()),
-                                sim_->Now()});
+    ++byte_deliveries;
+    PacketHandler::HandlePacket(from, cls, bytes);
+  }
+
+  void HandleTyped(NodeId from, MessageClass cls,
+                   const Packet& packet) override {
+    received.push_back(Received{from, cls, packet, sim_->Now()});
     if (reply_to_sender) {
-      transport->Send(from, MessageClass::kConsistency, {0x99});
+      transport->Send(from, MessageClass::kConsistency,
+                      Packet(Pong{RequestId(1)}));
     }
   }
 
@@ -37,6 +42,7 @@ class Recorder : public PacketHandler {
   Transport* transport = nullptr;
   bool reply_to_sender = false;
   std::vector<Received> received;
+  size_t byte_deliveries = 0;
 };
 
 struct Rig {
@@ -58,15 +64,33 @@ struct Rig {
   }
 };
 
+Packet SamplePacket() {
+  ReadReply m;
+  m.req = RequestId(42);
+  m.file = FileId(7);
+  m.version = 3;
+  m.lease = LeaseGrant{LeaseKey(7), Duration::Seconds(10)};
+  m.data = {9, 8, 7, 6};
+  return m;
+}
+
+// A distinguishable packet, for tests that track which sends arrived.
+Packet Tagged(uint64_t tag) { return Ping{RequestId(tag)}; }
+
+uint64_t TagOf(const Recorder::Received& r) {
+  return std::get<Ping>(r.packet).req.value();
+}
+
 TEST(SimNetworkTest, UnicastDeliveryTimeIsPropPlusTwoProc) {
   // "a message is received m_prop + 2*m_proc after it is sent"
   Rig rig(2);
-  rig.transports[0]->Send(NodeId(2), MessageClass::kData, {1, 2, 3});
+  rig.transports[0]->Send(NodeId(2), MessageClass::kData, SamplePacket());
   rig.sim.RunUntilIdle();
   ASSERT_EQ(rig.nodes[1]->received.size(), 1u);
   Duration latency = rig.nodes[1]->received[0].at - TimePoint::Epoch();
   EXPECT_EQ(latency, rig.params.prop_delay + rig.params.proc_time * 2);
-  EXPECT_EQ(rig.nodes[1]->received[0].bytes, (std::vector<uint8_t>{1, 2, 3}));
+  EXPECT_EQ(EncodePacket(rig.nodes[1]->received[0].packet),
+            EncodePacket(SamplePacket()));
   EXPECT_EQ(rig.nodes[1]->received[0].from, NodeId(1));
 }
 
@@ -74,7 +98,7 @@ TEST(SimNetworkTest, RequestResponseCostsTwoPropFourProc) {
   // Unicast request + reply = 2*m_prop + 4*m_proc (Table 1 discussion).
   Rig rig(2);
   rig.nodes[1]->reply_to_sender = true;
-  rig.transports[0]->Send(NodeId(2), MessageClass::kData, {1});
+  rig.transports[0]->Send(NodeId(2), MessageClass::kData, SamplePacket());
   rig.sim.RunUntilIdle();
   ASSERT_EQ(rig.nodes[0]->received.size(), 1u);
   Duration rtt = rig.nodes[0]->received[0].at - TimePoint::Epoch();
@@ -93,7 +117,8 @@ TEST_P(MulticastCost, MulticastWithNRepliesMatchesFormula) {
     rig.nodes[static_cast<size_t>(i) + 1]->reply_to_sender = true;
     dst.push_back(NodeId(static_cast<uint32_t>(i + 2)));
   }
-  rig.transports[0]->Multicast(dst, MessageClass::kConsistency, {7});
+  rig.transports[0]->Multicast(dst, MessageClass::kConsistency,
+                               SamplePacket());
   rig.sim.RunUntilIdle();
   ASSERT_EQ(rig.nodes[0]->received.size(), static_cast<size_t>(n));
   TimePoint last;
@@ -110,8 +135,8 @@ INSTANTIATE_TEST_SUITE_P(Fanout, MulticastCost,
 
 TEST(SimNetworkTest, SenderCpuSerializesBackToBackSends) {
   Rig rig(2);
-  rig.transports[0]->Send(NodeId(2), MessageClass::kData, {1});
-  rig.transports[0]->Send(NodeId(2), MessageClass::kData, {2});
+  rig.transports[0]->Send(NodeId(2), MessageClass::kData, SamplePacket());
+  rig.transports[0]->Send(NodeId(2), MessageClass::kData, SamplePacket());
   rig.sim.RunUntilIdle();
   ASSERT_EQ(rig.nodes[1]->received.size(), 2u);
   Duration gap = rig.nodes[1]->received[1].at - rig.nodes[1]->received[0].at;
@@ -124,7 +149,7 @@ TEST(SimNetworkTest, NoSelfDelivery) {
   Rig rig(2);
   NodeId self(1);
   NodeId dsts[2] = {self, NodeId(2)};
-  rig.transports[0]->Multicast(dsts, MessageClass::kData, {1});
+  rig.transports[0]->Multicast(dsts, MessageClass::kData, SamplePacket());
   rig.sim.RunUntilIdle();
   EXPECT_TRUE(rig.nodes[0]->received.empty());
   EXPECT_EQ(rig.nodes[1]->received.size(), 1u);
@@ -137,7 +162,7 @@ TEST(SimNetworkTest, LossDropsApproximatelyTheConfiguredFraction) {
   Rig rig(2, params);
   const int kSends = 10000;
   for (int i = 0; i < kSends; ++i) {
-    rig.transports[0]->Send(NodeId(2), MessageClass::kData, {1});
+    rig.transports[0]->Send(NodeId(2), MessageClass::kData, SamplePacket());
   }
   rig.sim.RunUntilIdle();
   double delivered = static_cast<double>(rig.nodes[1]->received.size());
@@ -149,15 +174,15 @@ TEST(SimNetworkTest, LossDropsApproximatelyTheConfiguredFraction) {
 TEST(SimNetworkTest, PartitionBlocksBothDirectionsUntilHealed) {
   Rig rig(2);
   rig.net->SetPartitioned(NodeId(1), NodeId(2), true);
-  rig.transports[0]->Send(NodeId(2), MessageClass::kData, {1});
-  rig.transports[1]->Send(NodeId(1), MessageClass::kData, {2});
+  rig.transports[0]->Send(NodeId(2), MessageClass::kData, SamplePacket());
+  rig.transports[1]->Send(NodeId(1), MessageClass::kData, SamplePacket());
   rig.sim.RunUntilIdle();
   EXPECT_TRUE(rig.nodes[0]->received.empty());
   EXPECT_TRUE(rig.nodes[1]->received.empty());
   EXPECT_EQ(rig.net->stats(NodeId(1)).dropped_partition, 1u);
 
   rig.net->SetPartitioned(NodeId(1), NodeId(2), false);
-  rig.transports[0]->Send(NodeId(2), MessageClass::kData, {3});
+  rig.transports[0]->Send(NodeId(2), MessageClass::kData, SamplePacket());
   rig.sim.RunUntilIdle();
   EXPECT_EQ(rig.nodes[1]->received.size(), 1u);
 }
@@ -175,19 +200,19 @@ TEST(SimNetworkTest, IsolateNodeCutsAllPairs) {
 TEST(SimNetworkTest, DownNodeReceivesNothing) {
   Rig rig(2);
   rig.net->SetNodeUp(NodeId(2), false);
-  rig.transports[0]->Send(NodeId(2), MessageClass::kData, {1});
+  rig.transports[0]->Send(NodeId(2), MessageClass::kData, Tagged(1));
   rig.sim.RunUntilIdle();
   EXPECT_TRUE(rig.nodes[1]->received.empty());
   rig.net->SetNodeUp(NodeId(2), true);
-  rig.transports[0]->Send(NodeId(2), MessageClass::kData, {2});
+  rig.transports[0]->Send(NodeId(2), MessageClass::kData, Tagged(2));
   rig.sim.RunUntilIdle();
   ASSERT_EQ(rig.nodes[1]->received.size(), 1u);
-  EXPECT_EQ(rig.nodes[1]->received[0].bytes[0], 2);
+  EXPECT_EQ(TagOf(rig.nodes[1]->received[0]), 2u);
 }
 
 TEST(SimNetworkTest, MessagesInFlightAtCrashAreLost) {
   Rig rig(2);
-  rig.transports[0]->Send(NodeId(2), MessageClass::kData, {1});
+  rig.transports[0]->Send(NodeId(2), MessageClass::kData, SamplePacket());
   // Crash strictly between send and delivery.
   rig.sim.ScheduleAfter(Duration::Micros(100), [&]() {
     rig.net->SetNodeUp(NodeId(2), false);
@@ -202,7 +227,7 @@ TEST(SimNetworkTest, MessagesInFlightAtCrashAreLost) {
 TEST(SimNetworkTest, DownSenderCannotSend) {
   Rig rig(2);
   rig.net->SetNodeUp(NodeId(1), false);
-  rig.transports[0]->Send(NodeId(2), MessageClass::kData, {1});
+  rig.transports[0]->Send(NodeId(2), MessageClass::kData, SamplePacket());
   rig.sim.RunUntilIdle();
   EXPECT_TRUE(rig.nodes[1]->received.empty());
   EXPECT_EQ(rig.net->stats(NodeId(1)).TotalSent(), 0u);
@@ -210,14 +235,14 @@ TEST(SimNetworkTest, DownSenderCannotSend) {
 
 TEST(SimNetworkTest, ReplaceHandlerDropsOldInFlight) {
   Rig rig(2);
-  rig.transports[0]->Send(NodeId(2), MessageClass::kData, {1});
+  rig.transports[0]->Send(NodeId(2), MessageClass::kData, SamplePacket());
   Recorder fresh(&rig.sim);
   rig.net->ReplaceHandler(NodeId(2), &fresh);
   rig.sim.RunUntilIdle();
   // The in-flight message belonged to the old incarnation.
   EXPECT_TRUE(rig.nodes[1]->received.empty());
   EXPECT_TRUE(fresh.received.empty());
-  rig.transports[0]->Send(NodeId(2), MessageClass::kData, {2});
+  rig.transports[0]->Send(NodeId(2), MessageClass::kData, SamplePacket());
   rig.sim.RunUntilIdle();
   EXPECT_EQ(fresh.received.size(), 1u);
 }
@@ -225,8 +250,8 @@ TEST(SimNetworkTest, ReplaceHandlerDropsOldInFlight) {
 TEST(SimNetworkTest, StatsCountHandledByClassAndMulticastOnce) {
   Rig rig(3);
   std::vector<NodeId> dst = {NodeId(2), NodeId(3)};
-  rig.transports[0]->Multicast(dst, MessageClass::kConsistency, {1});
-  rig.transports[0]->Send(NodeId(2), MessageClass::kData, {2});
+  rig.transports[0]->Multicast(dst, MessageClass::kConsistency, Tagged(1));
+  rig.transports[0]->Send(NodeId(2), MessageClass::kData, SamplePacket());
   rig.sim.RunUntilIdle();
   const NodeMessageStats& sender = rig.net->stats(NodeId(1));
   // One multicast counts as ONE sent message (the paper's "total of S
@@ -241,77 +266,48 @@ TEST(SimNetworkTest, StatsCountHandledByClassAndMulticastOnce) {
   EXPECT_EQ(rig.net->TotalHandled(), 0u);
 }
 
-// --- Typed fast path ------------------------------------------------------
-
-class TypedRecorder : public PacketHandler {
- public:
-  struct Received {
-    NodeId from;
-    MessageClass cls;
-    Packet packet;
-    TimePoint at;
+TEST(SimNetworkTypedTest, TypedStatsMatchBytePathAccounting) {
+  // The same traffic sent through the byte overloads of Transport (decoded
+  // once at the sender) must be accounted exactly like typed sends.
+  auto run = [](bool bytes) {
+    Rig rig(3);
+    Transport* sender = rig.transports[0];
+    std::vector<NodeId> dst = {NodeId(2), NodeId(3)};
+    if (bytes) {
+      sender->Multicast(dst, MessageClass::kConsistency,
+                        EncodePacket(Tagged(1)));
+      sender->Send(NodeId(2), MessageClass::kData,
+                   EncodePacket(SamplePacket()));
+    } else {
+      sender->Multicast(dst, MessageClass::kConsistency, Tagged(1));
+      sender->Send(NodeId(2), MessageClass::kData, SamplePacket());
+    }
+    rig.sim.RunUntilIdle();
+    std::vector<uint64_t> counts;
+    for (uint32_t n = 1; n <= 3; ++n) {
+      const NodeMessageStats& st = rig.net->stats(NodeId(n));
+      counts.insert(counts.end(), std::begin(st.sent), std::end(st.sent));
+      counts.insert(counts.end(), std::begin(st.received),
+                    std::end(st.received));
+    }
+    counts.push_back(rig.net->TotalHandled());
+    return counts;
   };
-
-  explicit TypedRecorder(Simulator* sim) : sim_(sim) {}
-
-  void HandlePacket(NodeId from, MessageClass cls,
-                    std::span<const uint8_t> bytes) override {
-    ++byte_deliveries;
-    last_bytes.assign(bytes.begin(), bytes.end());
-    last_from = from;
-    last_cls = cls;
-  }
-
-  void HandleTyped(NodeId from, MessageClass cls,
-                   const Packet& packet) override {
-    received.push_back(Received{from, cls, packet, sim_->Now()});
-    if (reply_to_sender) {
-      transport->Send(from, MessageClass::kConsistency,
-                      Packet(Pong{RequestId(1)}));
-    }
-  }
-
-  Simulator* sim_;
-  Transport* transport = nullptr;
-  bool reply_to_sender = false;
-  std::vector<Received> received;
-  size_t byte_deliveries = 0;
-  std::vector<uint8_t> last_bytes;
-  NodeId last_from;
-  MessageClass last_cls = MessageClass::kControl;
-};
-
-struct TypedRig {
-  Simulator sim;
-  NetworkParams params;
-  std::unique_ptr<SimNetwork> net;
-  std::vector<std::unique_ptr<TypedRecorder>> nodes;
-  std::vector<SimTransport*> transports;
-
-  explicit TypedRig(size_t n, NetworkParams p = NetworkParams{}) : params(p) {
-    net = std::make_unique<SimNetwork>(&sim, p);
-    for (size_t i = 0; i < n; ++i) {
-      nodes.push_back(std::make_unique<TypedRecorder>(&sim));
-      transports.push_back(
-          net->AttachNode(NodeId(static_cast<uint32_t>(i + 1)),
-                          nodes.back().get()));
-      nodes.back()->transport = transports.back();
-    }
-  }
-};
-
-Packet SamplePacket() {
-  ReadReply m;
-  m.req = RequestId(42);
-  m.file = FileId(7);
-  m.version = 3;
-  m.lease = LeaseGrant{LeaseKey(7), Duration::Seconds(10)};
-  m.data = {9, 8, 7, 6};
-  return m;
+  std::vector<uint64_t> typed = run(false);
+  EXPECT_EQ(typed, run(true));
+  // Sender: one consistency multicast plus one data unicast; node 2 got
+  // both, node 3 the multicast only.
+  // Per node: sent[data, consistency, control], then received[...].
+  EXPECT_EQ(typed, (std::vector<uint64_t>{1, 1, 0, 0, 0, 0,  //
+                                          0, 0, 0, 1, 1, 0,  //
+                                          0, 0, 0, 0, 1, 0,  //
+                                          5}));
 }
 
+// --- Packet hand-off details ---------------------------------------------
+
 TEST(SimNetworkTypedTest, TypedUnicastKeepsTheCostModelAndPayload) {
-  TypedRig rig(2);
+  Rig rig(2);
   rig.transports[0]->Send(NodeId(2), MessageClass::kData, SamplePacket());
   rig.sim.RunUntilIdle();
   ASSERT_EQ(rig.nodes[1]->received.size(), 1u);
@@ -327,7 +323,7 @@ TEST(SimNetworkTypedTest, TypedUnicastKeepsTheCostModelAndPayload) {
 
 TEST(SimNetworkTypedTest, TypedMulticastWithRepliesMatchesFormula) {
   const int n = 5;
-  TypedRig rig(n + 1);
+  Rig rig(n + 1);
   std::vector<NodeId> dst;
   for (int i = 0; i < n; ++i) {
     rig.nodes[static_cast<size_t>(i) + 1]->reply_to_sender = true;
@@ -346,25 +342,47 @@ TEST(SimNetworkTypedTest, TypedMulticastWithRepliesMatchesFormula) {
 }
 
 TEST(SimNetworkTypedTest, ByteOnlyHandlerGetsWireBytesFromTypedSend) {
-  // A handler that never overrides HandleTyped must observe exactly what
-  // the wire would have carried.
+  // A handler that overrides only HandlePacket (a wire-level decorator)
+  // must observe exactly what the wire would have carried.
+  struct WireRecorder : PacketHandler {
+    void HandlePacket(NodeId, MessageClass,
+                      std::span<const uint8_t> bytes) override {
+      received.emplace_back(bytes.begin(), bytes.end());
+    }
+    std::vector<std::vector<uint8_t>> received;
+  };
   Simulator sim;
   SimNetwork net(&sim, NetworkParams{});
-  Recorder byte_node(&sim);
-  TypedRecorder typed_node(&sim);
-  net.AttachNode(NodeId(1), &typed_node);
-  SimTransport* t1 = net.AttachNode(NodeId(2), &byte_node);
-  (void)t1;
+  WireRecorder byte_node;
+  Recorder typed_node(&sim);
+  net.AttachNode(NodeId(2), &byte_node);
   SimTransport* t0 = net.AttachNode(NodeId(3), &typed_node);
   Packet packet = SamplePacket();
   t0->Send(NodeId(2), MessageClass::kData, Packet(packet));
   sim.RunUntilIdle();
   ASSERT_EQ(byte_node.received.size(), 1u);
-  EXPECT_EQ(byte_node.received[0].bytes, EncodePacket(packet));
+  EXPECT_EQ(byte_node.received[0], EncodePacket(packet));
+}
+
+TEST(SimNetworkTypedTest, ByteSendIsDecodedOntoThePacketPath) {
+  // The byte overload of Transport::Send decodes once at the sender; an
+  // undecodable payload is dropped before it costs the network anything.
+  Rig rig(2);
+  Transport* sender = rig.transports[0];
+  sender->Send(NodeId(2), MessageClass::kData, EncodePacket(SamplePacket()));
+  sender->Send(NodeId(2), MessageClass::kData, std::vector<uint8_t>{0xff});
+  std::vector<NodeId> dst = {NodeId(2)};
+  sender->Multicast(dst, MessageClass::kData, std::vector<uint8_t>{});
+  rig.sim.RunUntilIdle();
+  ASSERT_EQ(rig.nodes[1]->received.size(), 1u);
+  EXPECT_EQ(rig.nodes[1]->byte_deliveries, 0u);
+  EXPECT_EQ(EncodePacket(rig.nodes[1]->received[0].packet),
+            EncodePacket(SamplePacket()));
+  EXPECT_EQ(rig.net->stats(NodeId(1)).TotalSent(), 1u);
 }
 
 TEST(SimNetworkTypedTest, TracerSeesWireBytesLazily) {
-  TypedRig rig(3);
+  Rig rig(3);
   std::vector<std::vector<uint8_t>> taps;
   rig.net->set_tracer([&](NodeId src, NodeId dst, MessageClass cls,
                           std::span<const uint8_t> bytes) {
@@ -373,8 +391,8 @@ TEST(SimNetworkTypedTest, TracerSeesWireBytesLazily) {
     (void)cls;
     taps.emplace_back(bytes.begin(), bytes.end());
   });
-  // Tracer fires per destination, even for a partitioned one, exactly like
-  // the byte path.
+  // Tracer fires per destination, even for a partitioned one, with the
+  // bytes the wire would carry.
   rig.net->SetPartitioned(NodeId(1), NodeId(3), true);
   Packet packet = SamplePacket();
   std::vector<NodeId> dst = {NodeId(2), NodeId(3)};
@@ -387,20 +405,8 @@ TEST(SimNetworkTypedTest, TracerSeesWireBytesLazily) {
   EXPECT_TRUE(rig.nodes[2]->received.empty());
 }
 
-TEST(SimNetworkTypedTest, ForceWireRoutesTypedSendsThroughTheCodec) {
-  TypedRig rig(2);
-  rig.net->set_force_wire(true);
-  Packet packet = SamplePacket();
-  rig.transports[0]->Send(NodeId(2), MessageClass::kData, Packet(packet));
-  rig.sim.RunUntilIdle();
-  // Delivered via HandlePacket (the byte entry point), not HandleTyped.
-  EXPECT_TRUE(rig.nodes[1]->received.empty());
-  ASSERT_EQ(rig.nodes[1]->byte_deliveries, 1u);
-  EXPECT_EQ(rig.nodes[1]->last_bytes, EncodePacket(packet));
-}
-
 TEST(SimNetworkTypedTest, ConformanceModeDeliversTheDecodedPacket) {
-  TypedRig rig(2);
+  Rig rig(2);
   rig.net->set_codec_conformance(true);
   Packet packet = SamplePacket();
   rig.transports[0]->Send(NodeId(2), MessageClass::kData, Packet(packet));
@@ -412,7 +418,7 @@ TEST(SimNetworkTypedTest, ConformanceModeDeliversTheDecodedPacket) {
 }
 
 TEST(SimNetworkTypedTest, TypedInFlightAtCrashIsDroppedAndRecycled) {
-  TypedRig rig(2);
+  Rig rig(2);
   rig.transports[0]->Send(NodeId(2), MessageClass::kData, SamplePacket());
   rig.sim.ScheduleAfter(Duration::Micros(100), [&]() {
     rig.net->SetNodeUp(NodeId(2), false);
@@ -429,26 +435,14 @@ TEST(SimNetworkTypedTest, TypedInFlightAtCrashIsDroppedAndRecycled) {
   EXPECT_NE(std::get_if<Ping>(&rig.nodes[1]->received[0].packet), nullptr);
 }
 
-TEST(SimNetworkTypedTest, TypedStatsMatchBytePathAccounting) {
-  TypedRig rig(3);
-  std::vector<NodeId> dst = {NodeId(2), NodeId(3)};
-  rig.transports[0]->Multicast(dst, MessageClass::kConsistency,
-                               Packet(Ping{RequestId(1)}));
-  rig.transports[0]->Send(NodeId(2), MessageClass::kData, SamplePacket());
-  rig.sim.RunUntilIdle();
-  const NodeMessageStats& sender = rig.net->stats(NodeId(1));
-  EXPECT_EQ(sender.sent[static_cast<int>(MessageClass::kConsistency)], 1u);
-  EXPECT_EQ(sender.sent[static_cast<int>(MessageClass::kData)], 1u);
-  EXPECT_EQ(rig.net->stats(NodeId(2)).TotalReceived(), 2u);
-  EXPECT_EQ(rig.net->stats(NodeId(3)).TotalReceived(), 1u);
-}
-
 // --- Multicast vs. restart / handler replacement --------------------------
 
 TEST(SimNetworkTest, MulticastReplaceHandlerOrphansOnlyThatDestination) {
   Rig rig(3);
   std::vector<NodeId> dst = {NodeId(2), NodeId(3)};
-  rig.transports[0]->Multicast(dst, MessageClass::kConsistency, {5});
+  // Sent through the byte overload, as an already-encoded payload.
+  Transport* sender = rig.transports[0];
+  sender->Multicast(dst, MessageClass::kConsistency, EncodePacket(Tagged(5)));
   Recorder fresh(&rig.sim);
   rig.net->ReplaceHandler(NodeId(2), &fresh);
   rig.sim.RunUntilIdle();
@@ -456,30 +450,30 @@ TEST(SimNetworkTest, MulticastReplaceHandlerOrphansOnlyThatDestination) {
   EXPECT_TRUE(rig.nodes[1]->received.empty());
   EXPECT_TRUE(fresh.received.empty());
   ASSERT_EQ(rig.nodes[2]->received.size(), 1u);
-  EXPECT_EQ(rig.nodes[2]->received[0].bytes, (std::vector<uint8_t>{5}));
+  EXPECT_EQ(TagOf(rig.nodes[2]->received[0]), 5u);
 }
 
 TEST(SimNetworkTypedTest, TypedMulticastReplaceHandlerOrphansOldEpoch) {
-  TypedRig rig(3);
+  Rig rig(3);
   std::vector<NodeId> dst = {NodeId(2), NodeId(3)};
-  rig.transports[0]->Multicast(dst, MessageClass::kConsistency,
-                               Packet(Ping{RequestId(9)}));
-  TypedRecorder fresh(&rig.sim);
+  rig.transports[0]->Multicast(dst, MessageClass::kConsistency, Tagged(9));
+  Recorder fresh(&rig.sim);
   rig.net->ReplaceHandler(NodeId(2), &fresh);
   rig.sim.RunUntilIdle();
   EXPECT_TRUE(rig.nodes[1]->received.empty());
   EXPECT_TRUE(fresh.received.empty());
   ASSERT_EQ(rig.nodes[2]->received.size(), 1u);
-  // Another typed send reaches the replaced handler; the shared in-flight
+  EXPECT_EQ(TagOf(rig.nodes[2]->received[0]), 9u);
+  // Another send reaches the replaced handler; the shared in-flight
   // message from before was released cleanly (no leak under asan).
-  rig.transports[0]->Send(NodeId(2), MessageClass::kData,
-                          Packet(Ping{RequestId(10)}));
+  rig.transports[0]->Send(NodeId(2), MessageClass::kData, Tagged(10));
   rig.sim.RunUntilIdle();
   ASSERT_EQ(fresh.received.size(), 1u);
+  EXPECT_EQ(TagOf(fresh.received[0]), 10u);
 }
 
 TEST(SimNetworkTypedTest, TypedMulticastCrashMidFlightOrphansOldEpoch) {
-  TypedRig rig(3);
+  Rig rig(3);
   std::vector<NodeId> dst = {NodeId(2), NodeId(3)};
   rig.transports[0]->Multicast(dst, MessageClass::kData,
                                Packet(Ping{RequestId(3)}));
@@ -497,8 +491,8 @@ TEST(SimNetworkFaultTest, DuplicationDeliversAnExtraCopy) {
   NetworkParams params;
   params.faults.dup_prob = 1.0;
   Rig rig(2, params);
-  for (uint8_t i = 0; i < 5; ++i) {
-    rig.transports[0]->Send(NodeId(2), MessageClass::kData, {i});
+  for (uint64_t i = 0; i < 5; ++i) {
+    rig.transports[0]->Send(NodeId(2), MessageClass::kData, Tagged(i));
   }
   rig.sim.RunUntilIdle();
   EXPECT_EQ(rig.nodes[1]->received.size(), 10u);
@@ -506,16 +500,31 @@ TEST(SimNetworkFaultTest, DuplicationDeliversAnExtraCopy) {
 }
 
 TEST(SimNetworkFaultTest, TypedDuplicationMatchesBytePath) {
-  NetworkParams params;
-  params.faults.dup_prob = 1.0;
-  TypedRig rig(2, params);
-  for (int i = 0; i < 5; ++i) {
-    rig.transports[0]->Send(NodeId(2), MessageClass::kData,
-                            Packet(Ping{RequestId(i + 1)}));
-  }
-  rig.sim.RunUntilIdle();
-  EXPECT_EQ(rig.nodes[1]->received.size(), 10u);
-  EXPECT_EQ(rig.net->stats(NodeId(1)).duplicated, 5u);
+  // Byte-overload sends are decoded at the sender and then duplicated
+  // exactly like typed sends: same copies, same order, same counter.
+  auto run = [](bool bytes) {
+    NetworkParams params;
+    params.faults.dup_prob = 1.0;
+    Rig rig(2, params);
+    Transport* sender = rig.transports[0];
+    for (uint64_t i = 1; i <= 5; ++i) {
+      if (bytes) {
+        sender->Send(NodeId(2), MessageClass::kData, EncodePacket(Tagged(i)));
+      } else {
+        sender->Send(NodeId(2), MessageClass::kData, Tagged(i));
+      }
+    }
+    rig.sim.RunUntilIdle();
+    EXPECT_EQ(rig.net->stats(NodeId(1)).duplicated, 5u);
+    std::vector<std::pair<uint64_t, int64_t>> arrivals;
+    for (const auto& r : rig.nodes[1]->received) {
+      arrivals.emplace_back(TagOf(r), (r.at - TimePoint::Epoch()).ToMicros());
+    }
+    return arrivals;
+  };
+  auto typed = run(false);
+  EXPECT_EQ(typed.size(), 10u);
+  EXPECT_EQ(typed, run(true));
 }
 
 TEST(SimNetworkFaultTest, ReorderJitterDelaysButDelivers) {
@@ -523,7 +532,7 @@ TEST(SimNetworkFaultTest, ReorderJitterDelaysButDelivers) {
   params.faults.reorder_prob = 1.0;
   params.faults.reorder_delay_max = Duration::Millis(5);
   Rig rig(2, params);
-  rig.transports[0]->Send(NodeId(2), MessageClass::kData, {1});
+  rig.transports[0]->Send(NodeId(2), MessageClass::kData, SamplePacket());
   rig.sim.RunUntilIdle();
   ASSERT_EQ(rig.nodes[1]->received.size(), 1u);
   Duration base = params.prop_delay + params.proc_time * 2;
@@ -539,8 +548,8 @@ TEST(SimNetworkFaultTest, BurstLossDropsWhileChainIsBad) {
   params.faults.burst_exit_prob = 0.0;   // and never leave it
   params.faults.burst_loss_prob = 1.0;
   Rig rig(2, params);
-  for (uint8_t i = 0; i < 8; ++i) {
-    rig.transports[0]->Send(NodeId(2), MessageClass::kData, {i});
+  for (uint64_t i = 0; i < 8; ++i) {
+    rig.transports[0]->Send(NodeId(2), MessageClass::kData, Tagged(i));
   }
   rig.sim.RunUntilIdle();
   EXPECT_TRUE(rig.nodes[1]->received.empty());
@@ -561,18 +570,18 @@ TEST(SimNetworkFaultTest, FaultStreamLeavesLossDrawsUntouched) {
       params.faults.reorder_delay_max = Duration::Millis(2);
     }
     Rig rig(2, params);
-    for (uint8_t i = 0; i < 50; ++i) {
-      rig.transports[0]->Send(NodeId(2), MessageClass::kData, {i});
+    for (uint64_t i = 0; i < 50; ++i) {
+      rig.transports[0]->Send(NodeId(2), MessageClass::kData, Tagged(i));
     }
     rig.sim.RunUntilIdle();
-    std::vector<uint8_t> ids;
+    std::vector<uint64_t> ids;
     for (const auto& r : rig.nodes[1]->received) {
-      ids.push_back(r.bytes[0]);
+      ids.push_back(TagOf(r));
     }
     std::sort(ids.begin(), ids.end());
     return ids;
   };
-  std::vector<uint8_t> base = delivered(false);
+  std::vector<uint64_t> base = delivered(false);
   EXPECT_GT(base.size(), 0u);
   EXPECT_LT(base.size(), 50u);  // some losses, or the test proves nothing
   EXPECT_EQ(base, delivered(true));

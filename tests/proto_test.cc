@@ -179,8 +179,8 @@ TEST(ProtoTest, EveryTruncationOfEveryMessageIsRejectedSafely) {
 
 // --- Randomized property tests over every message type -------------------
 //
-// The simulator's typed fast path no longer exercises the codec per
-// message, so these are the codec's safety net: every MsgType, randomized
+// The simulator exercises the codec per message only in conformance mode,
+// so these are the codec's safety net: every MsgType, randomized
 // payloads, and every truncation of every valid datagram.
 
 std::vector<uint8_t> RandomBytes(Rng& rng, size_t max_len) {

@@ -19,12 +19,18 @@ std::vector<uint8_t> B(const std::string& s) {
   return std::vector<uint8_t>(s.begin(), s.end());
 }
 
+// A plain server granting fixed `term` leases.
+EngineConfig TermConfig(Duration term) {
+  EngineConfig config;
+  config.term = term;
+  return config;
+}
+
 class RuntimeFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    ServerParams server_params;
-    server = std::make_unique<RuntimeServer>(NodeId(1), server_params,
-                                             Duration::Seconds(2));
+    server = std::make_unique<RuntimeServer>(
+        NodeId(1), TermConfig(Duration::Seconds(2)));
     file = *server->store().CreatePath("/data/hello", FileClass::kNormal,
                                        B("world"));
     ASSERT_TRUE(server->Start().ok());
@@ -155,7 +161,7 @@ TEST_F(RuntimeFixture, MalformedDatagramsAreCountedAndDropped) {
 }
 
 TEST(RuntimeMultiClient, SharedWriteInvalidatesOtherClient) {
-  RuntimeServer server(NodeId(1), ServerParams{}, Duration::Seconds(5));
+  RuntimeServer server(NodeId(1), TermConfig(Duration::Seconds(5)));
   FileId file = *server.store().CreatePath("/shared", FileClass::kNormal,
                                            B("v1"));
   ASSERT_TRUE(server.Start().ok());
@@ -200,7 +206,7 @@ TEST(RuntimeDurability, RestartedServerRecoversGrantWindowFromDataDir) {
   // First incarnation journals its recovery state under `dir`; a client
   // read leaves a 1 s lease granted.
   {
-    RuntimeServer server(NodeId(1), ServerParams{}, Duration::Seconds(1));
+    RuntimeServer server(NodeId(1), TermConfig(Duration::Seconds(1)));
     FileId file = *server.store().CreatePath("/data/hello",
                                              FileClass::kNormal, B("v1"));
     ASSERT_TRUE(server.Start(dir).ok());
@@ -218,7 +224,7 @@ TEST(RuntimeDurability, RestartedServerRecoversGrantWindowFromDataDir) {
 
   // Second incarnation over the same directory: it must find the durable
   // state, advance the boot counter, and hold writes for the granted term.
-  RuntimeServer reborn(NodeId(1), ServerParams{}, Duration::Seconds(1));
+  RuntimeServer reborn(NodeId(1), TermConfig(Duration::Seconds(1)));
   FileId file = *reborn.store().CreatePath("/data/hello", FileClass::kNormal,
                                            B("v1"));
   ASSERT_TRUE(reborn.Start(dir).ok());

@@ -24,6 +24,14 @@ std::vector<uint8_t> B(const std::string& s) {
   return std::vector<uint8_t>(s.begin(), s.end());
 }
 
+// A sharded server granting fixed `term` leases.
+EngineConfig ShardedConfig(Duration term, size_t num_shards) {
+  EngineConfig config;
+  config.term = term;
+  config.num_shards = num_shards;
+  return config;
+}
+
 ClientParams TestClientParams() {
   ClientParams p;
   p.transit_allowance = Duration::Millis(50);
@@ -38,8 +46,8 @@ TEST(ShardConcurrency, ClientsHammerAllShardsThroughBatchedUdp) {
   constexpr size_t kFiles = 16;
   constexpr int kRounds = 30;
 
-  ShardedRuntimeServer server(NodeId(1), ServerParams{}, Duration::Seconds(5),
-                              kShards);
+  ShardedRuntimeServer server(NodeId(1),
+                              ShardedConfig(Duration::Seconds(5), kShards));
   std::vector<FileId> files;
   for (size_t i = 0; i < kFiles; ++i) {
     files.push_back(*server.store().CreatePath(
@@ -137,8 +145,8 @@ TEST(ShardConcurrency, CrossShardBatchedExtendOverUdp) {
   constexpr size_t kShards = 8;
   constexpr size_t kFiles = 12;
 
-  ShardedRuntimeServer server(NodeId(1), ServerParams{},
-                              Duration::Millis(800), kShards);
+  ShardedRuntimeServer server(NodeId(1),
+                              ShardedConfig(Duration::Millis(800), kShards));
   std::vector<FileId> files;
   for (size_t i = 0; i < kFiles; ++i) {
     files.push_back(*server.store().CreatePath(
@@ -216,8 +224,9 @@ TEST(ShardConcurrency, BatchSenderStatsMergeIsExactUnderContention) {
     threads.emplace_back([&, t]() {
       UdpBatchSender& batcher = *batchers[t];
       for (int i = 0; i < kSendsPerThreadPerClass; ++i) {
-        batcher.Send(NodeId(9), MessageClass::kData, B("d"));
-        batcher.Send(NodeId(9), MessageClass::kConsistency, B("c"));
+        batcher.Send(NodeId(9), MessageClass::kData, Ping{RequestId(1)});
+        batcher.Send(NodeId(9), MessageClass::kConsistency,
+                     Ping{RequestId(2)});
       }
       batcher.Flush();
     });

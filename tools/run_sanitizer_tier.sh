@@ -31,9 +31,9 @@ if ! "$cxx" "$probe_flag" -o "$probe_dir/probe" "$probe_dir/probe.cc" \
   exit 77
 fi
 
-# The sanitizer-relevant surface: the allocation-free scheduler, the typed
-# message fast path + pooled buffers, the codec the conformance mode leans
-# on, the durable storage plane (raw-fd journal I/O plus the crash-point
+# The sanitizer-relevant surface: the allocation-free scheduler, the
+# pooled packet delivery path, the codec the conformance mode leans on,
+# the durable storage plane (raw-fd journal I/O plus the crash-point
 # matrix, which ASan checks for leaks/overflows across injected crashes),
 # and the sharded grant plane -- shard_test covers the routing/split logic,
 # shard_concurrency_test hammers the shard threads, SPSC rings and batched
