@@ -175,7 +175,7 @@ void FaultInjectingTransport::Multicast(std::span<const NodeId> dst,
     return;
   }
   // Per-destination decisions require decomposing the multicast; the inner
-  // UdpTransport iterates sendto per destination anyway, so the wire
+  // UdpTransport queues one record per destination anyway, so the wire
   // behaviour is unchanged.
   for (NodeId d : dst) {
     SendFiltered(d, cls, packet);

@@ -22,16 +22,24 @@ struct NodeMessageStats {
   uint64_t dropped_burst = 0;      // lost in a Gilbert-Elliott bad state
   uint64_t duplicated = 0;         // extra copies injected by the fault plane
   uint64_t delayed = 0;            // deliveries given extra reorder jitter
-  // Local send-side failures: ::sendto/::sendmmsg errors, partial datagram
-  // writes, or sends to an unregistered peer. Zero in simulation (SimNetwork
-  // models loss as in-flight drops, not send failures); on the UDP runtime a
-  // persistently non-zero value means ENOBUFS-style local overload that the
-  // protocol otherwise mistakes for wire loss.
+  // Local send-side failures, in packets: ::sendmmsg errors and partial
+  // datagram writes (each packet the datagram carried), packets too large
+  // for a datagram, or sends to an unregistered peer. Zero in simulation
+  // (SimNetwork models loss as in-flight drops, not send failures); on the
+  // UDP runtime a persistently non-zero value means ENOBUFS-style local
+  // overload that the protocol otherwise mistakes for wire loss.
   uint64_t send_failures = 0;
-  // Datagrams the UDP receive path discarded before any handler saw them:
-  // runt frames shorter than the header, or an unknown message class. Zero
-  // in simulation.
+  // Datagrams or records the UDP receive path discarded before any handler
+  // saw them: a runt shorter than the sender header, or a record that is
+  // truncated, overruns its datagram or has an unknown message class (the
+  // rest of that datagram is dropped with it). Zero in simulation.
   uint64_t malformed = 0;
+  // UDP datagrams put on the wire and taken off it. One datagram carries
+  // every packet a host sends one peer in one unit of loop work, so these
+  // count wire units while sent/received count the paper's messages. Zero
+  // in simulation.
+  uint64_t datagrams_sent = 0;
+  uint64_t datagrams_received = 0;
 
   uint64_t TotalSent() const {
     return sent[0] + sent[1] + sent[2];

@@ -108,9 +108,12 @@ bool EventLoop::TryEnter() {
 }
 
 void EventLoop::Leave() {
+  RunWorkEndHooks();
   t_running = nullptr;
   exec_mu_.unlock();
 }
+
+bool EventLoop::InLoopWork() const { return t_running == this; }
 
 bool EventLoop::LockForWork() {
   if (t_running == this) {
@@ -147,13 +150,41 @@ void EventLoop::Unwatch(int fd) {
   }
 }
 
+uint64_t EventLoop::AddWorkEndHook(std::function<void()> fn) {
+  bool locked = LockForWork();
+  uint64_t key = next_watch_key_++;
+  work_end_hooks_.emplace_back(key, std::move(fn));
+  if (locked) {
+    exec_mu_.unlock();
+  }
+  return key;
+}
+
+void EventLoop::RemoveWorkEndHook(uint64_t key) {
+  bool locked = LockForWork();
+  for (auto it = work_end_hooks_.begin(); it != work_end_hooks_.end(); ++it) {
+    if (it->first == key) {
+      work_end_hooks_.erase(it);
+      break;
+    }
+  }
+  if (locked) {
+    exec_mu_.unlock();
+  }
+}
+
+void EventLoop::RunWorkEndHooks() {
+  for (auto& hook : work_end_hooks_) {
+    hook.second();
+  }
+}
+
 TimerId EventLoop::ScheduleAfter(Duration delay, std::function<void()> fn) {
   SteadyPoint when = std::chrono::steady_clock::now() +
                      std::chrono::microseconds(delay.ToMicros());
   std::lock_guard<std::mutex> lock(mu_);
   TimerId id = timer_ids_.Next();
-  timers_.emplace(when, Timer{id, std::move(fn)});
-  live_timers_.insert(id);
+  live_timers_.emplace(id, timers_.emplace(when, Timer{id, std::move(fn)}));
   // A sleeping loop computes no new deadline until it wakes, so an earlier
   // timer re-arms the timerfd from here (no thread switch).
   if (sleeping_ && when < armed_) {
@@ -163,8 +194,18 @@ TimerId EventLoop::ScheduleAfter(Duration delay, std::function<void()> fn) {
 }
 
 bool EventLoop::CancelTimer(TimerId id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return live_timers_.erase(id) > 0;
+  std::function<void()> fn;  // destroyed after mu_ is released
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = live_timers_.find(id);
+    if (it == live_timers_.end()) {
+      return false;
+    }
+    fn = std::move(it->second->second.fn);
+    timers_.erase(it->second);
+    live_timers_.erase(it);
+  }
+  return true;
 }
 
 void EventLoop::ArmTimerLocked(SteadyPoint when) {
@@ -181,15 +222,7 @@ void EventLoop::ArmTimerLocked(SteadyPoint when) {
   armed_ = when;
 }
 
-void EventLoop::DropCancelledLocked() {
-  while (!timers_.empty() &&
-         live_timers_.count(timers_.begin()->second.id) == 0) {
-    timers_.erase(timers_.begin());
-  }
-}
-
 int EventLoop::PrepareSleepLocked() {
-  DropCancelledLocked();
   if (!tasks_.empty()) {
     return 0;
   }
@@ -212,23 +245,27 @@ void EventLoop::RunTasks() {
     running_.swap(tasks_);
     queued_.store(0, std::memory_order_release);
   }
+  if (running_.empty()) {
+    return;
+  }
   for (std::function<void()>& task : running_) {
     task();
   }
   running_.clear();
+  RunWorkEndHooks();
 }
 
 void EventLoop::RunDueTimers() {
   // Deadlines are compared against one snapshot, so a timer that re-arms
   // itself with a zero delay runs once per pass rather than forever.
   const SteadyPoint now = std::chrono::steady_clock::now();
+  bool ran = false;
   for (;;) {
     std::function<void()> fn;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      DropCancelledLocked();
       if (timers_.empty() || timers_.begin()->first > now) {
-        return;
+        break;
       }
       auto it = timers_.begin();
       fn = std::move(it->second.fn);
@@ -236,6 +273,10 @@ void EventLoop::RunDueTimers() {
       timers_.erase(it);
     }
     fn();
+    ran = true;
+  }
+  if (ran) {
+    RunWorkEndHooks();
   }
 }
 
@@ -284,6 +325,9 @@ void EventLoop::Run() {
     }
     for (int i = 0; i < n; ++i) {
       Dispatch(events[i].data.u64);
+    }
+    if (n > 0) {
+      RunWorkEndHooks();
     }
   }
 }

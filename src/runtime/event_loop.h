@@ -9,7 +9,9 @@
 // epoll_wait, and while the loop is idle a caller may take the lock and run
 // work on its own thread (TryRunHere), saving the caller->loop thread
 // switch. The loop implements TimerHost, so LeaseServer / CacheClient code
-// is oblivious to which world it is in.
+// is oblivious to which world it is in. When a unit of loop work ends, the
+// loop runs its work-end hooks, which is where a UDP transport puts the
+// unit's coalesced datagrams on the wire.
 //
 // The loop thread sleeps in epoll_wait on an eventfd (Post wake-ups), a
 // timerfd armed at the earliest timer deadline (µs-precise, unlike an
@@ -26,7 +28,7 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/clock/timer_host.h"
@@ -54,7 +56,8 @@ class EventLoop : public TimerHost {
   // task is queued, no loop work is running and the loop thread is not
   // waiting to run any. Returns false without running `fn` otherwise, and
   // when called from inside any loop's work; the caller then Posts, which
-  // keeps posted tasks in FIFO order.
+  // keeps posted tasks in FIFO order. Like any unit of loop work, the call
+  // ends by running the work-end hooks.
   template <typename Fn>
   bool TryRunHere(Fn&& fn) {
     if (!TryEnter()) {
@@ -73,13 +76,27 @@ class EventLoop : public TimerHost {
   // callback).
   void Unwatch(int fd);
 
-  // TimerHost (thread-safe).
+  // Registers `fn` to run as loop work at the end of every unit of loop
+  // work: the fd callbacks of one epoll_wait, one run of posted tasks, one
+  // run of due timers, and a TryRunHere call. A UDP transport flushes the
+  // datagrams the unit queued from here. Returns the key RemoveWorkEndHook
+  // takes. Thread-safe.
+  uint64_t AddWorkEndHook(std::function<void()> fn);
+  // On return the hook is not running and will not run. Thread-safe,
+  // including from inside loop work (but not from the hook itself).
+  void RemoveWorkEndHook(uint64_t key);
+
+  // TimerHost (thread-safe). A cancelled timer's closure is destroyed
+  // before CancelTimer returns.
   TimerId ScheduleAfter(Duration delay, std::function<void()> fn) override;
   bool CancelTimer(TimerId id) override;
 
   bool InLoopThread() const {
     return std::this_thread::get_id() == thread_.get_id();
   }
+  // Whether the calling thread is running this loop's work: on the loop
+  // thread, or inside a TryRunHere call.
+  bool InLoopWork() const;
 
   // Stops the loop and joins the thread; pending tasks are dropped.
   void Stop();
@@ -95,13 +112,13 @@ class EventLoop : public TimerHost {
     int fd;
     std::function<void()> fn;
   };
+  using TimerQueue = std::multimap<SteadyPoint, Timer>;
 
   void Run();
   // Runs the tasks queued so far.
   void RunTasks();
   void RunDueTimers();
-  // Under mu_: drops cancelled timers at the head of the queue.
-  void DropCancelledLocked();
+  void RunWorkEndHooks();
   // Under mu_: decides how long to sleep (0: work is ready; -1: until an
   // fd, a Post or the timerfd), arming the timerfd for the next deadline.
   int PrepareSleepLocked();
@@ -130,8 +147,9 @@ class EventLoop : public TimerHost {
   std::vector<std::function<void()>> tasks_;
   std::vector<std::function<void()>> running_;  // loop thread only
   std::atomic<size_t> queued_{0};  // tasks_.size(), readable without mu_
-  std::multimap<SteadyPoint, Timer> timers_;
-  std::unordered_set<TimerId> live_timers_;
+  TimerQueue timers_;
+  // Each pending timer's queue node, so a cancel frees it at once.
+  std::unordered_map<TimerId, TimerQueue::iterator> live_timers_;
   IdGenerator<TimerId> timer_ids_;
   // The loop thread is (about to be) asleep in epoll_wait with no timeout:
   // a Post must write wake_fd_, and an earlier timer must re-arm the
@@ -145,6 +163,9 @@ class EventLoop : public TimerHost {
   // exec_mu_.
   std::unordered_map<uint64_t, std::shared_ptr<WatchEntry>> watches_;
   uint64_t next_watch_key_ = 2;  // 0 is wake_fd_, 1 is timer_fd_
+  // Work-end hooks by key (keys drawn from next_watch_key_). Guarded by
+  // exec_mu_.
+  std::vector<std::pair<uint64_t, std::function<void()>>> work_end_hooks_;
 
   std::thread thread_;
 };

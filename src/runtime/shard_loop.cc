@@ -90,13 +90,21 @@ TimerId ShardLoop::ScheduleAfter(Duration delay, std::function<void()> fn) {
   TimerId id = timer_ids_.Next();
   SteadyPoint when = std::chrono::steady_clock::now() +
                      std::chrono::microseconds(delay.ToMicros());
-  timers_.emplace(when, std::make_pair(id, std::move(fn)));
-  live_timers_.insert(id);
+  live_timers_.emplace(id,
+                       timers_.emplace(when, std::make_pair(id, std::move(fn))));
   return id;
 }
 
 bool ShardLoop::CancelTimer(TimerId id) {
-  return live_timers_.erase(id) > 0;
+  auto it = live_timers_.find(id);
+  if (it == live_timers_.end()) {
+    return false;
+  }
+  // Move the closure out first: destroying it may cancel other timers.
+  std::function<void()> fn = std::move(it->second->second.second);
+  timers_.erase(it->second);
+  live_timers_.erase(it);
+  return true;
 }
 
 ShardLoop::SteadyPoint ShardLoop::RunDueTimers() {
@@ -108,12 +116,10 @@ ShardLoop::SteadyPoint ShardLoop::RunDueTimers() {
     if (it->first > std::chrono::steady_clock::now()) {
       return it->first;
     }
-    TimerId id = it->second.first;
     std::function<void()> fn = std::move(it->second.second);
+    live_timers_.erase(it->second.first);
     timers_.erase(it);
-    if (live_timers_.erase(id) > 0) {
-      fn();
-    }
+    fn();
   }
 }
 

@@ -24,7 +24,8 @@
 #include <map>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
+#include <unordered_map>
+#include <utility>
 
 #include "src/clock/timer_host.h"
 #include "src/common/ids.h"
@@ -34,7 +35,7 @@
 
 namespace leases {
 
-// One routed inbound datagram.
+// One routed inbound packet.
 struct ShardInbound {
   NodeId from;
   MessageClass cls = MessageClass::kData;
@@ -68,7 +69,8 @@ class ShardLoop : public TimerHost {
 
   // TimerHost. Only callable from the shard thread once started (the
   // protocol objects it hosts live there), or from the owning thread before
-  // Start().
+  // Start(). A cancelled timer's closure is destroyed before CancelTimer
+  // returns.
   TimerId ScheduleAfter(Duration delay, std::function<void()> fn) override;
   bool CancelTimer(TimerId id) override;
 
@@ -78,6 +80,8 @@ class ShardLoop : public TimerHost {
 
  private:
   using SteadyPoint = std::chrono::steady_clock::time_point;
+  using TimerQueue =
+      std::multimap<SteadyPoint, std::pair<TimerId, std::function<void()>>>;
 
   void Run();
   // Runs every timer whose deadline has passed; returns the next deadline
@@ -86,10 +90,10 @@ class ShardLoop : public TimerHost {
 
   SpscQueue<ShardInbound> inbound_;
 
-  // Shard-thread-owned (no lock): the timer queue.
-  std::multimap<SteadyPoint, std::pair<TimerId, std::function<void()>>>
-      timers_;
-  std::unordered_set<TimerId> live_timers_;
+  // Shard-thread-owned (no lock): the timer queue, and each pending
+  // timer's node in it so a cancel frees it at once.
+  TimerQueue timers_;
+  std::unordered_map<TimerId, TimerQueue::iterator> live_timers_;
   IdGenerator<TimerId> timer_ids_;
   // Relaxed: a monotone progress counter read by monitors/benches while the
   // shard runs; no ordering is implied for the state behind it.

@@ -15,7 +15,7 @@ ShardedRuntimeServer::~ShardedRuntimeServer() { Stop(); }
 
 Status ShardedRuntimeServer::Start(uint16_t port) {
   // Raw-handler mode: the transport runs a private event loop whose only
-  // work is routing datagrams straight into the shard queues.
+  // work is routing packets straight into the shard queues.
   transport_ = std::make_unique<UdpTransport>(id_, nullptr, nullptr);
 
   const size_t num_shards = config_.num_shards;
@@ -71,12 +71,12 @@ Status ShardedRuntimeServer::Start(uint16_t port) {
 
   // Routing runs as the transport loop's work; only the enqueue touches
   // shard state, through the SPSC ring. A full ring means the shard is
-  // saturated: shed the datagram like the wire would.
+  // saturated: shed the packet like the wire would.
   transport_->SetRawHandler([this](NodeId from, MessageClass cls,
                                    std::span<const uint8_t> payload) {
     std::optional<Packet> packet = DecodePacket(payload);
     if (!packet) {
-      return;  // malformed datagrams are dropped, as in LeaseServer
+      return;  // malformed packets are dropped, as in LeaseServer
     }
     sharded_->Route(
         from, cls, std::move(*packet),

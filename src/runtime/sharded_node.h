@@ -2,7 +2,7 @@
 //
 // One UDP transport (one port, served by the transport's private event
 // loop) fronts N run-to-completion shard threads. The transport's loop
-// decodes each datagram straight from its receive buffer and routes it with
+// decodes each packet straight from its receive buffer and routes it with
 // the same shard_router.h functions the simulator uses
 // (ShardedLeaseServer::Route), pushing it onto the owning shard's SPSC
 // queue; the shard thread then runs the LeaseServer state machine against
@@ -11,7 +11,7 @@
 // synchronization on the hot path is the SPSC ring and the sendmmsg flush
 // at the batch boundary.
 //
-// A full inbound ring drops the datagram (counted), which the protocol
+// A full inbound ring drops the packet (counted), which the protocol
 // reads as wire loss and the client repairs by retransmission -- exactly
 // the overload behavior a real UDP service has.
 #ifndef SRC_RUNTIME_SHARDED_NODE_H_

@@ -1,14 +1,14 @@
 // Bounded single-producer single-consumer ring queue.
 //
 // The shard engine's inbound path: the UDP transport's event loop (the
-// single producer) routes each decoded datagram to its owning shard and
+// single producer) routes each decoded packet to its owning shard and
 // pushes it here; the shard's worker thread (the single consumer) drains it
 // and runs the handler to completion. One atomic load plus one store per side, no
 // locks, no CAS -- the queue is the reason the sharded hot path scales
 // linearly instead of serializing on a mutex.
 //
 // Capacity is rounded up to a power of two. A full queue rejects the push:
-// UDP is fire-and-forget, so the caller drops the datagram and counts it
+// UDP is fire-and-forget, so the caller drops the packet and counts it
 // (the protocol's timeout machinery handles the loss like any other).
 #ifndef SRC_RUNTIME_SPSC_QUEUE_H_
 #define SRC_RUNTIME_SPSC_QUEUE_H_

@@ -10,11 +10,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "src/net/faulty_transport.h"
 #include "src/runtime/event_loop.h"
+#include "src/runtime/shard_loop.h"
 #include "src/runtime/udp_transport.h"
 
 namespace leases {
@@ -91,6 +94,25 @@ TEST(EventLoopTest, CancelledTimerDoesNotFire) {
   EXPECT_FALSE(loop.CancelTimer(id));
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   EXPECT_FALSE(fired);
+}
+
+TEST(EventLoopTest, CancelledTimerClosureIsFreedAtOnce) {
+  // The closure (and what it captures) must not stay queued until the
+  // deadline passes.
+  auto captured = std::make_shared<int>(0);
+  EventLoop loop;
+  TimerId id = loop.ScheduleAfter(Duration::Seconds(30), [captured]() {});
+  EXPECT_EQ(captured.use_count(), 2);
+  EXPECT_TRUE(loop.CancelTimer(id));
+  EXPECT_EQ(captured.use_count(), 1);
+
+  ShardLoop shard;  // before Start the owning thread may arm timers
+  TimerId shard_id =
+      shard.ScheduleAfter(Duration::Seconds(30), [captured]() {});
+  EXPECT_EQ(captured.use_count(), 2);
+  EXPECT_TRUE(shard.CancelTimer(shard_id));
+  EXPECT_EQ(captured.use_count(), 1);
+  EXPECT_FALSE(shard.CancelTimer(shard_id));
 }
 
 TEST(EventLoopTest, StopIsIdempotentAndDropsPendingWork) {
@@ -251,8 +273,9 @@ class Sprayer {
       addr.sin_family = AF_INET;
       addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
       addr.sin_port = htons(port_);
-      // A valid header: sender 7, class kData, one payload byte.
-      uint8_t frame[6] = {7, 0, 0, 0, 0, 1};
+      // A valid datagram: sender 7, then one record of class kData with a
+      // one-byte payload.
+      uint8_t frame[10] = {7, 0, 0, 0, 0, 1, 0, 0, 0, 1};
       while (!stop_) {
         ::sendto(fd, frame, sizeof(frame), 0,
                  reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
@@ -274,6 +297,40 @@ class Sprayer {
 
 // A distinguishable packet for the UDP send tests.
 Packet Tagged(uint64_t tag) { return Ping{RequestId(tag)}; }
+
+// Records the tag of every Ping it receives, in arrival order.
+class TagRecorder : public PacketHandler {
+ public:
+  void HandleTyped(NodeId, MessageClass, const Packet& packet) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    tags_.push_back(std::get<Ping>(packet).req.value());
+  }
+  std::vector<uint64_t> tags() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return tags_;
+  }
+  // Waits up to 2 s for `n` packets; returns how many arrived.
+  size_t WaitFor(size_t n) {
+    for (int i = 0; i < 400 && tags().size() < n; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return tags().size();
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<uint64_t> tags_;
+};
+
+// A wire record: [class u8][length u32 LE][payload].
+void AppendRecord(MessageClass cls, const std::vector<uint8_t>& payload,
+                  std::vector<uint8_t>* out) {
+  out->push_back(static_cast<uint8_t>(cls));
+  for (int i = 0; i < 4; ++i) {
+    out->push_back(static_cast<uint8_t>(payload.size() >> (8 * i)));
+  }
+  out->insert(out->end(), payload.begin(), payload.end());
+}
 
 int BoundUdpSocket(uint16_t* port) {
   int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
@@ -572,6 +629,217 @@ TEST(FaultInjectingTransportTest, BlockedPeerPartitionsSendSide) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(counter.count, 1);
+  a.Stop();
+  b.Stop();
+}
+
+TEST(UdpTransportTest, BadRecordEndsItsDatagram) {
+  // A datagram [valid, valid, bad]: the two records before the bad one are
+  // delivered, the bad one counts one malformed, and the rest of the
+  // datagram (a valid record, where the bad one leaves room) is dropped.
+  struct Case {
+    const char* name;
+    std::vector<uint8_t> bad;
+    bool valid_after;
+  };
+  const uint8_t data = static_cast<uint8_t>(MessageClass::kData);
+  const std::vector<Case> cases = {
+      {"truncated header", {data, 1, 0}, false},
+      {"overlong length", {data, 0xff, 0xff, 0, 0, 1, 2}, true},
+      {"unknown class", {0x7f, 1, 0, 0, 0, 1}, true},
+  };
+  EventLoop loop;
+  TagRecorder recorder;
+  UdpTransport t(NodeId(2), &loop, &recorder);
+  ASSERT_TRUE(t.Start().ok());
+  uint16_t unused = 0;
+  int fd = BoundUdpSocket(&unused);
+  ASSERT_GE(fd, 0);
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  to.sin_port = htons(t.port());
+  uint64_t tag = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<uint8_t> datagram = {7, 0, 0, 0};
+    AppendRecord(MessageClass::kControl, EncodePacket(Tagged(++tag)),
+                 &datagram);
+    AppendRecord(MessageClass::kControl, EncodePacket(Tagged(++tag)),
+                 &datagram);
+    datagram.insert(datagram.end(), c.bad.begin(), c.bad.end());
+    if (c.valid_after) {
+      AppendRecord(MessageClass::kControl, EncodePacket(Tagged(99)),
+                   &datagram);
+    }
+    const uint64_t malformed_before = t.stats().malformed;
+    ASSERT_EQ(::sendto(fd, datagram.data(), datagram.size(), 0,
+                       reinterpret_cast<sockaddr*>(&to), sizeof(to)),
+              static_cast<ssize_t>(datagram.size()));
+    for (int i = 0; i < 400 && t.stats().malformed == malformed_before; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_EQ(t.stats().malformed, malformed_before + 1);
+  }
+  std::vector<uint64_t> expected;
+  for (uint64_t i = 1; i <= tag; ++i) {
+    expected.push_back(i);
+  }
+  EXPECT_EQ(recorder.tags(), expected);
+  NodeMessageStats stats = t.stats();
+  EXPECT_EQ(stats.malformed, 3u);
+  EXPECT_EQ(stats.TotalReceived(), 6u);
+  EXPECT_EQ(stats.datagrams_received, 3u);
+  ::close(fd);
+  t.Stop();
+}
+
+TEST(UdpTransportTest, LoopWorkSendsLeaveAsOneDatagramWhenTheUnitEnds) {
+  // N sends to one peer from one unit of loop work leave together, with no
+  // further event on the sending loop; sends from any other thread leave
+  // before Send returns.
+  constexpr uint64_t kN = 6;
+  EventLoop loop_a;
+  EventLoop loop_b;
+  TagRecorder recorder;
+  UdpTransport a(NodeId(1), &loop_a, nullptr);
+  UdpTransport b(NodeId(2), &loop_b, &recorder);
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(b.Start().ok());
+  a.AddPeer(NodeId(2), b.port());
+  auto burst = [&a](uint64_t base) {
+    for (uint64_t i = 0; i < kN; ++i) {
+      a.Send(NodeId(2), MessageClass::kControl, Tagged(base + i));
+    }
+  };
+  auto expect_arrived = [&](uint64_t packets, uint64_t datagrams) {
+    EXPECT_EQ(recorder.WaitFor(packets), packets);
+    EXPECT_EQ(a.stats().datagrams_sent, datagrams);
+    EXPECT_EQ(b.stats().datagrams_received, datagrams);
+  };
+
+  loop_a.Post([&]() { burst(0); });
+  {
+    SCOPED_TRACE("posted task");
+    expect_arrived(kN, 1);
+  }
+  loop_a.ScheduleAfter(Duration::Millis(1), [&]() { burst(kN); });
+  {
+    SCOPED_TRACE("timer callback");
+    expect_arrived(2 * kN, 2);
+  }
+  while (!loop_a.TryRunHere([&]() { burst(2 * kN); })) {
+    std::this_thread::yield();
+  }
+  {
+    SCOPED_TRACE("TryRunHere");
+    expect_arrived(3 * kN, 3);
+  }
+  burst(3 * kN);
+  EXPECT_EQ(a.stats().datagrams_sent, 3 + kN);  // already on the wire
+  {
+    SCOPED_TRACE("non-loop thread");
+    expect_arrived(4 * kN, 3 + kN);
+  }
+
+  std::vector<uint64_t> expected;
+  for (uint64_t i = 0; i < 4 * kN; ++i) {
+    expected.push_back(i);
+  }
+  EXPECT_EQ(recorder.tags(), expected);
+  // Packets are the paper's messages; datagrams are counted beside them.
+  EXPECT_EQ(a.stats().TotalSent(), 4 * kN);
+  EXPECT_EQ(b.stats().TotalReceived(), 4 * kN);
+  a.Stop();
+  b.Stop();
+}
+
+TEST(UdpTransportTest, BurstLargerThanADatagramSplitsInOrder) {
+  // Records that would push a datagram past the limit open a new one;
+  // packets to one peer keep their order across the split.
+  // 8 KiB ReadReplies between the pings fill the datagrams; the recorder
+  // keeps the pings' order.
+  struct Mixed : PacketHandler {
+    TagRecorder pings;
+    std::atomic<int> replies{0};
+    void HandleTyped(NodeId from, MessageClass cls,
+                     const Packet& packet) override {
+      if (std::holds_alternative<Ping>(packet)) {
+        pings.HandleTyped(from, cls, packet);
+      } else {
+        ++replies;
+      }
+    }
+  } mixed;
+  TagRecorder& recorder = mixed.pings;
+  EventLoop loop_a;
+  EventLoop loop_b;
+  UdpTransport a(NodeId(1), &loop_a, nullptr);
+  UdpTransport b(NodeId(2), &loop_b, &mixed);
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(b.Start().ok());
+  a.AddPeer(NodeId(2), b.port());
+  constexpr uint64_t kPackets = 20;
+  ReadReply padding;
+  padding.data.assign(8 * 1024, 0xab);
+  {
+    UdpBatchSender sender(&a);
+    for (uint64_t i = 0; i < kPackets; ++i) {
+      sender.Send(NodeId(2), MessageClass::kControl, Tagged(i));
+      sender.Send(NodeId(2), MessageClass::kData, Packet(padding));
+    }
+    EXPECT_EQ(sender.pending(), 2 * kPackets);
+    sender.Flush();
+    EXPECT_EQ(sender.pending(), 0u);
+  }
+  EXPECT_EQ(recorder.WaitFor(kPackets), kPackets);
+  for (int i = 0; i < 400 && mixed.replies < static_cast<int>(kPackets); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(mixed.replies, static_cast<int>(kPackets));
+  std::vector<uint64_t> expected;
+  for (uint64_t i = 0; i < kPackets; ++i) {
+    expected.push_back(i);
+  }
+  EXPECT_EQ(recorder.tags(), expected);
+  // Seven ping+reply pairs fit in one 60 KiB datagram: 7 + 7 + 6.
+  EXPECT_EQ(a.stats().datagrams_sent, 3u);
+  EXPECT_EQ(a.stats().send_failures, 0u);
+  a.Stop();
+  b.Stop();
+}
+
+TEST(UdpTransportTest, OversizePacketIsDroppedAndCounted) {
+  // A packet no datagram can hold is dropped with a warning and one send
+  // failure, on both send paths; the next normal packet still arrives.
+  EventLoop loop_a;
+  EventLoop loop_b;
+  TagRecorder recorder;
+  UdpTransport a(NodeId(1), &loop_a, nullptr);
+  UdpTransport b(NodeId(2), &loop_b, &recorder);
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(b.Start().ok());
+  a.AddPeer(NodeId(2), b.port());
+  WriteRequest big;
+  big.data.assign(64 * 1024, 7);
+
+  a.Send(NodeId(2), MessageClass::kData, Packet(big));
+  EXPECT_EQ(a.stats().send_failures, 1u);
+  a.Send(NodeId(2), MessageClass::kControl, Tagged(1));
+  EXPECT_EQ(recorder.WaitFor(1), 1u);
+
+  {
+    UdpBatchSender sender(&a);
+    sender.Send(NodeId(2), MessageClass::kData, Packet(big));
+    EXPECT_EQ(a.stats().send_failures, 2u);
+    EXPECT_EQ(sender.pending(), 0u);
+    sender.Send(NodeId(2), MessageClass::kControl, Tagged(2));
+    sender.Flush();
+  }
+  EXPECT_EQ(recorder.WaitFor(2), 2u);
+  EXPECT_EQ(recorder.tags(), (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(a.stats().TotalSent(), 2u);
+  EXPECT_EQ(a.stats().send_failures, 2u);
   a.Stop();
   b.Stop();
 }

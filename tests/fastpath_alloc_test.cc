@@ -1,7 +1,9 @@
 // Proves the typed fast path's zero-allocation claim: once the message
 // pool and scheduler have warmed up, pumping messages through SimNetwork
-// performs no heap allocation at all, and neither does a shard's batched
-// UDP send path -- counted by replacing global operator new/delete.
+// performs no heap allocation at all, and neither does the UDP send path,
+// whether a shard's batcher or UdpTransport::Send from loop work, with
+// several records coalesced per datagram -- counted by replacing global
+// operator new/delete.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -12,7 +14,10 @@
 #include <cstdlib>
 #include <new>
 
+#include <thread>
+
 #include "src/net/sim_network.h"
+#include "src/runtime/event_loop.h"
 #include "src/runtime/udp_transport.h"
 #include "src/sim/simulator.h"
 
@@ -128,22 +133,32 @@ TEST(FastPathAllocTest, TypedMulticastSteadyStateDoesNotAllocate) {
   EXPECT_EQ(r3.handled, 100u);
 }
 
-TEST(FastPathAllocTest, BatchSenderSendAndFlushDoNotAllocate) {
-  // A bound socket nobody reads is the sink: loopback datagrams beyond its
-  // buffer are dropped by the kernel, which sendmmsg does not report.
+// A bound socket nobody reads is the sink: loopback datagrams beyond its
+// buffer are dropped by the kernel, which sendmmsg does not report. Returns
+// the socket and sets `port`.
+int BindSink(uint16_t* port) {
   int sink = ::socket(AF_INET, SOCK_DGRAM, 0);
-  ASSERT_GE(sink, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(sink, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
   socklen_t len = sizeof(addr);
-  ASSERT_EQ(::getsockname(sink, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  if (sink < 0 ||
+      ::bind(sink, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::getsockname(sink, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    return -1;
+  }
+  *port = ntohs(addr.sin_port);
+  return sink;
+}
+
+TEST(FastPathAllocTest, BatchSenderSendAndFlushDoNotAllocate) {
+  uint16_t port = 0;
+  int sink = BindSink(&port);
+  ASSERT_GE(sink, 0);
 
   UdpTransport transport(NodeId(1), nullptr, nullptr);
   ASSERT_TRUE(transport.Start().ok());
-  transport.AddPeer(NodeId(2), ntohs(addr.sin_port));
+  transport.AddPeer(NodeId(2), port);
   {
     UdpBatchSender sender(&transport, /*max_batch=*/8);
     auto burst = [&sender]() {
@@ -164,9 +179,49 @@ TEST(FastPathAllocTest, BatchSenderSendAndFlushDoNotAllocate) {
     EXPECT_EQ(after - before, 0u) << "batched send path allocated";
     EXPECT_EQ(sender.pending(), 0u);
   }
-  EXPECT_EQ(transport.stats().sent[static_cast<int>(MessageClass::kControl)],
-            220u * 5);
-  EXPECT_EQ(transport.stats().send_failures, 0u);
+  NodeMessageStats stats = transport.stats();
+  EXPECT_EQ(stats.sent[static_cast<int>(MessageClass::kControl)], 220u * 5);
+  EXPECT_EQ(stats.datagrams_sent, 220u);  // five records per flush
+  EXPECT_EQ(stats.send_failures, 0u);
+  transport.Stop();
+  ::close(sink);
+}
+
+TEST(FastPathAllocTest, TransportSendFromLoopWorkDoesNotAllocate) {
+  uint16_t port = 0;
+  int sink = BindSink(&port);
+  ASSERT_GE(sink, 0);
+
+  EventLoop loop;
+  UdpTransport transport(NodeId(1), &loop, nullptr);
+  ASSERT_TRUE(transport.Start().ok());
+  transport.AddPeer(NodeId(2), port);
+  // One unit of loop work run on this thread; its sends leave as one
+  // datagram when it ends.
+  auto sends = [&transport]() {
+    for (int i = 0; i < 5; ++i) {
+      transport.Send(NodeId(2), MessageClass::kControl,
+                     Packet(Ping{RequestId(1)}));
+    }
+  };
+  auto burst = [&loop, &sends]() {
+    while (!loop.TryRunHere(sends)) {
+      std::this_thread::yield();
+    }
+  };
+  for (int i = 0; i < 20; ++i) {  // warm up: frame capacities grow
+    burst();
+  }
+  uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 200; ++i) {
+    burst();
+  }
+  uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "transport send path allocated";
+  NodeMessageStats stats = transport.stats();
+  EXPECT_EQ(stats.sent[static_cast<int>(MessageClass::kControl)], 220u * 5);
+  EXPECT_EQ(stats.datagrams_sent, 220u);
+  EXPECT_EQ(stats.send_failures, 0u);
   transport.Stop();
   ::close(sink);
 }
