@@ -5,6 +5,8 @@
 #include <sys/timerfd.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <climits>
 #include <future>
 #include <utility>
 
@@ -15,15 +17,17 @@ namespace {
 
 constexpr uint64_t kWakeKey = 0;
 constexpr uint64_t kTimerKey = 1;
+constexpr uint64_t kLeadWakeKey = 2;
 constexpr int kMaxEvents = 16;
 
 // The loop whose work this thread is running: the loop thread's own loop
-// for its whole life, or the loop a TryRunHere caller entered.
+// for its whole life, the loop a TryRunHere caller entered, or the loop a
+// leader leads while it is awake.
 thread_local EventLoop* t_running = nullptr;
 
-void AddToEpoll(int epoll_fd, int fd, uint64_t key) {
+void AddToEpoll(int epoll_fd, int fd, uint64_t key, uint32_t flags = 0) {
   epoll_event ev{};
-  ev.events = EPOLLIN;
+  ev.events = EPOLLIN | flags;
   ev.data.u64 = key;
   LEASES_CHECK(::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) == 0);
 }
@@ -33,20 +37,37 @@ void Drain(int fd) {
   (void)!::read(fd, &count, sizeof(count));
 }
 
+void Signal(int event_fd) {
+  uint64_t one = 1;
+  (void)!::write(event_fd, &one, sizeof(one));
+}
+
+// An epoll_wait timeout that does not end before `deadline`.
+int MillisUntil(EventLoop::SteadyPoint now, EventLoop::SteadyPoint deadline) {
+  auto ms = std::chrono::ceil<std::chrono::milliseconds>(deadline - now);
+  return static_cast<int>(std::min<int64_t>(ms.count(), INT_MAX));
+}
+
 }  // namespace
 
 EventLoop::EventLoop()
     : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)),
       wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)),
-      timer_fd_(::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC)) {
-  LEASES_CHECK(epoll_fd_ >= 0 && wake_fd_ >= 0 && timer_fd_ >= 0);
+      timer_fd_(::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC)),
+      lead_epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)),
+      lead_wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  LEASES_CHECK(epoll_fd_ >= 0 && wake_fd_ >= 0 && timer_fd_ >= 0 &&
+               lead_epoll_fd_ >= 0 && lead_wake_fd_ >= 0);
   AddToEpoll(epoll_fd_, wake_fd_, kWakeKey);
   AddToEpoll(epoll_fd_, timer_fd_, kTimerKey);
+  AddToEpoll(lead_epoll_fd_, lead_wake_fd_, kLeadWakeKey);
   thread_ = std::thread([this]() { Run(); });
 }
 
 EventLoop::~EventLoop() {
   Stop();
+  ::close(lead_wake_fd_);
+  ::close(lead_epoll_fd_);
   ::close(timer_fd_);
   ::close(wake_fd_);
   ::close(epoll_fd_);
@@ -58,15 +79,23 @@ void EventLoop::Stop() {
     stopping_ = true;
   }
   Wake();
+  Signal(lead_wake_fd_);
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    lead_left_.wait(lock, [this]() { return !leading_; });
+  }
   if (thread_.joinable()) {
     thread_.join();
   }
+  // Dropped tasks are destroyed here, so a RunSync waiting on one fails
+  // its check instead of waiting forever.
+  std::vector<std::function<void()>> dropped;
+  std::lock_guard<std::mutex> lock(mu_);
+  dropped.swap(tasks_);
+  queued_.store(0, std::memory_order_release);
 }
 
-void EventLoop::Wake() {
-  uint64_t one = 1;
-  (void)!::write(wake_fd_, &one, sizeof(one));
-}
+void EventLoop::Wake() { Signal(wake_fd_); }
 
 void EventLoop::Post(std::function<void()> task) {
   bool wake;
@@ -87,12 +116,18 @@ void EventLoop::Post(std::function<void()> task) {
 
 void EventLoop::RunSync(std::function<void()> task) {
   LEASES_CHECK(t_running != this);
-  std::promise<void> done;
-  Post([&task, &done]() {
+  // The promise lives in the posted closure: a stopping loop that drops the
+  // task destroys it unrun, which readies the future without setting `ran`.
+  auto done = std::make_shared<std::promise<void>>();
+  std::future<void> finished = done->get_future();
+  bool ran = false;
+  Post([&task, &ran, done = std::move(done)]() {
     task();
-    done.set_value();
+    ran = true;
+    done->set_value();
   });
-  done.get_future().wait();
+  finished.wait();
+  LEASES_CHECK(ran && "RunSync on a stopping EventLoop");
 }
 
 bool EventLoop::TryEnter() {
@@ -123,12 +158,60 @@ bool EventLoop::LockForWork() {
   return true;
 }
 
+bool EventLoop::Lead(SteadyPoint deadline, const std::function<bool()>& done) {
+  if (!TryEnter()) {
+    return false;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (leading_) {
+      t_running = nullptr;
+      exec_mu_.unlock();  // nothing ran: no work end
+      return false;
+    }
+    leading_ = true;
+  }
+  epoll_event events[kMaxEvents];
+  while (!done() && !stopping_) {
+    const SteadyPoint now = std::chrono::steady_clock::now();
+    if (now >= deadline) {
+      break;
+    }
+    // Marked before the lock is released, so loop work that ends while the
+    // leader sleeps -- even work that completes `done` -- wakes it.
+    leader_asleep_ = true;
+    t_running = nullptr;
+    exec_mu_.unlock();
+    int n = ::epoll_wait(lead_epoll_fd_, events, kMaxEvents,
+                         MillisUntil(now, deadline));
+    exec_mu_.lock();
+    t_running = this;
+    leader_asleep_ = false;
+    DispatchAll(events, n);
+  }
+  // A readiness wake the leader took went to its set alone, so an fd it
+  // has not drained yet would wait for its next wake. One last look hands
+  // it over: what is still ready runs here, before the leader leaves.
+  DispatchAll(events, ::epoll_wait(lead_epoll_fd_, events, kMaxEvents, 0));
+  t_running = nullptr;
+  exec_mu_.unlock();
+  // Notified under mu_: once Stop sees the leader gone, it may destroy the
+  // loop, so the leader touches nothing after releasing mu_.
+  std::lock_guard<std::mutex> lock(mu_);
+  leading_ = false;
+  lead_left_.notify_all();
+  return true;
+}
+
 void EventLoop::Watch(int fd, std::function<void()> on_readable) {
   bool locked = LockForWork();
   uint64_t key = next_watch_key_++;
   watches_[key] =
       std::make_shared<WatchEntry>(WatchEntry{fd, std::move(on_readable)});
-  AddToEpoll(epoll_fd_, fd, key);
+  // Exclusive in both sets, the leader's first: a readiness wake goes to
+  // the first set with a sleeper, so a sleeping leader takes it alone.
+  AddToEpoll(lead_epoll_fd_, fd, key, EPOLLEXCLUSIVE);
+  AddToEpoll(epoll_fd_, fd, key, EPOLLEXCLUSIVE);
   if (locked) {
     exec_mu_.unlock();
   }
@@ -140,6 +223,7 @@ void EventLoop::Unwatch(int fd) {
   bool locked = LockForWork();
   for (auto it = watches_.begin(); it != watches_.end(); ++it) {
     if (it->second->fd == fd) {
+      ::epoll_ctl(lead_epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
       watches_.erase(it);
       break;
@@ -176,6 +260,10 @@ void EventLoop::RemoveWorkEndHook(uint64_t key) {
 void EventLoop::RunWorkEndHooks() {
   for (auto& hook : work_end_hooks_) {
     hook.second();
+  }
+  if (leader_asleep_) {
+    leader_asleep_ = false;
+    Signal(lead_wake_fd_);
   }
 }
 
@@ -285,6 +373,10 @@ void EventLoop::Dispatch(uint64_t key) {
     Drain(wake_fd_);
     return;
   }
+  if (key == kLeadWakeKey) {
+    Drain(lead_wake_fd_);
+    return;
+  }
   if (key == kTimerKey) {
     Drain(timer_fd_);
     std::lock_guard<std::mutex> lock(mu_);
@@ -297,6 +389,15 @@ void EventLoop::Dispatch(uint64_t key) {
   }
   std::shared_ptr<WatchEntry> entry = it->second;
   entry->fn();
+}
+
+void EventLoop::DispatchAll(const epoll_event* events, int n) {
+  for (int i = 0; i < n; ++i) {
+    Dispatch(events[i].data.u64);
+  }
+  if (n > 0) {
+    RunWorkEndHooks();
+  }
 }
 
 void EventLoop::Run() {
@@ -323,12 +424,7 @@ void EventLoop::Run() {
       std::lock_guard<std::mutex> lock(mu_);
       sleeping_ = false;
     }
-    for (int i = 0; i < n; ++i) {
-      Dispatch(events[i].data.u64);
-    }
-    if (n > 0) {
-      RunWorkEndHooks();
-    }
+    DispatchAll(events, n);
   }
 }
 

@@ -1,26 +1,37 @@
 // Event loop with timers and fd watches for the real-time runtime.
 //
 // Each runtime node (server or client) owns one EventLoop. Its protocol
-// objects run only as *loop work*: posted tasks, due timers, fd callbacks
-// and TryRunHere calls. Loop work runs under the loop's execution lock, so
-// at most one piece runs at a time -- the same serialized execution model
-// the simulator provides. The contract is mutual exclusion, not thread
-// identity: the loop thread holds the lock except while it sleeps in
-// epoll_wait, and while the loop is idle a caller may take the lock and run
-// work on its own thread (TryRunHere), saving the caller->loop thread
-// switch. The loop implements TimerHost, so LeaseServer / CacheClient code
-// is oblivious to which world it is in. When a unit of loop work ends, the
-// loop runs its work-end hooks, which is where a UDP transport puts the
-// unit's coalesced datagrams on the wire.
+// objects run only as *loop work*: posted tasks, due timers, fd callbacks,
+// TryRunHere calls and the fd callbacks a leading caller runs (Lead). Loop
+// work runs under the loop's execution lock, so at most one piece runs at a
+// time -- the same serialized execution model the simulator provides. The
+// contract is mutual exclusion, not thread identity. Three kinds of thread
+// run loop work:
 //
-// The loop thread sleeps in epoll_wait on an eventfd (Post wake-ups), a
-// timerfd armed at the earliest timer deadline (µs-precise, unlike an
-// epoll_wait millisecond timeout) and every watched fd.
+//  - the loop thread, which holds the lock except while it sleeps in
+//    epoll_wait on an eventfd (Post wake-ups), a timerfd armed at the
+//    earliest timer deadline (µs-precise, unlike an epoll_wait millisecond
+//    timeout) and every watched fd;
+//  - an idle-loop caller (TryRunHere), which runs one call on its own
+//    thread, saving the caller->loop thread switch;
+//  - a leading caller (Lead), which waits for its own result by sleeping on
+//    the watched fds in a second epoll set and running their callbacks
+//    itself, saving the loop->caller thread switch. Every watched fd sits in
+//    both sets with EPOLLEXCLUSIVE, leader set first, so a readiness wake
+//    goes to the leader when one sleeps and to the loop thread otherwise.
+//    Timers and posted tasks stay with the loop thread.
+//
+// The loop implements TimerHost, so LeaseServer / CacheClient code is
+// oblivious to which world it is in. When a unit of loop work ends, the
+// loop runs its work-end hooks, which is where a UDP transport puts the
+// unit's coalesced datagrams on the wire, and wakes a sleeping leader so it
+// re-checks whether its wait is over.
 #ifndef SRC_RUNTIME_EVENT_LOOP_H_
 #define SRC_RUNTIME_EVENT_LOOP_H_
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -34,6 +45,8 @@
 #include "src/clock/timer_host.h"
 #include "src/common/ids.h"
 
+struct epoll_event;
+
 namespace leases {
 
 class EventLoop : public TimerHost {
@@ -44,12 +57,16 @@ class EventLoop : public TimerHost {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  // Enqueues a task to run as loop work on the loop thread. Thread-safe.
+  using SteadyPoint = std::chrono::steady_clock::time_point;
+
+  // Enqueues a task to run as loop work on the loop thread. Thread-safe. A
+  // stopping loop drops (destroys) the task unrun.
   void Post(std::function<void()> task);
 
   // Runs `task` on the loop thread and waits for it to finish. Fails a
   // LEASES_CHECK when called from inside this loop's work (on the loop
-  // thread or within TryRunHere), where it would wait on itself.
+  // thread or within TryRunHere), where it would wait on itself, and when
+  // the loop stops before running it, where it would wait forever.
   void RunSync(std::function<void()> task);
 
   // Runs `fn` as loop work on the calling thread when the loop is idle: no
@@ -68,8 +85,19 @@ class EventLoop : public TimerHost {
     return true;
   }
 
+  // Leads the loop from the calling thread until `done()` returns true,
+  // `deadline` passes or the loop stops: the caller sleeps on the watched
+  // fds and runs their callbacks as loop work on its own thread, so the
+  // reply it waits for wakes it rather than the loop thread. `done` is
+  // called as loop work; any unit of the loop thread's work that ends while
+  // the leader sleeps wakes it to call `done` again. Returns false at once,
+  // leading nothing, when TryRunHere would refuse or another caller already
+  // leads; the caller then waits some other way. Stop wakes a sleeping
+  // leader and returns only after it has left.
+  bool Lead(SteadyPoint deadline, const std::function<bool()>& done);
+
   // Calls `on_readable` as loop work whenever `fd` is readable (level-
-  // triggered). Thread-safe.
+  // triggered), on the loop thread or on a leading caller. Thread-safe.
   void Watch(int fd, std::function<void()> on_readable);
   // Stops watching `fd`. On return no callback for it is running or will
   // run. Thread-safe, including from inside loop work (even `fd`'s own
@@ -77,10 +105,10 @@ class EventLoop : public TimerHost {
   void Unwatch(int fd);
 
   // Registers `fn` to run as loop work at the end of every unit of loop
-  // work: the fd callbacks of one epoll_wait, one run of posted tasks, one
-  // run of due timers, and a TryRunHere call. A UDP transport flushes the
-  // datagrams the unit queued from here. Returns the key RemoveWorkEndHook
-  // takes. Thread-safe.
+  // work: the fd callbacks of one epoll_wait (the loop thread's or a
+  // leader's), one run of posted tasks, one run of due timers, and a
+  // TryRunHere call. A UDP transport flushes the datagrams the unit queued
+  // from here. Returns the key RemoveWorkEndHook takes. Thread-safe.
   uint64_t AddWorkEndHook(std::function<void()> fn);
   // On return the hook is not running and will not run. Thread-safe,
   // including from inside loop work (but not from the hook itself).
@@ -95,15 +123,14 @@ class EventLoop : public TimerHost {
     return std::this_thread::get_id() == thread_.get_id();
   }
   // Whether the calling thread is running this loop's work: on the loop
-  // thread, or inside a TryRunHere call.
+  // thread, inside a TryRunHere call or as an awake leader.
   bool InLoopWork() const;
 
-  // Stops the loop and joins the thread; pending tasks are dropped.
+  // Stops the loop, waits for a leading caller to leave and joins the
+  // thread; pending tasks are dropped.
   void Stop();
 
  private:
-  using SteadyPoint = std::chrono::steady_clock::time_point;
-
   struct Timer {
     TimerId id;
     std::function<void()> fn;
@@ -124,6 +151,8 @@ class EventLoop : public TimerHost {
   int PrepareSleepLocked();
   void ArmTimerLocked(SteadyPoint when);
   void Dispatch(uint64_t key);
+  // Dispatches the `n` events one epoll_wait returned, then ends the unit.
+  void DispatchAll(const ::epoll_event* events, int n);
   void Wake();
 
   bool TryEnter();
@@ -132,9 +161,12 @@ class EventLoop : public TimerHost {
   // work; returns whether it did.
   bool LockForWork();
 
-  const int epoll_fd_;
+  const int epoll_fd_;  // the loop thread's set
   const int wake_fd_;
   const int timer_fd_;
+  // The leader's set: every watched fd, plus lead_wake_fd_.
+  const int lead_epoll_fd_;
+  const int lead_wake_fd_;
 
   // Held by whoever runs loop work.
   std::mutex exec_mu_;
@@ -157,12 +189,19 @@ class EventLoop : public TimerHost {
   bool sleeping_ = false;
   SteadyPoint armed_ = SteadyPoint::max();  // timerfd deadline
   std::atomic<bool> stopping_{false};  // written under mu_
+  // A caller leads (Lead); Stop waits on lead_left_ for it to leave.
+  // Guarded by mu_.
+  bool leading_ = false;
+  std::condition_variable lead_left_;
+  // The leader is (about to be) asleep in epoll_wait: the next unit of
+  // loop work to end writes lead_wake_fd_. Guarded by exec_mu_.
+  bool leader_asleep_ = false;
 
   // Watched fds by key (the epoll data; keys are never reused, so an event
   // still in flight for an unwatched fd finds nothing). Guarded by
   // exec_mu_.
   std::unordered_map<uint64_t, std::shared_ptr<WatchEntry>> watches_;
-  uint64_t next_watch_key_ = 2;  // 0 is wake_fd_, 1 is timer_fd_
+  uint64_t next_watch_key_ = 3;  // 0-2: wake_fd_, timer_fd_, lead_wake_fd_
   // Work-end hooks by key (keys drawn from next_watch_key_). Guarded by
   // exec_mu_.
   std::vector<std::pair<uint64_t, std::function<void()>>> work_end_hooks_;

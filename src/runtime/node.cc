@@ -1,5 +1,6 @@
 #include "src/runtime/node.h"
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -11,9 +12,10 @@
 namespace leases {
 namespace {
 
-// Bridges an async protocol call into a blocking one with a timeout. The
+// Bridges an async protocol call into a blocking one with a deadline. The
 // shared state outlives the caller's wait if the callback fires late; a
-// callback that already fired (a call completed inline) returns at once.
+// callback that already fired (a call completed inline, or on the caller
+// while it led the loop) returns at once.
 template <typename T>
 class Waiter {
  public:
@@ -25,16 +27,18 @@ class Waiter {
           return;
         }
         state->result.emplace(std::move(r));
+        state->ready.store(true, std::memory_order_release);
       }
       state->cv.notify_one();
     };
   }
 
-  Result<T> Wait(Duration timeout) {
+  bool ready() const { return state_->ready.load(std::memory_order_acquire); }
+
+  Result<T> Wait(EventLoop::SteadyPoint deadline) {
     std::unique_lock<std::mutex> lock(state_->mu);
-    if (!state_->cv.wait_for(
-            lock, std::chrono::microseconds(timeout.ToMicros()),
-            [this]() { return state_->result.has_value(); })) {
+    if (!state_->cv.wait_until(
+            lock, deadline, [this]() { return state_->result.has_value(); })) {
       return Error{ErrorCode::kTimeout, "blocking call timed out"};
     }
     return std::move(*state_->result);
@@ -45,6 +49,7 @@ class Waiter {
     std::mutex mu;
     std::condition_variable cv;
     std::optional<Result<T>> result;
+    std::atomic<bool> ready{false};  // result is set
   };
   std::shared_ptr<State> state_ = std::make_shared<State>();
 };
@@ -190,6 +195,9 @@ void RuntimeClient::Stop() {
 template <typename T, typename Call>
 Result<T> RuntimeClient::Blocking(Call call, Duration timeout) {
   LEASES_CHECK(client_ != nullptr);
+  const EventLoop::SteadyPoint deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::microseconds(timeout.ToMicros());
   Waiter<T> waiter;
   auto run = [this, call = std::move(call),
               cb = waiter.MakeCallback()]() mutable {
@@ -201,7 +209,13 @@ Result<T> RuntimeClient::Blocking(Call call, Duration timeout) {
   if (!loop_->TryRunHere(run)) {
     loop_->Post(std::move(run));
   }
-  return waiter.Wait(timeout);
+  // A miss waits by leading the loop: the reply wakes this thread, which
+  // runs the callback itself. When the loop is busy or another caller
+  // leads, that thread runs the callback and wakes this one.
+  if (!waiter.ready()) {
+    loop_->Lead(deadline, [&waiter]() { return waiter.ready(); });
+  }
+  return waiter.Wait(deadline);
 }
 
 Result<OpenResult> RuntimeClient::Open(const std::string& path,

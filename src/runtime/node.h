@@ -4,7 +4,9 @@
 // RuntimeServer and RuntimeClient each own an event loop, a UDP transport
 // and a clock; all protocol work runs as loop work (see event_loop.h).
 // RuntimeClient additionally offers blocking wrappers for application code,
-// which run the call on the caller's thread when the loop is idle.
+// which run the call on the caller's thread when the loop is idle and wait
+// for a miss's reply by leading the loop (EventLoop::Lead): the reply wakes
+// the caller, which handles it itself, and the loop thread stays asleep.
 #ifndef SRC_RUNTIME_NODE_H_
 #define SRC_RUNTIME_NODE_H_
 
@@ -88,7 +90,7 @@ class RuntimeClient {
   uint16_t port() const { return transport_->port(); }
 
   // Blocking wrappers (call from any thread outside this client's loop
-  // work).
+  // work; several threads may block at once, one of them leading).
   Result<OpenResult> Open(const std::string& path,
                           Duration timeout = Duration::Seconds(30));
   Result<ReadResult> Read(FileId file,
@@ -106,7 +108,7 @@ class RuntimeClient {
 
  private:
   // Runs `call` against the CacheClient as loop work and waits for its
-  // callback.
+  // callback: leading the loop when it can, on a condvar otherwise.
   template <typename T, typename Call>
   Result<T> Blocking(Call call, Duration timeout);
 

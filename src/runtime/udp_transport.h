@@ -8,8 +8,9 @@
 //
 // The socket is watched by the owning node's EventLoop: each readiness event
 // drains a ::recvmmsg batch and hands every record to the handler as loop
-// work, straight from the receive buffers (no copy, no queue hop), which
-// preserves the serialized execution model the protocol objects require.
+// work -- on the loop thread, or on a caller leading the loop -- straight
+// from the receive buffers (no copy, no queue hop), which preserves the
+// serialized execution model the protocol objects require.
 // A multicast is queued per destination as one record each -- the paper's
 // cost model charges the sender once, which the stats mirror. The stats
 // count packets (the paper's messages); datagrams are counted beside them.

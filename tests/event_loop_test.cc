@@ -10,8 +10,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -125,11 +127,10 @@ TEST(EventLoopTest, StopIsIdempotentAndDropsPendingWork) {
   EXPECT_FALSE(fired);
 }
 
-TEST(EventLoopTest, TimersKeepMicrosecondPrecision) {
-  // Whole-millisecond rounding of the sleep would make every 200 us timer
-  // at least 800 us late; the timerfd keeps the median far below that
-  // (tens of microseconds on an idle 4-vCPU x86 VM).
-  EventLoop loop;
+// Whole-millisecond rounding of the sleep would make every 200 us timer at
+// least 800 us late; the timerfd keeps the median far below that (tens of
+// microseconds on an idle 4-vCPU x86 VM).
+void ExpectMicrosecondTimers(EventLoop& loop) {
   std::vector<int64_t> lateness_us;
   for (int i = 0; i < 100; ++i) {
     std::atomic<bool> fired{false};
@@ -150,6 +151,11 @@ TEST(EventLoopTest, TimersKeepMicrosecondPrecision) {
   std::sort(lateness_us.begin(), lateness_us.end());
   EXPECT_GE(lateness_us.front(), 0);
   EXPECT_LT(lateness_us[lateness_us.size() / 2], 500);
+}
+
+TEST(EventLoopTest, TimersKeepMicrosecondPrecision) {
+  EventLoop loop;
+  ExpectMicrosecondTimers(loop);
 }
 
 TEST(EventLoopTest, TryRunHereRunsOnTheCallerWhenIdle) {
@@ -259,6 +265,53 @@ TEST(EventLoopDeathTest, RunSyncFromInsideLoopWorkFails) {
         while (!loop.TryRunHere([&]() { loop.RunSync([]() {}); })) {
           std::this_thread::yield();
         }
+      },
+      "CHECK failed");
+}
+
+TEST(EventLoopDeathTest, RunSyncOnAStoppedLoopFails) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        EventLoop loop;
+        loop.Stop();
+        loop.RunSync([]() {});
+      },
+      "CHECK failed");
+  // Queued behind a running task when Stop begins: the loop exits without
+  // running it, and Stop drops it.
+  EXPECT_DEATH(
+      {
+        EventLoop loop;
+        std::atomic<bool> entered{false};
+        std::atomic<bool> release{false};
+        loop.Post([&]() {
+          entered = true;
+          while (!release) {
+            std::this_thread::yield();
+          }
+        });
+        while (!entered) {
+          std::this_thread::yield();
+        }
+        std::thread stopper([&]() {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          loop.Stop();
+        });
+        std::thread releaser([&]() {
+          // A stopping loop drops a posted task at once.
+          auto probe = std::make_shared<int>(0);
+          for (;;) {
+            const long before = probe.use_count();
+            loop.Post([probe]() {});
+            if (probe.use_count() == before) {
+              break;
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          release = true;
+        });
+        loop.RunSync([]() {});
       },
       "CHECK failed");
 }
@@ -842,6 +895,282 @@ TEST(UdpTransportTest, OversizePacketIsDroppedAndCounted) {
   EXPECT_EQ(a.stats().send_failures, 2u);
   a.Stop();
   b.Stop();
+}
+
+// Leads `loop` until `done()`, `limit` or Stop, retrying while the loop
+// refuses; returns whether this thread led (false: `done()` came first).
+bool LeadUntil(EventLoop& loop, const std::function<bool()>& done,
+               std::chrono::seconds limit = std::chrono::seconds(30)) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    if (loop.Lead(deadline, done)) {
+      return true;
+    }
+    std::this_thread::yield();
+  }
+  return false;
+}
+
+TEST(EventLoopLeadTest, LoopWorkThatEndsTheWaitWakesTheLeader) {
+  // The leader sleeps on the watched fds only. A timer or a posted task
+  // that completes its wait runs on the loop thread, and the end of that
+  // work must wake the leader well before its deadline.
+  EventLoop loop;
+  for (const std::string via : {"timer", "post"}) {
+    SCOPED_TRACE(via);
+    std::atomic<bool> flag{false};
+    std::thread poster;
+    if (via == "timer") {
+      loop.ScheduleAfter(Duration::Millis(20), [&]() { flag = true; });
+    } else {
+      poster = std::thread([&]() {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        loop.Post([&]() { flag = true; });
+      });
+    }
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_TRUE(LeadUntil(loop, [&]() { return flag.load(); }));
+    const auto waited = std::chrono::steady_clock::now() - start;
+    EXPECT_TRUE(flag);
+    EXPECT_LT(waited, std::chrono::seconds(5));  // the deadline is 30 s
+    if (poster.joinable()) {
+      poster.join();
+    }
+  }
+}
+
+TEST(EventLoopLeadTest, TimersKeepMicrosecondPrecisionWhileACallerLeads) {
+  EventLoop loop;
+  std::atomic<bool> leading{false};
+  std::atomic<bool> stop{false};
+  std::atomic<bool> led_throughout{false};
+  std::thread leader([&]() {
+    LeadUntil(loop, [&]() {
+      if (loop.InLoopWork()) {  // called by Lead, not by LeadUntil
+        leading = true;
+      }
+      return stop.load();
+    });
+    led_throughout = stop.load();
+  });
+  while (!leading) {
+    std::this_thread::yield();
+  }
+  ExpectMicrosecondTimers(loop);
+  stop = true;
+  loop.RunSync([]() {});  // its work end wakes the leader
+  leader.join();
+  EXPECT_TRUE(led_throughout);
+}
+
+TEST(EventLoopLeadTest, DatagramsArrivingWhileACallerLeadsRunOnTheCaller) {
+  // Each round sends a request from this thread to an echo host and leads
+  // the loop until the echo is handled: the wake and the callback belong to
+  // this thread, not the loop thread. A reply that beats the leader into
+  // its sleep goes to the loop thread instead, hence the tolerance.
+  struct Echo : PacketHandler {
+    UdpTransport* transport = nullptr;
+    void HandleTyped(NodeId from, MessageClass cls,
+                     const Packet& packet) override {
+      transport->Send(from, cls, packet);
+    }
+  } echo;
+  struct Replies : PacketHandler {
+    std::thread::id caller;
+    std::atomic<int> count{0};
+    std::atomic<int> on_caller{0};
+    void HandleTyped(NodeId, MessageClass, const Packet&) override {
+      if (std::this_thread::get_id() == caller) {
+        ++on_caller;
+      }
+      ++count;
+    }
+  } replies;
+  replies.caller = std::this_thread::get_id();
+  EventLoop loop_a;
+  EventLoop loop_b;
+  UdpTransport a(NodeId(1), &loop_a, &replies);
+  UdpTransport b(NodeId(2), &loop_b, &echo);
+  echo.transport = &b;
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(b.Start().ok());
+  a.AddPeer(NodeId(2), b.port());
+  b.AddPeer(NodeId(1), a.port());
+  constexpr int kRounds = 200;
+  for (int i = 0; i < kRounds; ++i) {
+    a.Send(NodeId(2), MessageClass::kControl, Tagged(i));
+    LeadUntil(loop_a, [&]() { return replies.count > i; });
+    ASSERT_EQ(replies.count, i + 1);
+  }
+  EXPECT_GE(replies.on_caller, kRounds / 2);
+  a.Stop();
+  b.Stop();
+}
+
+TEST(EventLoopLeadTest, UnwatchStopAndDestroyWhileACallerLeads) {
+  auto loop = std::make_unique<EventLoop>();
+  int fd = ::eventfd(0, EFD_NONBLOCK);
+  ASSERT_GE(fd, 0);
+  std::atomic<int> calls{0};
+  loop->Watch(fd, [&]() {
+    uint64_t count;
+    (void)!::read(fd, &count, sizeof(count));
+    ++calls;
+  });
+  std::atomic<bool> leading{false};
+  std::atomic<bool> led{false};
+  const auto start = std::chrono::steady_clock::now();
+  std::thread leader([&, &loop = *loop]() {
+    // Never done: only Stop ends this lead.
+    led = LeadUntil(
+        loop,
+        [&]() {
+          if (loop.InLoopWork()) {  // called by Lead, not by LeadUntil
+            leading = true;
+          }
+          return false;
+        },
+        std::chrono::seconds(60));
+  });
+  while (!leading) {
+    std::this_thread::yield();
+  }
+  uint64_t one = 1;
+  ASSERT_EQ(::write(fd, &one, sizeof(one)), 8);
+  for (int i = 0; i < 400 && calls == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(calls, 1);
+  // One leader at a time.
+  EXPECT_FALSE(loop->Lead(EventLoop::SteadyPoint::max(),
+                          []() { return false; }));
+  loop->Unwatch(fd);
+  const int at_unwatch = calls;
+  ASSERT_EQ(::write(fd, &one, sizeof(one)), 8);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(calls, at_unwatch);
+  loop->Stop();  // returns once the leader has left
+  loop.reset();
+  leader.join();
+  EXPECT_TRUE(led);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(30));
+  ::close(fd);
+}
+
+TEST(UdpTransportTest, RecordWalkSurvivesEveryFlipAndTruncation) {
+  // Deterministic fuzz of the receive path's record walk. Each variant of a
+  // valid 3-record datagram (every byte flipped, every truncation) must
+  // deliver exactly the records before its first bad one, byte for byte,
+  // and count one malformed if it has a bad one. This thread leads the loop
+  // while each variant lands, so the walk runs on a caller, as it does
+  // under RuntimeClient.
+  struct Delivery {
+    NodeId from;
+    MessageClass cls;
+    std::vector<uint8_t> bytes;
+  };
+  struct Capture : PacketHandler {
+    std::mutex mu;
+    std::vector<Delivery> got;
+    void HandlePacket(NodeId from, MessageClass cls,
+                      std::span<const uint8_t> bytes) override {
+      std::lock_guard<std::mutex> lock(mu);
+      got.push_back({from, cls, {bytes.begin(), bytes.end()}});
+    }
+  } capture;
+  EventLoop loop;
+  UdpTransport t(NodeId(2), &loop, &capture);
+  ASSERT_TRUE(t.Start().ok());
+  uint16_t unused = 0;
+  int fd = BoundUdpSocket(&unused);
+  ASSERT_GE(fd, 0);
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  to.sin_port = htons(t.port());
+
+  const MessageClass classes[3] = {MessageClass::kControl,
+                                   MessageClass::kData,
+                                   MessageClass::kConsistency};
+  std::vector<uint8_t> valid = {7, 0, 0, 0};
+  std::vector<size_t> starts;  // offset of each record's class byte
+  for (int k = 0; k < 3; ++k) {
+    starts.push_back(valid.size());
+    AppendRecord(classes[k], EncodePacket(Tagged(100 + k)), &valid);
+  }
+  starts.push_back(valid.size());
+  // A flipped class byte is >= 0xf0 and a flipped length byte makes the
+  // length >= 0xf4: both bad, given a datagram this short.
+  ASSERT_LT(valid.size(), 0xf4u);
+  // Marks the end of each variant's deliveries: the socket is FIFO.
+  std::vector<uint8_t> sentinel_frame = {9, 0, 0, 0};
+  AppendRecord(MessageClass::kControl, EncodePacket(Tagged(999)),
+               &sentinel_frame);
+  const std::vector<uint8_t>& sentinel = sentinel_frame;
+
+  uint64_t expected_malformed = 0;
+  auto check = [&](const std::vector<uint8_t>& variant, int good, bool bad) {
+    const uint64_t malformed_before = t.stats().malformed;
+    for (const std::vector<uint8_t>* d : {&variant, &sentinel}) {
+      ASSERT_EQ(::sendto(fd, d->data(), d->size(), 0,
+                         reinterpret_cast<sockaddr*>(&to), sizeof(to)),
+                static_cast<ssize_t>(d->size()));
+    }
+    auto landed = [&]() {
+      std::lock_guard<std::mutex> lock(capture.mu);
+      return !capture.got.empty() && capture.got.back().from == NodeId(9);
+    };
+    LeadUntil(loop, landed, std::chrono::seconds(10));
+    ASSERT_TRUE(landed());
+    std::vector<Delivery> got;
+    {
+      std::lock_guard<std::mutex> lock(capture.mu);
+      got.swap(capture.got);
+    }
+    got.pop_back();  // the sentinel
+    ASSERT_EQ(got.size(), static_cast<size_t>(good));
+    for (int k = 0; k < good; ++k) {
+      EXPECT_EQ(got[k].from, NodeId(variant[0] | variant[1] << 8 |
+                                    variant[2] << 16 | variant[3] << 24));
+      EXPECT_EQ(got[k].cls, classes[k]);
+      EXPECT_EQ(got[k].bytes,
+                std::vector<uint8_t>(variant.begin() + starts[k] + 5,
+                                     variant.begin() + starts[k + 1]));
+    }
+    expected_malformed += bad ? 1 : 0;
+    EXPECT_EQ(t.stats().malformed - malformed_before, bad ? 1u : 0u);
+  };
+
+  for (size_t pos = 0; pos < valid.size(); ++pos) {
+    SCOPED_TRACE("flip at " + std::to_string(pos));
+    std::vector<uint8_t> variant = valid;
+    variant[pos] ^= 0xff;
+    int k = 0;  // the record holding `pos`
+    while (pos >= starts[k + 1]) {
+      ++k;
+    }
+    if (pos < starts[0] || pos >= starts[k] + 5) {
+      check(variant, 3, false);  // sender or payload: structurally valid
+    } else {
+      check(variant, k, true);  // class or length
+    }
+  }
+  for (size_t len = 0; len < valid.size(); ++len) {
+    SCOPED_TRACE("truncated to " + std::to_string(len));
+    std::vector<uint8_t> variant(valid.begin(), valid.begin() + len);
+    int k = 0;  // records that fit whole
+    while (k < 3 && starts[k + 1] <= len) {
+      ++k;
+    }
+    // A cut just after a whole record leaves a valid, shorter datagram.
+    check(variant, k, k == 0 || len != starts[k]);
+  }
+  EXPECT_EQ(t.stats().malformed, expected_malformed);
+  // Every variant and its sentinel arrived: one flip and one cut per byte.
+  EXPECT_EQ(t.stats().datagrams_received, 4 * valid.size());
+  ::close(fd);
+  t.Stop();
 }
 
 }  // namespace

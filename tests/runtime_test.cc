@@ -6,9 +6,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <random>
 #include <string>
+#include <thread>
 
 #include "src/runtime/node.h"
 
@@ -189,6 +193,83 @@ TEST(RuntimeMultiClient, SharedWriteInvalidatesOtherClient) {
   EXPECT_EQ(std::string(read->data.begin(), read->data.end()), "v2");
   EXPECT_FALSE(read->from_cache);
   EXPECT_EQ(a.stats().approvals_granted, 1u);
+
+  a.Stop();
+  b.Stop();
+  server.Stop();
+}
+
+TEST(RuntimeMultiClient, TwoCallersBlockOnOneClientAtOnce) {
+  // Two threads block on client A at once: while one leads A's loop, the
+  // other runs inline or waits on its condvar, and the leader runs the
+  // other's callbacks. Client B writes the same files, so A's reads miss
+  // and A answers approval callbacks. Every call must finish, and no read
+  // may return a version older than the newest write acknowledged (to any
+  // thread) before the read began.
+  constexpr int kFiles = 4;
+  constexpr int kOpsPerThread = 1000;
+  RuntimeServer server(NodeId(1), TermConfig(Duration::Seconds(2)));
+  std::array<FileId, kFiles> files;
+  for (int f = 0; f < kFiles; ++f) {
+    files[f] = *server.store().CreatePath("/shared" + std::to_string(f),
+                                          FileClass::kNormal, B("v1"));
+  }
+  ASSERT_TRUE(server.Start().ok());
+  ClientParams params;
+  params.transit_allowance = Duration::Millis(50);
+  params.epsilon = Duration::Millis(50);
+  params.request_timeout = Duration::Millis(300);
+  RuntimeClient a(NodeId(2), NodeId(1), server.store().root(), params);
+  RuntimeClient b(NodeId(3), NodeId(1), server.store().root(), params);
+  ASSERT_TRUE(a.Start(server.port()).ok());
+  ASSERT_TRUE(b.Start(server.port()).ok());
+  server.AddPeer(NodeId(2), a.port());
+  server.AddPeer(NodeId(3), b.port());
+
+  std::array<std::atomic<uint64_t>, kFiles> acked{};
+  std::atomic<int> failed{0};
+  std::atomic<int> stale{0};
+  auto worker = [&](RuntimeClient* client, uint32_t seed) {
+    std::mt19937 rng(seed);
+    for (int i = 0; i < kOpsPerThread; ++i) {
+      const int f = static_cast<int>(rng() % kFiles);
+      if (rng() % 2 == 0) {
+        Result<WriteResult> w = client->Write(
+            files[f], B(std::to_string(seed) + ":" + std::to_string(i)),
+            Duration::Seconds(10));
+        if (!w.ok()) {
+          ++failed;
+          continue;
+        }
+        uint64_t seen = acked[f].load();
+        while (seen < w->version &&
+               !acked[f].compare_exchange_weak(seen, w->version)) {
+        }
+      } else {
+        const uint64_t floor = acked[f].load();
+        Result<ReadResult> r = client->Read(files[f], Duration::Seconds(10));
+        if (!r.ok()) {
+          ++failed;
+        } else if (r->version < floor) {
+          ++stale;
+        }
+      }
+    }
+  };
+  std::thread a1(worker, &a, 1);
+  std::thread a2(worker, &a, 2);
+  std::thread b1(worker, &b, 3);
+  a1.join();
+  a2.join();
+  b1.join();
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(stale, 0);
+  uint64_t writes = 0;
+  for (const auto& version : acked) {
+    writes += version.load() - 1;
+  }
+  EXPECT_GT(writes, 0u);
+  EXPECT_GT(a.stats().approvals_granted, 0u);
 
   a.Stop();
   b.Stop();
