@@ -111,7 +111,7 @@ void CacheClient::Read(FileId file, ReadCallback cb) {
     if (entry.dirty) {
       // Write-back staging: our copy is newer than the server's.
       if (LeaseValid(entry.key) && !entry.suspect) {
-        entry.last_access = clock_->Now();
+        Touch(entry);
         ++stats_.local_reads;
         ReadResult result;
         result.file = file;
@@ -136,7 +136,7 @@ void CacheClient::Read(FileId file, ReadCallback cb) {
     bool local = entry.file_class == FileClass::kTemporary ||
                  (LeaseValid(entry.key) && !entry.suspect);
     if (local) {
-      entry.last_access = clock_->Now();
+      Touch(entry);
       ++stats_.local_reads;
       FinishRead(waiter, entry, /*from_cache=*/true);
       return;
@@ -281,15 +281,25 @@ void CacheClient::FailFetch(PendingFetch& fetch, ErrorCode code) {
   if (fetch.timer.valid()) {
     timers_->CancelTimer(fetch.timer);
   }
-  for (auto it = fetch_for_file_.begin(); it != fetch_for_file_.end();) {
-    if (it->second == fetch.req) {
-      it = fetch_for_file_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  ClearFetchMarks(fetch);
   for (ReadWaiter& waiter : fetch.waiters) {
     waiter.cb(Error{code, "read failed"});
+  }
+}
+
+void CacheClient::ClearFetchMarks(const PendingFetch& fetch) {
+  auto clear = [this, &fetch](FileId file) {
+    auto mark = fetch_for_file_.find(file);
+    if (mark != fetch_for_file_.end() && mark->second == fetch.req) {
+      fetch_for_file_.erase(mark);
+    }
+  };
+  if (!fetch.is_extend) {
+    clear(fetch.file);
+    return;
+  }
+  for (const ExtendItem& item : fetch.items) {
+    clear(item.file);
   }
 }
 
@@ -321,7 +331,7 @@ void CacheClient::OnReadReply(const ReadReply& m) {
   fetch_for_file_.erase(m.file);
 
   if (m.status != ErrorCode::kOk) {
-    cache_.erase(m.file);
+    EraseEntry(m.file);
     for (ReadWaiter& waiter : fetch.waiters) {
       waiter.cb(Error{m.status, "read rejected by server"});
     }
@@ -330,7 +340,7 @@ void CacheClient::OnReadReply(const ReadReply& m) {
   bool poisoned = std::find(fetch.poisoned_keys.begin(),
                             fetch.poisoned_keys.end(),
                             m.lease.key) != fetch.poisoned_keys.end();
-  Entry& entry = cache_[m.file];
+  Entry& entry = EntryFor(m.file);
   // Replies apply monotonically: a delayed or replayed reply must never
   // regress the entry past data a newer reply already installed.
   if (m.version >= entry.version) {
@@ -339,10 +349,10 @@ void CacheClient::OnReadReply(const ReadReply& m) {
     }
     entry.version = m.version;
     entry.file_class = m.file_class;
-    entry.key = m.lease.key;
+    SetKey(entry, m.lease.key);
     entry.suspect = false;  // this reply revalidated the datum
   }
-  entry.last_access = clock_->Now();
+  Touch(entry);
   if (poisoned) {
     // We relinquished this cover key while the fetch was on the wire: the
     // grant may predate the relinquish on the server, so it cannot be
@@ -389,25 +399,19 @@ void CacheClient::OnExtendReply(const ExtendReply& m) {
   if (fetch.timer.valid()) {
     timers_->CancelTimer(fetch.timer);
   }
-  for (auto mark = fetch_for_file_.begin(); mark != fetch_for_file_.end();) {
-    if (mark->second == fetch.req) {
-      mark = fetch_for_file_.erase(mark);
-    } else {
-      ++mark;
-    }
-  }
+  ClearFetchMarks(fetch);
 
   std::unordered_map<FileId, const ExtendReplyItem*> by_file;
   for (const ExtendReplyItem& item : m.items) {
     by_file[item.file] = &item;
     if (item.status != ErrorCode::kOk) {
-      cache_.erase(item.file);
+      EraseEntry(item.file);
       continue;
     }
     bool poisoned = std::find(fetch.poisoned_keys.begin(),
                               fetch.poisoned_keys.end(),
                               item.lease.key) != fetch.poisoned_keys.end();
-    Entry& entry = cache_[item.file];
+    Entry& entry = EntryFor(item.file);
     if (item.version >= entry.version) {
       if (item.refreshed) {
         entry.data = item.data;
@@ -415,7 +419,7 @@ void CacheClient::OnExtendReply(const ExtendReply& m) {
       }
       entry.version = item.version;
       entry.file_class = item.file_class;
-      entry.key = item.lease.key;
+      SetKey(entry, item.lease.key);
       entry.suspect = false;
     }
     if (poisoned) {
@@ -442,8 +446,8 @@ void CacheClient::OnExtendReply(const ExtendReply& m) {
       waiter.cb(Error{item.status, "extension rejected"});
       continue;
     }
-    Entry& entry = cache_[waiter.file];
-    entry.last_access = clock_->Now();
+    Entry& entry = EntryFor(waiter.file);
+    Touch(entry);
     FinishRead(waiter, entry, /*from_cache=*/false);
   }
 }
@@ -461,7 +465,7 @@ void CacheClient::Write(FileId file, std::vector<uint8_t> data,
     Entry& entry = it->second;
     entry.data = std::move(data);
     entry.version++;
-    entry.last_access = clock_->Now();
+    Touch(entry);
     ++stats_.temp_local_writes;
     WriteResult result;
     result.file = file;
@@ -480,7 +484,7 @@ void CacheClient::StageWriteBack(FileId file, Entry& entry,
                                  std::vector<uint8_t> data, WriteCallback cb) {
   entry.dirty = true;
   entry.dirty_data = std::move(data);
-  entry.last_access = clock_->Now();
+  Touch(entry);
   if (!entry.flush_timer.valid()) {
     entry.flush_timer = timers_->ScheduleAfter(
         params_.write_back_delay,
@@ -615,7 +619,7 @@ void CacheClient::OnWriteReply(const WriteReply& m) {
   if (m.status != ErrorCode::kOk) {
     ++stats_.writes_failed;
     if (m.status == ErrorCode::kConflict) {
-      cache_.erase(m.file);  // our base data was stale
+      EraseEntry(m.file);  // our base data was stale
     }
     op.cb(Error{m.status, "write rejected"});
   } else {
@@ -623,12 +627,12 @@ void CacheClient::OnWriteReply(const WriteReply& m) {
     // (The writer retains whatever lease it held; if it held none, the next
     // read will extend.) A delayed ack for an older write must not regress
     // an entry a newer reply has already advanced.
-    Entry& entry = cache_[m.file];
+    Entry& entry = EntryFor(m.file);
     if (m.version >= entry.version) {
       entry.data = std::move(op.data);
       entry.version = m.version;
     }
-    entry.last_access = clock_->Now();
+    Touch(entry);
     if (op.is_flush) {
       ++stats_.write_back_flushes;
     }
@@ -716,16 +720,10 @@ void CacheClient::SendApproval(uint64_t seq, FileId file, LeaseKey key) {
   // decayed score steers future extension and lease-acceptance decisions.
   NoteContention(key);
   // Granting approval invalidates the local copy (Section 2).
-  if (cache_.erase(file) > 0) {
+  if (EraseEntry(file)) {
     ++stats_.invalidations;
   }
-  bool key_still_used = false;
-  for (const auto& [other, entry] : cache_) {
-    if (entry.key == key) {
-      key_still_used = true;
-      break;
-    }
-  }
+  bool key_still_used = KeyEntries(key) > 0;
   if (!key_still_used) {
     if (lease_expiry_.erase(key) > 0) {
       ++stats_.keys_relinquished;
@@ -745,16 +743,7 @@ void CacheClient::SendApproval(uint64_t seq, FileId file, LeaseKey key) {
 
 void CacheClient::OnInstalledExtend(const InstalledExtend& m) {
   for (LeaseKey key : m.keys) {
-    bool relevant = lease_expiry_.count(key) > 0;
-    if (!relevant) {
-      for (const auto& [file, entry] : cache_) {
-        if (entry.key == key) {
-          relevant = true;
-          break;
-        }
-      }
-    }
-    if (relevant) {
+    if (lease_expiry_.count(key) > 0 || KeyEntries(key) > 0) {
       AcceptLease(LeaseGrant{key, m.term});
       ++stats_.installed_renewals;
     }
@@ -772,10 +761,17 @@ void CacheClient::AcceptLease(const LeaseGrant& grant, FileId validated,
     // The lease lapsed before this renewal: a write may have committed in
     // the gap (for installed keys, that is precisely how writes are
     // ordered). Every other datum under the key must revalidate before it
-    // may be served again.
-    for (auto& [file, entry] : cache_) {
-      if (entry.key == grant.key && file != validated) {
-        entry.suspect = true;
+    // may be served again. The scan runs only when there is one.
+    size_t others = KeyEntries(grant.key);
+    auto v = cache_.find(validated);
+    if (v != cache_.end() && v->second.key == grant.key) {
+      --others;
+    }
+    if (others > 0) {
+      for (auto& [file, entry] : cache_) {
+        if (entry.key == grant.key && file != validated) {
+          entry.suspect = true;
+        }
       }
     }
   }
@@ -936,36 +932,24 @@ void CacheClient::MaybeEvict(FileId keep) {
       cache_.size() <= params_.max_cached_files) {
     return;
   }
-  // Victim: least-recently accessed clean entry other than `keep`. Dirty
+  // Victim: the least recently touched clean entry other than `keep`. Dirty
   // entries hold unflushed data and stay.
-  FileId victim;
-  TimePoint oldest = TimePoint::Max();
-  for (const auto& [file, entry] : cache_) {
-    if (file == keep || entry.dirty) {
-      continue;
-    }
-    if (entry.last_access < oldest) {
-      oldest = entry.last_access;
-      victim = file;
-    }
+  Entry* victim = lru_head_;
+  while (victim != nullptr && (victim->file == keep || victim->dirty)) {
+    victim = victim->lru_next;
   }
-  if (!victim.valid()) {
+  if (victim == nullptr) {
     return;
   }
-  LeaseKey key = cache_[victim].key;
-  cache_.erase(victim);
+  LeaseKey key = victim->key;
+  EraseEntry(victim->file);
   ++stats_.evictions;
   RelinquishKeyIfUnused(key);
 }
 
 void CacheClient::RelinquishKeyIfUnused(LeaseKey key) {
-  if (!key.valid() || lease_expiry_.count(key) == 0) {
+  if (!key.valid() || KeyEntries(key) > 0 || lease_expiry_.count(key) == 0) {
     return;
-  }
-  for (const auto& [file, entry] : cache_) {
-    if (entry.key == key) {
-      return;
-    }
   }
   lease_expiry_.erase(key);
   ++stats_.keys_relinquished;
@@ -1003,7 +987,92 @@ void CacheClient::DropCache() {
     }
   }
   cache_.clear();
+  lru_head_ = nullptr;
+  lru_tail_ = nullptr;
+  key_entries_.clear();
   lease_expiry_.clear();
+}
+
+// --- Cache entries ---
+
+CacheClient::Entry& CacheClient::EntryFor(FileId file) {
+  auto [it, inserted] = cache_.try_emplace(file);
+  Entry& entry = it->second;
+  if (inserted) {
+    entry.file = file;
+    entry.lru_next = lru_head_;
+    if (lru_head_ != nullptr) {
+      lru_head_->lru_prev = &entry;
+    } else {
+      lru_tail_ = &entry;
+    }
+    lru_head_ = &entry;
+  }
+  return entry;
+}
+
+void CacheClient::Touch(Entry& entry) {
+  entry.last_access = clock_->Now();
+  if (lru_tail_ == &entry) {
+    return;
+  }
+  LruUnlink(entry);
+  entry.lru_prev = lru_tail_;
+  if (lru_tail_ != nullptr) {
+    lru_tail_->lru_next = &entry;
+  } else {
+    lru_head_ = &entry;
+  }
+  lru_tail_ = &entry;
+}
+
+void CacheClient::LruUnlink(Entry& entry) {
+  if (entry.lru_prev != nullptr) {
+    entry.lru_prev->lru_next = entry.lru_next;
+  } else {
+    lru_head_ = entry.lru_next;
+  }
+  if (entry.lru_next != nullptr) {
+    entry.lru_next->lru_prev = entry.lru_prev;
+  } else {
+    lru_tail_ = entry.lru_prev;
+  }
+  entry.lru_prev = nullptr;
+  entry.lru_next = nullptr;
+}
+
+void CacheClient::SetKey(Entry& entry, LeaseKey key) {
+  if (entry.key == key) {
+    return;
+  }
+  ReleaseKey(entry.key);
+  entry.key = key;
+  if (key.valid()) {
+    ++key_entries_[key];
+  }
+}
+
+void CacheClient::ReleaseKey(LeaseKey key) {
+  auto it = key_entries_.find(key);
+  if (it != key_entries_.end() && --it->second == 0) {
+    key_entries_.erase(it);
+  }
+}
+
+size_t CacheClient::KeyEntries(LeaseKey key) const {
+  auto it = key_entries_.find(key);
+  return it == key_entries_.end() ? 0 : it->second;
+}
+
+bool CacheClient::EraseEntry(FileId file) {
+  auto it = cache_.find(file);
+  if (it == cache_.end()) {
+    return false;
+  }
+  LruUnlink(it->second);
+  ReleaseKey(it->second.key);
+  cache_.erase(it);
+  return true;
 }
 
 // --- Open ---

@@ -172,6 +172,11 @@ class CacheClient : public PacketHandler {
     bool dirty = false;
     std::vector<uint8_t> dirty_data;
     TimerId flush_timer;
+    // The entry's own key in cache_, and its links in the least-recently-
+    // touched list (lru_head_ ... lru_tail_).
+    FileId file;
+    Entry* lru_prev = nullptr;
+    Entry* lru_next = nullptr;
   };
 
   struct ReadWaiter {
@@ -233,6 +238,8 @@ class CacheClient : public PacketHandler {
   void OnReadReply(const ReadReply& m);
   void OnExtendReply(const ExtendReply& m);
   void FailFetch(PendingFetch& fetch, ErrorCode code);
+  // Erases the in-flight marks that still name `fetch`.
+  void ClearFetchMarks(const PendingFetch& fetch);
   void ArmFetchTimer(RequestId req);
   void ResendFetch(RequestId req);
 
@@ -294,9 +301,26 @@ class CacheClient : public PacketHandler {
 
   void StepOpen(std::shared_ptr<OpenState> state);
 
-  // Enforces params_.max_cached_files by evicting the least-recently
-  // accessed clean entry (never `keep`).
+  // Enforces params_.max_cached_files by evicting the least recently
+  // touched clean entry (never `keep`).
   void MaybeEvict(FileId keep);
+
+  // --- Cache entries ---
+  // Every entry sits in the least-recently-touched list and is counted
+  // under its cover key in key_entries_; these keep both true.
+  //
+  // Finds or creates the entry for `file`. A new entry has not been touched
+  // yet, so it goes to the least-recent end.
+  Entry& EntryFor(FileId file);
+  // Records an access now: stamps last_access, moves to the most-recent end.
+  void Touch(Entry& entry);
+  void SetKey(Entry& entry, LeaseKey key);
+  // Returns whether `file` was cached.
+  bool EraseEntry(FileId file);
+  void LruUnlink(Entry& entry);
+  // Cached entries under `key` (valid keys only).
+  size_t KeyEntries(LeaseKey key) const;
+  void ReleaseKey(LeaseKey key);
   // Drops the key's lease and tells the server, unless another cached entry
   // still uses the key.
   void RelinquishKeyIfUnused(LeaseKey key);
@@ -316,6 +340,12 @@ class CacheClient : public PacketHandler {
   Oracle* oracle_;
 
   std::unordered_map<FileId, Entry> cache_;
+  // Least-recently-touched list through Entry::lru_prev/lru_next. cache_'s
+  // nodes never move, so the links are plain pointers.
+  Entry* lru_head_ = nullptr;  // least recently touched
+  Entry* lru_tail_ = nullptr;  // most recently touched
+  // Valid cover key -> number of cached entries under it; absent when none.
+  std::unordered_map<LeaseKey, size_t> key_entries_;
   // Cover key -> expiry on the local clock. Absent or past == invalid.
   std::unordered_map<LeaseKey, TimePoint> lease_expiry_;
 

@@ -20,50 +20,57 @@ FileStore::FileStore() {
   rec.data = EncodeDirectory({});
   rec.cover = PrivateKey(root_);
   rec.name.push_back('/');  // (avoids a gcc-12 -Wrestrict false positive)
-  files_[root_] = std::move(rec);
-  covers_[files_[root_].cover].push_back(root_);
+  Insert(std::move(rec));
+}
+
+void FileStore::Insert(FileRecord rec) {
+  size_t index = rec.id.value();
+  if (index >= records_.size()) {
+    records_.resize(index + 1);
+  }
+  LEASES_CHECK(records_[index] == nullptr);
+  covers_[rec.cover].push_back(rec.id);
+  records_[index] = std::make_unique<FileRecord>(std::move(rec));
+  ++file_count_;
+}
+
+void FileStore::Drop(FileId file) {
+  FileRecord* rec = MutableRecord(file);
+  if (rec == nullptr) {
+    return;
+  }
+  auto& members = covers_[rec->cover];
+  members.erase(std::remove(members.begin(), members.end(), file),
+                members.end());
+  records_[file.value()].reset();
+  --file_count_;
+}
+
+FileRecord* FileStore::MutableDirectory(FileId dir) {
+  FileRecord* rec = MutableRecord(dir);
+  return rec != nullptr && rec->file_class == FileClass::kDirectory ? rec
+                                                                    : nullptr;
 }
 
 void FileStore::Mirror(FileId file) const {
   if (mirror_) {
-    auto it = files_.find(file);
-    mirror_(file, it == files_.end() ? nullptr : &it->second);
+    mirror_(file, Find(file));
   }
 }
 
 void FileStore::Adopt(const FileRecord& rec) {
-  auto it = files_.find(rec.id);
-  if (it != files_.end() && it->second.cover != rec.cover) {
-    auto& members = covers_[it->second.cover];
+  FileRecord* held = MutableRecord(rec.id);
+  if (held == nullptr) {
+    Insert(rec);
+    return;
+  }
+  if (held->cover != rec.cover) {
+    auto& members = covers_[held->cover];
     members.erase(std::remove(members.begin(), members.end(), rec.id),
                   members.end());
     covers_[rec.cover].push_back(rec.id);
-  } else if (it == files_.end()) {
-    covers_[rec.cover].push_back(rec.id);
   }
-  files_[rec.id] = rec;
-}
-
-void FileStore::Drop(FileId file) {
-  auto it = files_.find(file);
-  if (it == files_.end()) {
-    return;
-  }
-  auto& members = covers_[it->second.cover];
-  members.erase(std::remove(members.begin(), members.end(), file),
-                members.end());
-  files_.erase(it);
-}
-
-FileRecord& FileStore::MutableRecord(FileId file) {
-  auto it = files_.find(file);
-  LEASES_CHECK(it != files_.end());
-  return it->second;
-}
-
-const FileRecord* FileStore::Find(FileId file) const {
-  auto it = files_.find(file);
-  return it == files_.end() ? nullptr : &it->second;
+  *held = rec;
 }
 
 std::vector<DirEntry> FileStore::DirEntries(const FileRecord& dir) const {
@@ -89,15 +96,14 @@ bool FileStore::CanRead(const FileRecord& rec, NodeId who) const {
 Result<FileId> FileStore::Create(FileId dir, const std::string& name,
                                  FileClass cls, std::vector<uint8_t> data,
                                  uint32_t mode, NodeId who) {
-  auto it = files_.find(dir);
-  if (it == files_.end() || it->second.file_class != FileClass::kDirectory) {
+  FileRecord* parent = MutableDirectory(dir);
+  if (parent == nullptr) {
     return Error{ErrorCode::kNotFound, "no such directory"};
   }
-  FileRecord& parent = it->second;
-  if (!CanWrite(parent, who)) {
+  if (!CanWrite(*parent, who)) {
     return Error{ErrorCode::kPermissionDenied, "directory not writable"};
   }
-  std::vector<DirEntry> entries = DirEntries(parent);
+  std::vector<DirEntry> entries = DirEntries(*parent);
   if (FindEntry(entries, name) != nullptr) {
     return Error{ErrorCode::kConflict, "name exists: " + name};
   }
@@ -112,11 +118,10 @@ Result<FileId> FileStore::Create(FileId dir, const std::string& name,
   rec.parent = dir;
   rec.cover = PrivateKey(id);
   rec.name = name;
-  files_[id] = std::move(rec);
-  covers_[PrivateKey(id)].push_back(id);
+  Insert(std::move(rec));
 
   entries.push_back(DirEntry{name, id, mode, cls});
-  StoreDirEntries(parent, entries);
+  StoreDirEntries(*parent, entries);
   Mirror(id);
   Mirror(dir);
   return id;
@@ -158,23 +163,26 @@ Result<FileId> FileStore::CreatePath(const std::string& path, FileClass cls,
 
 Status FileStore::Rename(FileId dir, const std::string& from,
                          const std::string& to, NodeId who) {
-  auto it = files_.find(dir);
-  if (it == files_.end() || it->second.file_class != FileClass::kDirectory) {
+  FileRecord* parent = MutableDirectory(dir);
+  if (parent == nullptr) {
     return Status(ErrorCode::kNotFound, "no such directory");
   }
-  FileRecord& parent = it->second;
-  if (!CanWrite(parent, who)) {
+  if (!CanWrite(*parent, who)) {
     return Status(ErrorCode::kPermissionDenied, "directory not writable");
   }
-  std::vector<DirEntry> entries = DirEntries(parent);
+  std::vector<DirEntry> entries = DirEntries(*parent);
   if (FindEntry(entries, to) != nullptr) {
     return Status(ErrorCode::kConflict, "target name exists: " + to);
   }
   for (DirEntry& e : entries) {
     if (e.name == from) {
+      FileRecord* rec = MutableRecord(e.file);
+      if (rec == nullptr) {
+        return Status(ErrorCode::kNotFound, "dangling entry: " + from);
+      }
       e.name = to;
-      MutableRecord(e.file).name = to;
-      StoreDirEntries(parent, entries);
+      rec->name = to;
+      StoreDirEntries(*parent, entries);
       Mirror(e.file);
       Mirror(dir);
       return Status::Ok();
@@ -184,30 +192,28 @@ Status FileStore::Rename(FileId dir, const std::string& from,
 }
 
 Status FileStore::Remove(FileId dir, const std::string& name, NodeId who) {
-  auto it = files_.find(dir);
-  if (it == files_.end() || it->second.file_class != FileClass::kDirectory) {
+  FileRecord* parent = MutableDirectory(dir);
+  if (parent == nullptr) {
     return Status(ErrorCode::kNotFound, "no such directory");
   }
-  FileRecord& parent = it->second;
-  if (!CanWrite(parent, who)) {
+  if (!CanWrite(*parent, who)) {
     return Status(ErrorCode::kPermissionDenied, "directory not writable");
   }
-  std::vector<DirEntry> entries = DirEntries(parent);
+  std::vector<DirEntry> entries = DirEntries(*parent);
   for (auto e = entries.begin(); e != entries.end(); ++e) {
     if (e->name == name) {
       FileId victim = e->file;
       const FileRecord* rec = Find(victim);
-      if (rec != nullptr && rec->file_class == FileClass::kDirectory &&
+      if (rec == nullptr) {
+        return Status(ErrorCode::kNotFound, "dangling entry: " + name);
+      }
+      if (rec->file_class == FileClass::kDirectory &&
           !DirEntries(*rec).empty()) {
         return Status(ErrorCode::kConflict, "directory not empty");
       }
-      // Unlink the cover membership.
-      auto& members = covers_[rec->cover];
-      members.erase(std::remove(members.begin(), members.end(), victim),
-                    members.end());
-      files_.erase(victim);
+      Drop(victim);
       entries.erase(e);
-      StoreDirEntries(parent, entries);
+      StoreDirEntries(*parent, entries);
       Mirror(victim);  // record gone: mirrors with a null rec
       Mirror(dir);
       return Status::Ok();
@@ -269,11 +275,11 @@ Status FileStore::CheckWrite(FileId file, NodeId who) const {
 
 Result<uint64_t> FileStore::Apply(FileId file, std::vector<uint8_t> data,
                                   NodeId who) {
-  auto it = files_.find(file);
-  if (it == files_.end()) {
+  FileRecord* found = MutableRecord(file);
+  if (found == nullptr) {
     return Error{ErrorCode::kNotFound, "no such file"};
   }
-  FileRecord& rec = it->second;
+  FileRecord& rec = *found;
   if (!CanWrite(rec, who)) {
     return Error{ErrorCode::kPermissionDenied, "file not writable"};
   }
@@ -290,11 +296,11 @@ Result<uint64_t> FileStore::Apply(FileId file, std::vector<uint8_t> data,
 }
 
 Status FileStore::Chmod(FileId file, uint32_t mode, NodeId who) {
-  auto it = files_.find(file);
-  if (it == files_.end()) {
+  FileRecord* found = MutableRecord(file);
+  if (found == nullptr) {
     return Status(ErrorCode::kNotFound, "no such file");
   }
-  FileRecord& rec = it->second;
+  FileRecord& rec = *found;
   if (who.valid() && who != rec.owner) {
     return Status(ErrorCode::kPermissionDenied, "only the owner may chmod");
   }
@@ -302,14 +308,15 @@ Status FileStore::Chmod(FileId file, uint32_t mode, NodeId who) {
   rec.version++;
   // The permission record is part of the parent directory datum too.
   if (rec.parent.valid()) {
-    FileRecord& parent = MutableRecord(rec.parent);
-    std::vector<DirEntry> entries = DirEntries(parent);
+    FileRecord* parent = MutableRecord(rec.parent);
+    LEASES_CHECK(parent != nullptr);
+    std::vector<DirEntry> entries = DirEntries(*parent);
     for (DirEntry& e : entries) {
       if (e.file == file) {
         e.mode = mode;
       }
     }
-    StoreDirEntries(parent, entries);
+    StoreDirEntries(*parent, entries);
     Mirror(rec.parent);
   }
   Mirror(file);
@@ -323,14 +330,21 @@ LeaseKey FileStore::CoverOf(FileId file) const {
 }
 
 Status FileStore::CoverDirectory(FileId dir) {
-  auto it = files_.find(dir);
-  if (it == files_.end() || it->second.file_class != FileClass::kDirectory) {
+  const FileRecord* directory = MutableDirectory(dir);
+  if (directory == nullptr) {
     return Status(ErrorCode::kNotFound, "no such directory");
   }
   LeaseKey key = PrivateKey(dir);
-  std::vector<DirEntry> entries = DirEntries(it->second);
+  std::vector<DirEntry> entries = DirEntries(*directory);
+  // Checked before anything is re-covered, so a dangling entry changes
+  // nothing.
   for (const DirEntry& e : entries) {
-    FileRecord& rec = MutableRecord(e.file);
+    if (Find(e.file) == nullptr) {
+      return Status(ErrorCode::kNotFound, "dangling entry: " + e.name);
+    }
+  }
+  for (const DirEntry& e : entries) {
+    FileRecord& rec = *MutableRecord(e.file);
     if (rec.file_class != FileClass::kInstalled) {
       continue;
     }
@@ -360,17 +374,21 @@ std::vector<FileId> FileStore::FilesCovered(LeaseKey key) const {
 
 std::vector<FileId> FileStore::AllFiles() const {
   std::vector<FileId> out;
-  out.reserve(files_.size());
-  for (const auto& [id, rec] : files_) {
-    out.push_back(id);
+  out.reserve(file_count_);
+  for (const auto& rec : records_) {
+    if (rec != nullptr) {
+      out.push_back(rec->id);
+    }
   }
   return out;
 }
 
 size_t FileStore::ApproxBytes() const {
   size_t total = 0;
-  for (const auto& [id, rec] : files_) {
-    total += sizeof(FileRecord) + rec.data.size() + rec.name.size();
+  for (const auto& rec : records_) {
+    if (rec != nullptr) {
+      total += sizeof(FileRecord) + rec->data.size() + rec->name.size();
+    }
   }
   return total;
 }

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -76,7 +77,12 @@ class FileStore {
 
   // --- Data operations ---
 
-  const FileRecord* Find(FileId file) const;
+  // Null for an id the store does not hold. Records keep their addresses
+  // until removed, so a pointer stays valid across further store calls.
+  const FileRecord* Find(FileId file) const {
+    return file.value() < records_.size() ? records_[file.value()].get()
+                                          : nullptr;
+  }
   Result<uint64_t> Read(FileId file, NodeId who) const;  // permission check
   // Early validation of a write before the approval protocol runs (the
   // commit itself re-checks).
@@ -95,7 +101,7 @@ class FileStore {
   Status CoverDirectory(FileId dir);
   std::vector<FileId> FilesCovered(LeaseKey key) const;
 
-  size_t file_count() const { return files_.size(); }
+  size_t file_count() const { return file_count_; }
   // Deterministic iteration order (by id) for tests and snapshots.
   std::vector<FileId> AllFiles() const;
 
@@ -117,8 +123,8 @@ class FileStore {
   // index consistent; ids_ never runs on partition stores, so records keep
   // the globally-unique ids the namespace store assigned.
   void Adopt(const FileRecord& rec);
-  // Removes a mirrored record (no directory bookkeeping -- the namespace
-  // store already did it).
+  // Removes a record and its cover membership, with no directory
+  // bookkeeping (for a mirrored record, the namespace store already did it).
   void Drop(FileId file);
 
   // Total bytes a full snapshot of committed state would occupy; used by the
@@ -126,7 +132,14 @@ class FileStore {
   size_t ApproxBytes() const;
 
  private:
-  FileRecord& MutableRecord(FileId file);
+  FileRecord* MutableRecord(FileId file) {
+    return file.value() < records_.size() ? records_[file.value()].get()
+                                          : nullptr;
+  }
+  // Inserts `rec` under its id, growing the table to reach it.
+  void Insert(FileRecord rec);
+  // Finds the directory record `dir`, or null if it is not one.
+  FileRecord* MutableDirectory(FileId dir);
   std::vector<DirEntry> DirEntries(const FileRecord& dir) const;
   void StoreDirEntries(FileRecord& dir, const std::vector<DirEntry>& entries);
   bool CanWrite(const FileRecord& rec, NodeId who) const;
@@ -135,7 +148,12 @@ class FileStore {
   static LeaseKey PrivateKey(FileId file) { return LeaseKey(file.value()); }
 
   IdGenerator<FileId> ids_;
-  std::map<FileId, FileRecord> files_;
+  // Records by id value; null where the store holds no record. Ids are
+  // dense (ids_ on the namespace store, whose ids the shard partitions
+  // adopt), so the table is as long as the largest id held and a lookup is
+  // one index step.
+  std::vector<std::unique_ptr<FileRecord>> records_;
+  size_t file_count_ = 0;
   std::unordered_map<LeaseKey, std::vector<FileId>> covers_;
   FileId root_;
   MirrorHook mirror_;

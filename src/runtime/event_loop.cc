@@ -271,8 +271,7 @@ TimerId EventLoop::ScheduleAfter(Duration delay, std::function<void()> fn) {
   SteadyPoint when = std::chrono::steady_clock::now() +
                      std::chrono::microseconds(delay.ToMicros());
   std::lock_guard<std::mutex> lock(mu_);
-  TimerId id = timer_ids_.Next();
-  live_timers_.emplace(id, timers_.emplace(when, Timer{id, std::move(fn)}));
+  TimerId id = timers_.Add(when, std::move(fn));
   // A sleeping loop computes no new deadline until it wakes, so an earlier
   // timer re-arms the timerfd from here (no thread switch).
   if (sleeping_ && when < armed_) {
@@ -283,17 +282,8 @@ TimerId EventLoop::ScheduleAfter(Duration delay, std::function<void()> fn) {
 
 bool EventLoop::CancelTimer(TimerId id) {
   std::function<void()> fn;  // destroyed after mu_ is released
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = live_timers_.find(id);
-    if (it == live_timers_.end()) {
-      return false;
-    }
-    fn = std::move(it->second->second.fn);
-    timers_.erase(it->second);
-    live_timers_.erase(it);
-  }
-  return true;
+  std::lock_guard<std::mutex> lock(mu_);
+  return timers_.Cancel(id, &fn);
 }
 
 void EventLoop::ArmTimerLocked(SteadyPoint when) {
@@ -315,7 +305,7 @@ int EventLoop::PrepareSleepLocked() {
     return 0;
   }
   if (!timers_.empty()) {
-    SteadyPoint next = timers_.begin()->first;
+    SteadyPoint next = timers_.NextDeadline();
     if (next <= std::chrono::steady_clock::now()) {
       return 0;
     }
@@ -352,13 +342,9 @@ void EventLoop::RunDueTimers() {
     std::function<void()> fn;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (timers_.empty() || timers_.begin()->first > now) {
+      if (!timers_.PopDue(now, &fn)) {
         break;
       }
-      auto it = timers_.begin();
-      fn = std::move(it->second.fn);
-      live_timers_.erase(it->second.id);
-      timers_.erase(it);
     }
     fn();
     ran = true;

@@ -34,7 +34,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -44,6 +43,7 @@
 
 #include "src/clock/timer_host.h"
 #include "src/common/ids.h"
+#include "src/runtime/timer_queue.h"
 
 struct epoll_event;
 
@@ -131,15 +131,10 @@ class EventLoop : public TimerHost {
   void Stop();
 
  private:
-  struct Timer {
-    TimerId id;
-    std::function<void()> fn;
-  };
   struct WatchEntry {
     int fd;
     std::function<void()> fn;
   };
-  using TimerQueue = std::multimap<SteadyPoint, Timer>;
 
   void Run();
   // Runs the tasks queued so far.
@@ -180,9 +175,6 @@ class EventLoop : public TimerHost {
   std::vector<std::function<void()>> running_;  // loop thread only
   std::atomic<size_t> queued_{0};  // tasks_.size(), readable without mu_
   TimerQueue timers_;
-  // Each pending timer's queue node, so a cancel frees it at once.
-  std::unordered_map<TimerId, TimerQueue::iterator> live_timers_;
-  IdGenerator<TimerId> timer_ids_;
   // The loop thread is (about to be) asleep in epoll_wait with no timeout:
   // a Post must write wake_fd_, and an earlier timer must re-arm the
   // timerfd. Cleared by the first Post and by the loop when it wakes.

@@ -87,38 +87,26 @@ void ShardLoop::RunSync(std::function<void()> fn) {
 }
 
 TimerId ShardLoop::ScheduleAfter(Duration delay, std::function<void()> fn) {
-  TimerId id = timer_ids_.Next();
   SteadyPoint when = std::chrono::steady_clock::now() +
                      std::chrono::microseconds(delay.ToMicros());
-  live_timers_.emplace(id,
-                       timers_.emplace(when, std::make_pair(id, std::move(fn))));
-  return id;
+  return timers_.Add(when, std::move(fn));
 }
 
 bool ShardLoop::CancelTimer(TimerId id) {
-  auto it = live_timers_.find(id);
-  if (it == live_timers_.end()) {
-    return false;
-  }
-  // Move the closure out first: destroying it may cancel other timers.
-  std::function<void()> fn = std::move(it->second->second.second);
-  timers_.erase(it->second);
-  live_timers_.erase(it);
-  return true;
+  // Destroyed after the queue is done: destroying it may cancel others.
+  std::function<void()> fn;
+  return timers_.Cancel(id, &fn);
 }
 
 ShardLoop::SteadyPoint ShardLoop::RunDueTimers() {
+  // One snapshot, as in EventLoop: a timer that re-arms itself with a zero
+  // delay runs once per pass rather than forever.
+  const SteadyPoint now = std::chrono::steady_clock::now();
   for (;;) {
-    auto it = timers_.begin();
-    if (it == timers_.end()) {
-      return SteadyPoint::max();
+    std::function<void()> fn;
+    if (!timers_.PopDue(now, &fn)) {
+      return timers_.NextDeadline();
     }
-    if (it->first > std::chrono::steady_clock::now()) {
-      return it->first;
-    }
-    std::function<void()> fn = std::move(it->second.second);
-    live_timers_.erase(it->second.first);
-    timers_.erase(it);
     fn();
   }
 }

@@ -21,10 +21,8 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "src/clock/timer_host.h"
@@ -32,6 +30,7 @@
 #include "src/proto/messages.h"
 #include "src/net/transport.h"
 #include "src/runtime/spsc_queue.h"
+#include "src/runtime/timer_queue.h"
 
 namespace leases {
 
@@ -80,8 +79,6 @@ class ShardLoop : public TimerHost {
 
  private:
   using SteadyPoint = std::chrono::steady_clock::time_point;
-  using TimerQueue =
-      std::multimap<SteadyPoint, std::pair<TimerId, std::function<void()>>>;
 
   void Run();
   // Runs every timer whose deadline has passed; returns the next deadline
@@ -90,11 +87,8 @@ class ShardLoop : public TimerHost {
 
   SpscQueue<ShardInbound> inbound_;
 
-  // Shard-thread-owned (no lock): the timer queue, and each pending
-  // timer's node in it so a cancel frees it at once.
+  // Shard-thread-owned (no lock).
   TimerQueue timers_;
-  std::unordered_map<TimerId, TimerQueue::iterator> live_timers_;
-  IdGenerator<TimerId> timer_ids_;
   // Relaxed: a monotone progress counter read by monitors/benches while the
   // shard runs; no ordering is implied for the state behind it.
   std::atomic<uint64_t> processed_{0};

@@ -3,7 +3,10 @@
 // management.
 #include <gtest/gtest.h>
 
+#include "src/clock/sim_clock.h"
+#include "src/clock/sim_timer_host.h"
 #include "src/core/sim_cluster.h"
+#include "src/sim/simulator.h"
 #include "src/workload/v_config.h"
 
 namespace leases {
@@ -271,6 +274,250 @@ TEST(TimeoutTest, UnreachableServerFailsReadsAfterRetries) {
   EXPECT_EQ(r.code(), ErrorCode::kTimeout);
   EXPECT_EQ(cluster.client(0).stats().retransmits, 3u);
   EXPECT_EQ(cluster.client(0).stats().timeouts, 1u);
+}
+
+// --- One client against a scripted server ---
+//
+// The rig plays the server by hand: it answers the client's requests with
+// grants of whatever cover key a test picks, so several cached files can
+// share one key (as installed files under a directory key do) without a
+// server deciding it.
+
+constexpr NodeId kServer(1);
+constexpr NodeId kClient(2);
+
+class RecordingTransport : public Transport {
+ public:
+  NodeId local_node() const override { return kClient; }
+  void Send(NodeId, MessageClass, Packet packet) override {
+    sent.push_back(std::move(packet));
+  }
+  void Multicast(std::span<const NodeId>, MessageClass,
+                 Packet packet) override {
+    sent.push_back(std::move(packet));
+  }
+  std::vector<Packet> sent;
+};
+
+class ScriptedServerRig {
+ public:
+  explicit ScriptedServerRig(ClientParams params)
+      : clock_(&sim_, ClockModel::Perfect()),
+        timers_(&sim_, &clock_),
+        client_(kClient, kServer, FileId(1), &transport_, &clock_, &timers_,
+                params, /*oracle=*/nullptr) {}
+
+  CacheClient& client() { return client_; }
+
+  // Reads `file`, which must miss, and answers the fetch with a grant of
+  // `key` for `term`.
+  void Fetch(FileId file, LeaseKey key,
+             Duration term = Duration::Seconds(10)) {
+    size_t before = transport_.sent.size();
+    bool done = false;
+    client_.Read(file, [&done](Result<ReadResult> r) {
+      ASSERT_TRUE(r.ok());
+      EXPECT_FALSE(r->from_cache);
+      done = true;
+    });
+    ASSERT_EQ(transport_.sent.size(), before + 1);
+    const auto* request = std::get_if<ReadRequest>(&transport_.sent.back());
+    ASSERT_NE(request, nullptr);
+    ReadReply reply;
+    reply.req = request->req;
+    reply.file = file;
+    reply.version = 1;
+    reply.lease = LeaseGrant{key, term};
+    reply.data = Bytes("x");
+    client_.HandleTyped(kServer, MessageClass::kData, reply);
+    EXPECT_TRUE(done);
+  }
+
+  // Reads `file`; true when the cache served it without a message.
+  bool ReadsLocally(FileId file) {
+    size_t before = transport_.sent.size();
+    bool local = false;
+    client_.Read(file, [&local](Result<ReadResult> r) {
+      local = r.ok() && r->from_cache;
+    });
+    return local && transport_.sent.size() == before;
+  }
+
+  void Deliver(Packet packet) {
+    client_.HandleTyped(kServer, MessageClass::kConsistency, packet);
+  }
+
+  // Every key the client relinquished by a Relinquish message so far.
+  std::vector<LeaseKey> Relinquished() const {
+    std::vector<LeaseKey> keys;
+    for (const Packet& p : transport_.sent) {
+      if (const auto* r = std::get_if<Relinquish>(&p)) {
+        keys.insert(keys.end(), r->keys.begin(), r->keys.end());
+      }
+    }
+    return keys;
+  }
+
+  const Packet& LastSent() const { return transport_.sent.back(); }
+
+  void Advance(Duration d) { sim_.RunFor(d); }
+
+ private:
+  Simulator sim_;
+  SimClock clock_;
+  SimTimerHost timers_;
+  RecordingTransport transport_;
+  CacheClient client_;
+};
+
+ClientParams TinyCache(size_t files) {
+  ClientParams params;
+  params.max_cached_files = files;
+  return params;
+}
+
+TEST(CacheIndexTest, EvictsTheLeastRecentlyTouchedEntry) {
+  ScriptedServerRig rig(TinyCache(3));
+  for (uint64_t f = 10; f < 13; ++f) {
+    rig.Fetch(FileId(f), LeaseKey(f));
+    rig.Advance(Duration::Millis(1));
+  }
+  // A hit touches 10, so 11 is now the least recently touched.
+  ASSERT_TRUE(rig.ReadsLocally(FileId(10)));
+  rig.Fetch(FileId(13), LeaseKey(13));
+  EXPECT_FALSE(rig.client().HasCached(FileId(11)));
+  for (uint64_t f : {10, 12, 13}) {
+    EXPECT_TRUE(rig.client().HasCached(FileId(f))) << f;
+  }
+  EXPECT_EQ(rig.Relinquished(), std::vector<LeaseKey>{LeaseKey(11)});
+  // Then 12, the next least recent.
+  rig.Fetch(FileId(14), LeaseKey(14));
+  EXPECT_FALSE(rig.client().HasCached(FileId(12)));
+  EXPECT_EQ(rig.client().stats().evictions, 2u);
+}
+
+TEST(CacheIndexTest, EvictionSkipsDirtyEntriesAndTheKeptOne) {
+  ClientParams params = TinyCache(2);
+  params.write_back = true;
+  params.write_back_delay = Duration::Seconds(60);  // stays dirty
+  ScriptedServerRig rig(params);
+  rig.Fetch(FileId(10), LeaseKey(10));
+  rig.Advance(Duration::Millis(1));
+  bool staged = false;
+  rig.client().Write(FileId(10), Bytes("dirty"),
+                     [&staged](Result<WriteResult> r) {
+                       staged = r.ok() && r->staged;
+                     });
+  ASSERT_TRUE(staged);
+  rig.Advance(Duration::Millis(1));
+  rig.Fetch(FileId(11), LeaseKey(11));
+  rig.Advance(Duration::Millis(1));
+  ASSERT_TRUE(rig.ReadsLocally(FileId(11)));
+  // 10 is the least recently touched but dirty: 11 goes instead.
+  rig.Fetch(FileId(12), LeaseKey(12));
+  EXPECT_TRUE(rig.client().HasCached(FileId(10)));
+  EXPECT_FALSE(rig.client().HasCached(FileId(11)));
+  EXPECT_TRUE(rig.client().HasCached(FileId(12)));
+
+  // With one slot the entry just fetched is never the victim...
+  ScriptedServerRig one(TinyCache(1));
+  one.Fetch(FileId(10), LeaseKey(10));
+  one.Fetch(FileId(11), LeaseKey(11));
+  EXPECT_FALSE(one.client().HasCached(FileId(10)));
+  EXPECT_TRUE(one.client().HasCached(FileId(11)));
+  // ...so beside a dirty entry there is no victim, and the cache runs over
+  // its bound.
+  ClientParams dirty_one = params;
+  dirty_one.max_cached_files = 1;
+  ScriptedServerRig pinned(dirty_one);
+  pinned.Fetch(FileId(10), LeaseKey(10));
+  pinned.client().Write(FileId(10), Bytes("dirty"), [](Result<WriteResult>) {});
+  pinned.Fetch(FileId(11), LeaseKey(11));
+  EXPECT_EQ(pinned.client().cache_size(), 2u);
+  EXPECT_EQ(pinned.client().stats().evictions, 0u);
+}
+
+TEST(CacheIndexTest, SharedKeyIsRelinquishedWithItsLastEntry) {
+  ScriptedServerRig rig(TinyCache(2));
+  const LeaseKey dir_key(100);  // one key over two installed files
+  rig.Fetch(FileId(10), dir_key);
+  rig.Advance(Duration::Millis(1));
+  rig.Fetch(FileId(11), dir_key);
+  rig.Advance(Duration::Millis(1));
+  EXPECT_EQ(rig.client().lease_count(), 1u);
+  // Evicts 10; 11 still uses the key.
+  rig.Fetch(FileId(12), LeaseKey(12));
+  rig.Advance(Duration::Millis(1));
+  EXPECT_FALSE(rig.client().HasCached(FileId(10)));
+  EXPECT_TRUE(rig.Relinquished().empty());
+  EXPECT_TRUE(rig.client().HasValidLease(FileId(11)));
+  // Evicts 11, the key's last entry.
+  rig.Fetch(FileId(13), LeaseKey(13));
+  EXPECT_FALSE(rig.client().HasCached(FileId(11)));
+  EXPECT_EQ(rig.Relinquished(), std::vector<LeaseKey>{dir_key});
+  EXPECT_EQ(rig.client().stats().keys_relinquished, 1u);
+  EXPECT_EQ(rig.client().lease_count(), 2u);  // 12 and 13
+}
+
+TEST(CacheIndexTest, ApprovalRelinquishesAKeyOnlyWhenNothingElseUsesIt) {
+  ScriptedServerRig rig(ClientParams{});
+  const LeaseKey dir_key(100);
+  rig.Fetch(FileId(10), dir_key);
+  rig.Fetch(FileId(11), dir_key);
+  rig.Fetch(FileId(12), LeaseKey(12));
+
+  rig.Deliver(ApproveRequest{1, FileId(10), dir_key});
+  const auto* first = std::get_if<ApproveReply>(&rig.LastSent());
+  ASSERT_NE(first, nullptr);
+  EXPECT_FALSE(first->relinquish_key);  // 11 still uses the key
+  EXPECT_FALSE(rig.client().HasCached(FileId(10)));
+  EXPECT_TRUE(rig.client().HasValidLease(FileId(11)));
+
+  rig.Deliver(ApproveRequest{2, FileId(11), dir_key});
+  const auto* second = std::get_if<ApproveReply>(&rig.LastSent());
+  ASSERT_NE(second, nullptr);
+  EXPECT_TRUE(second->relinquish_key);
+
+  rig.Deliver(ApproveRequest{3, FileId(12), LeaseKey(12)});
+  const auto* private_key = std::get_if<ApproveReply>(&rig.LastSent());
+  ASSERT_NE(private_key, nullptr);
+  EXPECT_TRUE(private_key->relinquish_key);
+  EXPECT_EQ(rig.client().lease_count(), 0u);
+  EXPECT_EQ(rig.client().stats().invalidations, 3u);
+}
+
+TEST(CacheIndexTest, LapsedKeyRegrantMarksOnlyItsOtherEntriesSuspect) {
+  ScriptedServerRig rig(ClientParams{});
+  const LeaseKey dir_key(100);
+  rig.Fetch(FileId(10), dir_key, Duration::Seconds(2));
+  rig.Fetch(FileId(11), dir_key, Duration::Seconds(2));
+  rig.Fetch(FileId(12), LeaseKey(12), Duration::Seconds(60));
+  rig.Advance(Duration::Seconds(3));  // the directory key lapses
+  ASSERT_FALSE(rig.client().HasValidLease(FileId(10)));
+  ASSERT_TRUE(rig.client().HasValidLease(FileId(12)));
+
+  // A new file under the lapsed key brings a fresh grant of it.
+  rig.Fetch(FileId(13), dir_key, Duration::Seconds(60));
+  EXPECT_TRUE(rig.client().HasValidLease(FileId(10)));
+  // The fetched file and the other key's entry serve locally...
+  EXPECT_TRUE(rig.ReadsLocally(FileId(13)));
+  EXPECT_TRUE(rig.ReadsLocally(FileId(12)));
+  // ...but a write may have slipped into the gap, so the key's older
+  // entries revalidate first.
+  EXPECT_FALSE(rig.ReadsLocally(FileId(10)));
+  EXPECT_FALSE(rig.ReadsLocally(FileId(11)));
+}
+
+TEST(CacheIndexTest, InstalledRenewalReachesKeysOnlyCachedEntriesUse) {
+  ScriptedServerRig rig(ClientParams{});
+  const LeaseKey dir_key(100);
+  rig.Fetch(FileId(10), dir_key, Duration::Seconds(2));
+  rig.Advance(Duration::Seconds(3));
+  ASSERT_FALSE(rig.client().HasValidLease(FileId(10)));
+  rig.Deliver(InstalledExtend{Duration::Seconds(60), {dir_key, LeaseKey(7)}});
+  EXPECT_TRUE(rig.client().HasValidLease(FileId(10)));
+  EXPECT_EQ(rig.client().stats().installed_renewals, 1u);  // not key 7
+  EXPECT_EQ(rig.client().lease_count(), 1u);
 }
 
 }  // namespace

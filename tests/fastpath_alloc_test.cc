@@ -2,8 +2,8 @@
 // pool and scheduler have warmed up, pumping messages through SimNetwork
 // performs no heap allocation at all, and neither does the UDP send path,
 // whether a shard's batcher or UdpTransport::Send from loop work, with
-// several records coalesced per datagram -- counted by replacing global
-// operator new/delete.
+// several records coalesced per datagram, nor arming and cancelling an
+// EventLoop timer -- counted by replacing global operator new/delete.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -15,6 +15,7 @@
 #include <new>
 
 #include <thread>
+#include <vector>
 
 #include "src/net/sim_network.h"
 #include "src/runtime/event_loop.h"
@@ -224,6 +225,32 @@ TEST(FastPathAllocTest, TransportSendFromLoopWorkDoesNotAllocate) {
   EXPECT_EQ(stats.send_failures, 0u);
   transport.Stop();
   ::close(sink);
+}
+
+TEST(FastPathAllocTest, TimerScheduleAndCancelDoNotAllocate) {
+  // A request's resend timer is armed and cancelled once per round trip;
+  // once the timer queue has grown to the working set, neither allocates.
+  EventLoop loop;
+  int hits = 0;
+  std::vector<TimerId> pending(8);
+  auto round = [&loop, &hits, &pending]() {
+    for (TimerId& id : pending) {
+      id = loop.ScheduleAfter(Duration::Seconds(30), [&hits]() { ++hits; });
+    }
+    for (TimerId id : pending) {
+      EXPECT_TRUE(loop.CancelTimer(id));
+    }
+  };
+  for (int i = 0; i < 20; ++i) {  // warm up: the slot table and heap grow
+    round();
+  }
+  uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 500; ++i) {
+    round();
+  }
+  uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "timer schedule/cancel allocated";
+  EXPECT_EQ(hits, 0);
 }
 
 }  // namespace

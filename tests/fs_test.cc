@@ -2,6 +2,8 @@
 // versioning, permissions, directory data, cover keys and durable metadata.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/fs/file_store.h"
 
 namespace leases {
@@ -190,6 +192,133 @@ TEST(FileStoreTest, AllFilesAndApproxBytes) {
   EXPECT_EQ(store.file_count(), 2u);  // root + /a
   EXPECT_EQ(store.AllFiles().size(), 2u);
   EXPECT_GT(store.ApproxBytes(), 1000u);
+}
+
+// Writes a directory datum that also names `ghost`, an id the store does
+// not hold. Apply accepts it (a partition store holds only its own
+// records, so it cannot check the ids a directory names).
+void AddDanglingEntry(FileStore& store, FileId dir, FileId ghost) {
+  std::vector<DirEntry> entries = *DecodeDirectory(store.Find(dir)->data);
+  entries.push_back({"ghost", ghost, kModeRead, FileClass::kInstalled});
+  ASSERT_TRUE(store.Apply(dir, EncodeDirectory(entries), NodeId()).ok());
+}
+
+TEST(FileStoreTest, RemoveOfADanglingEntryFails) {
+  FileStore store;
+  FileId dir = *store.Mkdir(store.root(), "d", NodeId());
+  AddDanglingEntry(store, dir, FileId(999));
+  uint64_t version = store.Find(dir)->version;
+  EXPECT_EQ(store.Remove(dir, "ghost", NodeId()).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(store.Find(dir)->version, version);
+}
+
+TEST(FileStoreTest, RenameOfADanglingEntryFails) {
+  FileStore store;
+  FileId dir = *store.Mkdir(store.root(), "d", NodeId());
+  AddDanglingEntry(store, dir, FileId(999));
+  uint64_t version = store.Find(dir)->version;
+  EXPECT_EQ(store.Rename(dir, "ghost", "spirit", NodeId()).code(),
+            ErrorCode::kNotFound);
+  EXPECT_EQ(store.Find(dir)->version, version);
+  EXPECT_EQ(*store.Lookup(dir, "ghost"), FileId(999));
+}
+
+TEST(FileStoreTest, CoverDirectoryWithADanglingEntryFailsAndChangesNothing) {
+  FileStore store;
+  FileId inst = *store.CreatePath("/bin/tool", FileClass::kInstalled, B("t"));
+  FileId bin = *store.Resolve("/bin");
+  AddDanglingEntry(store, bin, FileId(999));
+  LeaseKey before = store.CoverOf(inst);
+  EXPECT_EQ(store.CoverDirectory(bin).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(store.CoverOf(inst), before);
+  EXPECT_EQ(store.FilesCovered(store.CoverOf(bin)).size(), 1u);  // bin only
+}
+
+TEST(FileStoreTest, FindOfAnIdNotHeldIsNull) {
+  FileStore store;
+  FileId gone = *store.CreatePath("/gone", FileClass::kNormal, B("g"));
+  ASSERT_TRUE(store.Remove(store.root(), "gone", NodeId()).ok());
+  size_t bytes = store.ApproxBytes();
+  EXPECT_EQ(store.Find(gone), nullptr);
+  EXPECT_EQ(store.Find(FileId()), nullptr);
+  EXPECT_EQ(store.Find(FileId(gone.value() + 1)), nullptr);  // unseen
+  EXPECT_EQ(store.Find(FileId(uint64_t{1} << 40)), nullptr);
+  EXPECT_EQ(store.Find(FileId(~uint64_t{0})), nullptr);
+  EXPECT_EQ(store.file_count(), 1u);
+  EXPECT_EQ(store.ApproxBytes(), bytes);
+  EXPECT_EQ(store.CheckWrite(gone, NodeId()).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(store.Apply(FileId(uint64_t{1} << 40), B("x"), NodeId()).code(),
+            ErrorCode::kNotFound);
+}
+
+TEST(FileStoreTest, PartitionAdoptsAndDropsSparseIds) {
+  // A shard partition holds every other record of the namespace store,
+  // under the namespace store's ids.
+  FileStore ns;
+  std::vector<FileId> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(*ns.CreatePath("/f" + std::to_string(i), FileClass::kNormal,
+                                 B(std::to_string(i))));
+  }
+  FileStore part;
+  for (size_t i = 1; i < ids.size(); i += 2) {
+    part.Adopt(*ns.Find(ids[i]));
+  }
+  EXPECT_EQ(part.file_count(), 1u + 4u);  // its own root + 4 adopted
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const FileRecord* rec = part.Find(ids[i]);
+    if (i % 2 == 0) {
+      EXPECT_EQ(rec, nullptr) << i;
+      continue;
+    }
+    ASSERT_NE(rec, nullptr) << i;
+    EXPECT_EQ(rec->id, ids[i]);
+    EXPECT_EQ(rec->data, B(std::to_string(i)));
+    EXPECT_EQ(part.CoverOf(ids[i]), ns.CoverOf(ids[i]));
+  }
+  // A re-adopted record updates in place, keeping its address.
+  const FileRecord* held = part.Find(ids[3]);
+  ASSERT_TRUE(ns.Apply(ids[3], B("new"), NodeId()).ok());
+  part.Adopt(*ns.Find(ids[3]));
+  EXPECT_EQ(part.Find(ids[3]), held);
+  EXPECT_EQ(held->data, B("new"));
+
+  part.Drop(ids[3]);
+  part.Drop(ids[3]);  // dropping twice is harmless
+  part.Drop(ids[2]);  // never held
+  EXPECT_EQ(part.Find(ids[3]), nullptr);
+  EXPECT_TRUE(part.FilesCovered(ns.CoverOf(ids[3])).empty());
+  EXPECT_EQ(part.file_count(), 4u);
+  // Adopting a dropped id again brings it back.
+  part.Adopt(*ns.Find(ids[3]));
+  EXPECT_EQ(part.FilesCovered(ns.CoverOf(ids[3])),
+            std::vector<FileId>{ids[3]});
+}
+
+TEST(FileStoreTest, AllFilesComesBackInIdOrder) {
+  FileStore ns;
+  std::vector<FileId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(*ns.CreatePath("/d" + std::to_string(i % 2) + "/f" +
+                                     std::to_string(i),
+                                 FileClass::kNormal, B("x")));
+  }
+  ASSERT_TRUE(ns.Remove(*ns.Resolve("/d0"), "f2", NodeId()).ok());
+  std::vector<FileId> all = ns.AllFiles();
+  EXPECT_EQ(all.size(), ns.file_count());
+  EXPECT_TRUE(std::is_sorted(all.begin(), all.end()));
+  EXPECT_EQ(std::count(all.begin(), all.end(), ids[2]), 0);
+
+  // Adopted out of order, a partition still lists its records by id.
+  FileStore part;
+  for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
+    if (const FileRecord* rec = ns.Find(*it)) {
+      part.Adopt(*rec);
+    }
+  }
+  std::vector<FileId> adopted = part.AllFiles();
+  EXPECT_TRUE(std::is_sorted(adopted.begin(), adopted.end()));
+  EXPECT_EQ(adopted.size(), 1u + 5u);
 }
 
 TEST(DurableMetaTest, SaveLoadAndWriteAccounting) {

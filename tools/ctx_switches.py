@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Counts context switches per operation of one loopbench workload.
+"""Counts context switches and CPU time per operation of one loopbench workload.
 
 Run from the repository root, after loopbench/run.py has built the binary:
 
@@ -8,9 +8,11 @@ Run from the repository root, after loopbench/run.py has built the binary:
 It runs the loopbench binary from loopbench/run.py's build tree
 ($CARGO_TARGET_DIR or .bench_build) untraced, with the arguments run.py would
 pass, and reads the child's voluntary and involuntary context switches with
-getrusage(RUSAGE_CHILDREN). The counts cover the whole process (set-ups and
-the reference round trips included) and are divided by the ops the run
-attempted. Prints one line per count and, last, one JSON object.
+getrusage(RUSAGE_CHILDREN), along with the user and system CPU time the same
+call reports. The figures cover the whole process (set-ups and the reference
+round trips included), are raw (not scaled by the reference round trip) and
+are divided by the ops the run attempted. Prints one line per figure and,
+last, one JSON object.
 
 Exit status: 0 with a result; 1 when the binary is missing or the run fails.
 """
@@ -54,14 +56,20 @@ def main():
     ops = result["attempted"]
     voluntary = after.ru_nvcsw - before.ru_nvcsw
     involuntary = after.ru_nivcsw - before.ru_nivcsw
+    user_us = (after.ru_utime - before.ru_utime) * 1e6
+    sys_us = (after.ru_stime - before.ru_stime) * 1e6
     print(f"workload={args.workload} seed={args.seed} seconds={args.seconds:g}"
           f" ops={ops} failed={result['failed']}")
     print(f"voluntary:   {voluntary} ({voluntary / ops:.3f} per op)")
     print(f"involuntary: {involuntary} ({involuntary / ops:.3f} per op)")
+    print(f"user cpu:    {user_us / 1e6:.3f} s ({user_us / ops:.3f} us per op)")
+    print(f"system cpu:  {sys_us / 1e6:.3f} s ({sys_us / ops:.3f} us per op)")
     print(json.dumps({"workload": args.workload, "ops": ops,
                       "failed": result["failed"],
                       "voluntary_per_op": voluntary / ops,
-                      "involuntary_per_op": involuntary / ops}))
+                      "involuntary_per_op": involuntary / ops,
+                      "user_us_per_op": user_us / ops,
+                      "sys_us_per_op": sys_us / ops}))
     sys.exit(0 if done.returncode == 0 and result["correct"] else 1)
 
 
