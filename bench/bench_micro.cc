@@ -172,6 +172,55 @@ void BM_FileStoreApply(benchmark::State& state) {
 }
 BENCHMARK(BM_FileStoreApply);
 
+// Fills a directory with range(0) names, one Create each; the time per
+// item is one Create into a directory of, on average, half that size.
+void BM_FileStoreCreate(benchmark::State& state) {
+  const int entries = static_cast<int>(state.range(0));
+  std::vector<std::string> names;
+  for (int i = 0; i < entries; ++i) {
+    names.push_back("f");
+    names.back() += std::to_string(i);
+  }
+  for (auto _ : state) {
+    FileStore store;
+    FileId dir = *store.Mkdir(store.root(), "d", NodeId());
+    for (const std::string& name : names) {
+      benchmark::DoNotOptimize(store.Create(dir, name, FileClass::kNormal, {},
+                                            kModeRead | kModeWrite, NodeId()));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * entries);
+}
+BENCHMARK(BM_FileStoreCreate)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Arg(16384)
+    ->Unit(benchmark::kMillisecond);
+
+// One Lookup per item in a directory of range(0) names, cycling through
+// them all.
+void BM_FileStoreLookup(benchmark::State& state) {
+  const int entries = static_cast<int>(state.range(0));
+  FileStore store;
+  FileId dir = *store.Mkdir(store.root(), "d", NodeId());
+  std::vector<std::string> names;
+  for (int i = 0; i < entries; ++i) {
+    names.push_back("f");
+    names.back() += std::to_string(i);
+    LEASES_CHECK(store
+                     .Create(dir, names.back(), FileClass::kNormal, {},
+                             kModeRead | kModeWrite, NodeId())
+                     .ok());
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.Lookup(dir, names[next]));
+    next = next + 1 == names.size() ? 0 : next + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FileStoreLookup)->Arg(64)->Arg(1024)->Arg(16384);
+
 void BM_SimulatedLeaseRoundTrip(benchmark::State& state) {
   // Full protocol cost of one extension round-trip in virtual time,
   // measured in host CPU time: cache miss -> extension -> grant -> reply.

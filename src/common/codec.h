@@ -14,6 +14,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -48,7 +49,7 @@ class Writer {
     WriteU32(static_cast<uint32_t>(bytes.size()));
     out_->insert(out_->end(), bytes.begin(), bytes.end());
   }
-  void WriteString(const std::string& s) {
+  void WriteString(std::string_view s) {
     WriteBytes(std::span<const uint8_t>(
         reinterpret_cast<const uint8_t*>(s.data()), s.size()));
   }

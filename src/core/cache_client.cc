@@ -1112,16 +1112,17 @@ void CacheClient::StepOpen(std::shared_ptr<OpenState> state) {
       state->cb(r.error());
       return;
     }
-    auto entries = DecodeDirectory(r->data);
-    if (!entries.has_value()) {
+    // The walk covers the whole datum: a bad byte after the wanted name
+    // still makes the datum corrupt.
+    const std::string& name = state->parts[state->index];
+    DirWalker walk(r->data);
+    std::optional<DirEntryView> entry = walk.Find(name);
+    if (!walk.ok()) {
       state->cb(Error{ErrorCode::kCorrupt, "malformed directory datum"});
       return;
     }
-    const DirEntry* entry =
-        FindEntry(*entries, state->parts[state->index]);
-    if (entry == nullptr) {
-      state->cb(Error{ErrorCode::kNotFound,
-                      "no such name: " + state->parts[state->index]});
+    if (!entry.has_value()) {
+      state->cb(Error{ErrorCode::kNotFound, "no such name: " + name});
       return;
     }
     state->current = entry->file;

@@ -1,7 +1,5 @@
 #include "src/fs/file_store.h"
 
-#include <algorithm>
-
 #include "src/common/check.h"
 #include "src/common/path.h"
 
@@ -9,6 +7,12 @@ namespace leases {
 namespace {
 
 using ::leases::SplitAbsPath;
+
+// A name some path can reach: SplitAbsPath yields only non-empty
+// components with no '/'.
+bool ReachableName(std::string_view name) {
+  return !name.empty() && name.find('/') == std::string_view::npos;
+}
 
 }  // namespace
 
@@ -29,19 +33,14 @@ void FileStore::Insert(FileRecord rec) {
     records_.resize(index + 1);
   }
   LEASES_CHECK(records_[index] == nullptr);
-  covers_[rec.cover].push_back(rec.id);
   records_[index] = std::make_unique<FileRecord>(std::move(rec));
   ++file_count_;
 }
 
 void FileStore::Drop(FileId file) {
-  FileRecord* rec = MutableRecord(file);
-  if (rec == nullptr) {
+  if (MutableRecord(file) == nullptr) {
     return;
   }
-  auto& members = covers_[rec->cover];
-  members.erase(std::remove(members.begin(), members.end(), file),
-                members.end());
   records_[file.value()].reset();
   --file_count_;
 }
@@ -64,25 +63,15 @@ void FileStore::Adopt(const FileRecord& rec) {
     Insert(rec);
     return;
   }
-  if (held->cover != rec.cover) {
-    auto& members = covers_[held->cover];
-    members.erase(std::remove(members.begin(), members.end(), rec.id),
-                  members.end());
-    covers_[rec.cover].push_back(rec.id);
-  }
   *held = rec;
 }
 
-std::vector<DirEntry> FileStore::DirEntries(const FileRecord& dir) const {
-  auto entries = DecodeDirectory(dir.data);
-  LEASES_CHECK(entries.has_value());  // the store never persists bad bytes
-  return *entries;
-}
-
-void FileStore::StoreDirEntries(FileRecord& dir,
-                                const std::vector<DirEntry>& entries) {
-  dir.data = EncodeDirectory(entries);
-  dir.version++;
+FileStore::DirMatch FileStore::FindName(const FileRecord& dir,
+                                        std::string_view name) {
+  DirWalker walk(dir.data);
+  std::optional<DirEntryView> entry = walk.Find(name);
+  LEASES_CHECK(walk.ok());  // the store never persists bad bytes
+  return DirMatch{entry, walk.offset()};
 }
 
 bool FileStore::CanWrite(const FileRecord& rec, NodeId who) const {
@@ -96,6 +85,9 @@ bool FileStore::CanRead(const FileRecord& rec, NodeId who) const {
 Result<FileId> FileStore::Create(FileId dir, const std::string& name,
                                  FileClass cls, std::vector<uint8_t> data,
                                  uint32_t mode, NodeId who) {
+  if (!ReachableName(name)) {
+    return Error{ErrorCode::kInvalidArgument, "bad name: " + name};
+  }
   FileRecord* parent = MutableDirectory(dir);
   if (parent == nullptr) {
     return Error{ErrorCode::kNotFound, "no such directory"};
@@ -103,8 +95,8 @@ Result<FileId> FileStore::Create(FileId dir, const std::string& name,
   if (!CanWrite(*parent, who)) {
     return Error{ErrorCode::kPermissionDenied, "directory not writable"};
   }
-  std::vector<DirEntry> entries = DirEntries(*parent);
-  if (FindEntry(entries, name) != nullptr) {
+  DirMatch match = FindName(*parent, name);
+  if (match.entry.has_value()) {
     return Error{ErrorCode::kConflict, "name exists: " + name};
   }
 
@@ -120,8 +112,9 @@ Result<FileId> FileStore::Create(FileId dir, const std::string& name,
   rec.name = name;
   Insert(std::move(rec));
 
-  entries.push_back(DirEntry{name, id, mode, cls});
-  StoreDirEntries(*parent, entries);
+  parent->data.resize(match.end);
+  AppendDirEntry(parent->data, name, id, mode, cls);
+  parent->version++;
   Mirror(id);
   Mirror(dir);
   return id;
@@ -163,6 +156,9 @@ Result<FileId> FileStore::CreatePath(const std::string& path, FileClass cls,
 
 Status FileStore::Rename(FileId dir, const std::string& from,
                          const std::string& to, NodeId who) {
+  if (!ReachableName(to)) {
+    return Status(ErrorCode::kInvalidArgument, "bad name: " + to);
+  }
   FileRecord* parent = MutableDirectory(dir);
   if (parent == nullptr) {
     return Status(ErrorCode::kNotFound, "no such directory");
@@ -170,25 +166,25 @@ Status FileStore::Rename(FileId dir, const std::string& from,
   if (!CanWrite(*parent, who)) {
     return Status(ErrorCode::kPermissionDenied, "directory not writable");
   }
-  std::vector<DirEntry> entries = DirEntries(*parent);
-  if (FindEntry(entries, to) != nullptr) {
+  if (FindName(*parent, to).entry.has_value()) {
     return Status(ErrorCode::kConflict, "target name exists: " + to);
   }
-  for (DirEntry& e : entries) {
-    if (e.name == from) {
-      FileRecord* rec = MutableRecord(e.file);
-      if (rec == nullptr) {
-        return Status(ErrorCode::kNotFound, "dangling entry: " + from);
-      }
-      e.name = to;
-      rec->name = to;
-      StoreDirEntries(*parent, entries);
-      Mirror(e.file);
-      Mirror(dir);
-      return Status::Ok();
-    }
+  DirMatch match = FindName(*parent, from);
+  if (!match.entry.has_value()) {
+    return Status(ErrorCode::kNotFound, "no such name: " + from);
   }
-  return Status(ErrorCode::kNotFound, "no such name: " + from);
+  FileId file = match.entry->file;
+  FileRecord* rec = MutableRecord(file);
+  if (rec == nullptr) {
+    return Status(ErrorCode::kNotFound, "dangling entry: " + from);
+  }
+  rec->name = to;
+  parent->data.resize(match.end);
+  RenameDirEntry(parent->data, *match.entry, to);
+  parent->version++;
+  Mirror(file);
+  Mirror(dir);
+  return Status::Ok();
 }
 
 Status FileStore::Remove(FileId dir, const std::string& name, NodeId who) {
@@ -199,27 +195,29 @@ Status FileStore::Remove(FileId dir, const std::string& name, NodeId who) {
   if (!CanWrite(*parent, who)) {
     return Status(ErrorCode::kPermissionDenied, "directory not writable");
   }
-  std::vector<DirEntry> entries = DirEntries(*parent);
-  for (auto e = entries.begin(); e != entries.end(); ++e) {
-    if (e->name == name) {
-      FileId victim = e->file;
-      const FileRecord* rec = Find(victim);
-      if (rec == nullptr) {
-        return Status(ErrorCode::kNotFound, "dangling entry: " + name);
-      }
-      if (rec->file_class == FileClass::kDirectory &&
-          !DirEntries(*rec).empty()) {
-        return Status(ErrorCode::kConflict, "directory not empty");
-      }
-      Drop(victim);
-      entries.erase(e);
-      StoreDirEntries(*parent, entries);
-      Mirror(victim);  // record gone: mirrors with a null rec
-      Mirror(dir);
-      return Status::Ok();
+  DirMatch match = FindName(*parent, name);
+  if (!match.entry.has_value()) {
+    return Status(ErrorCode::kNotFound, "no such name: " + name);
+  }
+  FileId victim = match.entry->file;
+  const FileRecord* rec = Find(victim);
+  if (rec == nullptr) {
+    return Status(ErrorCode::kNotFound, "dangling entry: " + name);
+  }
+  if (rec->file_class == FileClass::kDirectory) {
+    DirWalker contents(rec->data);
+    LEASES_CHECK(contents.Finish());
+    if (contents.count() != 0) {
+      return Status(ErrorCode::kConflict, "directory not empty");
     }
   }
-  return Status(ErrorCode::kNotFound, "no such name: " + name);
+  Drop(victim);
+  parent->data.resize(match.end);
+  EraseDirEntry(parent->data, *match.entry);
+  parent->version++;
+  Mirror(victim);  // record gone: mirrors with a null rec
+  Mirror(dir);
+  return Status::Ok();
 }
 
 Result<FileId> FileStore::Lookup(FileId dir, const std::string& name) const {
@@ -227,12 +225,11 @@ Result<FileId> FileStore::Lookup(FileId dir, const std::string& name) const {
   if (rec == nullptr || rec->file_class != FileClass::kDirectory) {
     return Error{ErrorCode::kNotFound, "no such directory"};
   }
-  std::vector<DirEntry> entries = DirEntries(*rec);
-  const DirEntry* e = FindEntry(entries, name);
-  if (e == nullptr) {
+  DirMatch match = FindName(*rec, name);
+  if (!match.entry.has_value()) {
     return Error{ErrorCode::kNotFound, "no such name: " + name};
   }
-  return e->file;
+  return match.entry->file;
 }
 
 Result<FileId> FileStore::Resolve(const std::string& path) const {
@@ -285,7 +282,7 @@ Result<uint64_t> FileStore::Apply(FileId file, std::vector<uint8_t> data,
   }
   if (rec.file_class == FileClass::kDirectory) {
     // Directory datum writes must stay well-formed; validate before commit.
-    if (!DecodeDirectory(data).has_value()) {
+    if (!DirWalker(data).Finish()) {
       return Error{ErrorCode::kInvalidArgument, "malformed directory datum"};
     }
   }
@@ -310,13 +307,17 @@ Status FileStore::Chmod(FileId file, uint32_t mode, NodeId who) {
   if (rec.parent.valid()) {
     FileRecord* parent = MutableRecord(rec.parent);
     LEASES_CHECK(parent != nullptr);
-    std::vector<DirEntry> entries = DirEntries(*parent);
-    for (DirEntry& e : entries) {
-      if (e.file == file) {
-        e.mode = mode;
+    // Each patch lands inside an entry the walk has already passed, so
+    // the walk's view of the bytes stays valid.
+    DirWalker walk(parent->data);
+    while (walk.Next()) {
+      if (walk.entry().file == file) {
+        SetDirEntryMode(parent->data, walk.entry(), mode);
       }
     }
-    StoreDirEntries(*parent, entries);
+    LEASES_CHECK(walk.ok());
+    parent->data.resize(walk.offset());
+    parent->version++;
     Mirror(rec.parent);
   }
   Mirror(file);
@@ -335,40 +336,42 @@ Status FileStore::CoverDirectory(FileId dir) {
     return Status(ErrorCode::kNotFound, "no such directory");
   }
   LeaseKey key = PrivateKey(dir);
-  std::vector<DirEntry> entries = DirEntries(*directory);
   // Checked before anything is re-covered, so a dangling entry changes
   // nothing.
-  for (const DirEntry& e : entries) {
-    if (Find(e.file) == nullptr) {
-      return Status(ErrorCode::kNotFound, "dangling entry: " + e.name);
+  std::optional<DirEntryView> dangling;
+  DirWalker check(directory->data);
+  while (check.Next()) {
+    if (!dangling.has_value() && Find(check.entry().file) == nullptr) {
+      dangling = check.entry();
     }
   }
-  for (const DirEntry& e : entries) {
-    FileRecord& rec = *MutableRecord(e.file);
+  LEASES_CHECK(check.ok());  // the store never persists bad bytes
+  if (dangling.has_value()) {
+    return Status(ErrorCode::kNotFound,
+                  "dangling entry: " + std::string(dangling->name));
+  }
+  DirWalker walk(directory->data);
+  while (walk.Next()) {
+    FileRecord& rec = *MutableRecord(walk.entry().file);
     if (rec.file_class != FileClass::kInstalled) {
       continue;
     }
     if (rec.cover == key) {
       continue;
     }
-    auto& old_members = covers_[rec.cover];
-    old_members.erase(
-        std::remove(old_members.begin(), old_members.end(), e.file),
-        old_members.end());
     rec.cover = key;
-    covers_[key].push_back(e.file);
-    Mirror(e.file);
+    Mirror(walk.entry().file);
   }
   return Status::Ok();
 }
 
 std::vector<FileId> FileStore::FilesCovered(LeaseKey key) const {
-  auto it = covers_.find(key);
-  if (it == covers_.end()) {
-    return {};
+  std::vector<FileId> files;
+  for (const auto& rec : records_) {
+    if (rec != nullptr && rec->cover == key) {
+      files.push_back(rec->id);
+    }
   }
-  std::vector<FileId> files = it->second;
-  std::sort(files.begin(), files.end());
   return files;
 }
 

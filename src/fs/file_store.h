@@ -25,8 +25,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -99,6 +100,8 @@ class FileStore {
   // Re-covers every current *installed* file directly inside `dir` (and the
   // directory datum itself) with the directory's key.
   Status CoverDirectory(FileId dir);
+  // Every file covered by `key`, in id order. A scan of every record: only
+  // tests ask.
   std::vector<FileId> FilesCovered(LeaseKey key) const;
 
   size_t file_count() const { return file_count_; }
@@ -119,12 +122,12 @@ class FileStore {
   using MirrorHook = std::function<void(FileId, const FileRecord* rec)>;
   void SetMirror(MirrorHook hook) { mirror_ = std::move(hook); }
 
-  // Upserts a record copied from the namespace store, keeping the cover
-  // index consistent; ids_ never runs on partition stores, so records keep
-  // the globally-unique ids the namespace store assigned.
+  // Upserts a record copied from the namespace store; ids_ never runs on
+  // partition stores, so records keep the globally-unique ids the namespace
+  // store assigned.
   void Adopt(const FileRecord& rec);
-  // Removes a record and its cover membership, with no directory
-  // bookkeeping (for a mirrored record, the namespace store already did it).
+  // Removes a record with no directory bookkeeping (for a mirrored record,
+  // the namespace store already did it).
   void Drop(FileId file);
 
   // Total bytes a full snapshot of committed state would occupy; used by the
@@ -140,8 +143,14 @@ class FileStore {
   void Insert(FileRecord rec);
   // Finds the directory record `dir`, or null if it is not one.
   FileRecord* MutableDirectory(FileId dir);
-  std::vector<DirEntry> DirEntries(const FileRecord& dir) const;
-  void StoreDirEntries(FileRecord& dir, const std::vector<DirEntry>& entries);
+  // The first entry named `name` in a directory datum, if any, and the
+  // offset where its entries end. Walks the whole datum, checking that it
+  // is well formed.
+  struct DirMatch {
+    std::optional<DirEntryView> entry;
+    size_t end = 0;
+  };
+  static DirMatch FindName(const FileRecord& dir, std::string_view name);
   bool CanWrite(const FileRecord& rec, NodeId who) const;
   bool CanRead(const FileRecord& rec, NodeId who) const;
   void Mirror(FileId file) const;
@@ -154,7 +163,6 @@ class FileStore {
   // one index step.
   std::vector<std::unique_ptr<FileRecord>> records_;
   size_t file_count_ = 0;
-  std::unordered_map<LeaseKey, std::vector<FileId>> covers_;
   FileId root_;
   MirrorHook mirror_;
 };

@@ -35,6 +35,12 @@ class Waiter {
 
   bool ready() const { return state_->ready.load(std::memory_order_acquire); }
 
+  // The result, once ready().
+  Result<T> Take() {
+    std::lock_guard<std::mutex> lock(state_->mu);
+    return std::move(*state_->result);
+  }
+
   Result<T> Wait(EventLoop::SteadyPoint deadline) {
     std::unique_lock<std::mutex> lock(state_->mu);
     if (!state_->cv.wait_until(
@@ -195,9 +201,6 @@ void RuntimeClient::Stop() {
 template <typename T, typename Call>
 Result<T> RuntimeClient::Blocking(Call call, Duration timeout) {
   LEASES_CHECK(client_ != nullptr);
-  const EventLoop::SteadyPoint deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::microseconds(timeout.ToMicros());
   Waiter<T> waiter;
   auto run = [this, call = std::move(call),
               cb = waiter.MakeCallback()]() mutable {
@@ -209,12 +212,17 @@ Result<T> RuntimeClient::Blocking(Call call, Duration timeout) {
   if (!loop_->TryRunHere(run)) {
     loop_->Post(std::move(run));
   }
+  // A call that completed here (a hit) never reads the clock.
+  if (waiter.ready()) {
+    return waiter.Take();
+  }
   // A miss waits by leading the loop: the reply wakes this thread, which
   // runs the callback itself. When the loop is busy or another caller
   // leads, that thread runs the callback and wakes this one.
-  if (!waiter.ready()) {
-    loop_->Lead(deadline, [&waiter]() { return waiter.ready(); });
-  }
+  const EventLoop::SteadyPoint deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::microseconds(timeout.ToMicros());
+  loop_->Lead(deadline, [&waiter]() { return waiter.ready(); });
   return waiter.Wait(deadline);
 }
 

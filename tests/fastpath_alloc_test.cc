@@ -3,7 +3,8 @@
 // performs no heap allocation at all, and neither does the UDP send path,
 // whether a shard's batcher or UdpTransport::Send from loop work, with
 // several records coalesced per datagram, nor arming and cancelling an
-// EventLoop timer -- counted by replacing global operator new/delete.
+// EventLoop timer, nor a file-store lookup that hits in a large directory
+// -- counted by replacing global operator new/delete.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/fs/file_store.h"
 #include "src/net/sim_network.h"
 #include "src/runtime/event_loop.h"
 #include "src/runtime/udp_transport.h"
@@ -251,6 +253,29 @@ TEST(FastPathAllocTest, TimerScheduleAndCancelDoNotAllocate) {
   uint64_t after = g_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "timer schedule/cancel allocated";
   EXPECT_EQ(hits, 0);
+}
+
+TEST(FastPathAllocTest, DirectoryLookupHitDoesNotAllocate) {
+  // A lookup walks the directory datum in place: a hit builds no decoded
+  // entry list, however large the directory.
+  FileStore store;
+  FileId dir = *store.Mkdir(store.root(), "d", NodeId());
+  std::vector<std::string> names;
+  for (int i = 0; i < 1024; ++i) {
+    names.push_back("entry-with-a-long-name-" + std::to_string(i));
+    ASSERT_TRUE(store
+                    .Create(dir, names.back(), FileClass::kNormal, {},
+                            kModeRead, NodeId())
+                    .ok());
+  }
+  uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  size_t hits = 0;
+  for (const std::string& name : names) {
+    hits += store.Lookup(dir, name).ok() ? 1 : 0;
+  }
+  uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "directory lookup hit allocated";
+  EXPECT_EQ(hits, names.size());
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <random>
 
 #include "src/fs/file_store.h"
 
@@ -319,6 +321,265 @@ TEST(FileStoreTest, AllFilesComesBackInIdOrder) {
   std::vector<FileId> adopted = part.AllFiles();
   EXPECT_TRUE(std::is_sorted(adopted.begin(), adopted.end()));
   EXPECT_EQ(adopted.size(), 1u + 5u);
+}
+
+// Names no path can reach: empty, or holding a '/'.
+const char* const kUnreachableNames[] = {"", "x/y", "/", "z/"};
+
+TEST(FileStoreTest, CreateRejectsUnreachableNames) {
+  FileStore store;
+  std::vector<uint8_t> datum = store.Find(store.root())->data;
+  uint64_t version = store.Find(store.root())->version;
+  for (const char* name : kUnreachableNames) {
+    EXPECT_EQ(store.Create(store.root(), name, FileClass::kNormal, B("x"),
+                           kModeRead, NodeId())
+                  .code(),
+              ErrorCode::kInvalidArgument)
+        << name;
+  }
+  EXPECT_EQ(store.Find(store.root())->data, datum);
+  EXPECT_EQ(store.Find(store.root())->version, version);
+  EXPECT_EQ(store.file_count(), 1u);
+}
+
+TEST(FileStoreTest, MkdirRejectsUnreachableNames) {
+  FileStore store;
+  FileId dir = *store.Mkdir(store.root(), "d", NodeId());
+  std::vector<uint8_t> datum = store.Find(dir)->data;
+  for (const char* name : kUnreachableNames) {
+    EXPECT_EQ(store.Mkdir(dir, name, NodeId()).code(),
+              ErrorCode::kInvalidArgument)
+        << name;
+  }
+  EXPECT_EQ(store.Find(dir)->data, datum);
+  EXPECT_EQ(store.file_count(), 2u);
+}
+
+TEST(FileStoreTest, CreatePathRejectsUnreachableNames) {
+  FileStore store;
+  for (const char* path : {"/", "//x", "/a//b", "a/b", ""}) {
+    EXPECT_EQ(store.CreatePath(path, FileClass::kNormal, B("x")).code(),
+              ErrorCode::kInvalidArgument)
+        << path;
+  }
+  EXPECT_EQ(store.file_count(), 1u);  // no intermediate directory either
+  EXPECT_EQ(store.Find(store.root())->data, EncodeDirectory({}));
+}
+
+TEST(FileStoreTest, RenameRejectsUnreachableNames) {
+  FileStore store;
+  FileId d = *store.CreatePath("/d", FileClass::kNormal, B("x"));
+  std::vector<uint8_t> datum = store.Find(store.root())->data;
+  uint64_t version = store.Find(store.root())->version;
+  for (const char* name : kUnreachableNames) {
+    EXPECT_EQ(store.Rename(store.root(), "d", name, NodeId()).code(),
+              ErrorCode::kInvalidArgument)
+        << name;
+  }
+  EXPECT_EQ(store.Find(store.root())->data, datum);
+  EXPECT_EQ(store.Find(store.root())->version, version);
+  EXPECT_EQ(*store.Resolve("/d"), d);
+  EXPECT_EQ(store.Find(d)->name, "d");
+}
+
+TEST(FileStoreTest, LookupFindsTheFirstOfDuplicateNames) {
+  FileStore store;
+  FileId dir = *store.Mkdir(store.root(), "d", NodeId());
+  std::vector<DirEntry> entries = {
+      {"twin", FileId(40), kModeRead, FileClass::kNormal},
+      {"twin", FileId(41), kModeRead, FileClass::kNormal}};
+  ASSERT_TRUE(store.Apply(dir, EncodeDirectory(entries), NodeId()).ok());
+  EXPECT_EQ(*store.Lookup(dir, "twin"), FileId(40));
+}
+
+// Drives random namespace operations against a reference that runs each
+// one the old way: decode the directory datum, edit the entry list and
+// re-encode it. After every step each directory's datum bytes and version
+// must equal the reference's, so in-place edits keep every digest.
+class DirDatumReference {
+ public:
+  struct Dir {
+    std::vector<uint8_t> bytes;
+    uint64_t version = 1;
+  };
+
+  explicit DirDatumReference(const FileStore& store) {
+    dirs_[store.root()] = {store.Find(store.root())->data,
+                           store.Find(store.root())->version};
+  }
+
+  std::vector<DirEntry> Entries(FileId dir) const {
+    return *DecodeDirectory(dirs_.at(dir).bytes);
+  }
+  void Store(FileId dir, const std::vector<DirEntry>& entries) {
+    dirs_[dir].bytes = EncodeDirectory(entries);
+    dirs_[dir].version++;
+  }
+  std::map<FileId, Dir>& dirs() { return dirs_; }
+
+  void ExpectMatches(const FileStore& store, int step) const {
+    for (const auto& [id, dir] : dirs_) {
+      const FileRecord* rec = store.Find(id);
+      ASSERT_NE(rec, nullptr) << "step " << step;
+      ASSERT_EQ(rec->data, dir.bytes) << "step " << step << " dir " << id.value();
+      ASSERT_EQ(rec->version, dir.version) << "step " << step << " dir " << id.value();
+    }
+  }
+
+ private:
+  std::map<FileId, Dir> dirs_;
+};
+
+TEST(FileStoreTest, InPlaceDatumEditsMatchDecodeEditEncode) {
+  const std::vector<std::string> names = {
+      "a", "b", "c", "d", "e", "f", "g", "h",
+      std::string(70, 'L'), std::string(300, 'M'), "", "p/q"};
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    auto pick = [&rng](size_t n) {
+      return static_cast<size_t>(rng() % n);
+    };
+    FileStore store;
+    DirDatumReference ref(store);
+    std::vector<FileId> dirs = {store.root()};
+    for (int step = 0; step < 600; ++step) {
+      FileId dir = dirs[pick(dirs.size())];
+      const std::string& name = names[pick(names.size())];
+      std::vector<DirEntry> entries = ref.Entries(dir);
+      const DirEntry* existing = FindEntry(entries, name);
+      bool reachable = !name.empty() && name.find('/') == std::string::npos;
+      switch (pick(7)) {
+        case 0:
+        case 1: {  // Create or Mkdir
+          bool is_dir = pick(3) == 0;
+          FileClass cls = is_dir ? FileClass::kDirectory
+                                 : (pick(2) == 0 ? FileClass::kInstalled
+                                                 : FileClass::kNormal);
+          uint32_t mode = is_dir ? kModeRead | kModeWrite
+                                 : static_cast<uint32_t>(pick(8));
+          Result<FileId> made =
+              is_dir ? store.Mkdir(dir, name, NodeId())
+                     : store.Create(dir, name, cls, B("x"), mode, NodeId());
+          if (!reachable || existing != nullptr) {
+            ASSERT_FALSE(made.ok());
+            break;
+          }
+          ASSERT_TRUE(made.ok()) << made.error().ToString();
+          entries.push_back({name, *made, mode, cls});
+          ref.Store(dir, entries);
+          if (is_dir) {
+            dirs.push_back(*made);
+            ref.dirs()[*made] = {EncodeDirectory({}), 1};
+          }
+          break;
+        }
+        case 2: {  // Remove
+          Status removed = store.Remove(dir, name, NodeId());
+          if (existing == nullptr) {
+            ASSERT_EQ(removed.code(), ErrorCode::kNotFound);
+            break;
+          }
+          FileId victim = existing->file;
+          bool full = ref.dirs().count(victim) != 0 &&
+                      !ref.Entries(victim).empty();
+          if (full) {
+            ASSERT_EQ(removed.code(), ErrorCode::kConflict);
+            break;
+          }
+          ASSERT_TRUE(removed.ok()) << removed.ToString();
+          entries.erase(entries.begin() + (existing - entries.data()));
+          ref.Store(dir, entries);
+          ref.dirs().erase(victim);
+          dirs.erase(std::remove(dirs.begin(), dirs.end(), victim),
+                     dirs.end());
+          break;
+        }
+        case 3: {  // Rename an existing entry to `name`
+          if (entries.empty()) {
+            break;
+          }
+          DirEntry& from = entries[pick(entries.size())];
+          std::string from_name = from.name;
+          Status renamed = store.Rename(dir, from_name, name, NodeId());
+          if (!reachable) {
+            ASSERT_EQ(renamed.code(), ErrorCode::kInvalidArgument);
+            break;
+          }
+          if (existing != nullptr) {
+            ASSERT_EQ(renamed.code(), ErrorCode::kConflict);
+            break;
+          }
+          ASSERT_TRUE(renamed.ok()) << renamed.ToString();
+          for (DirEntry& e : entries) {
+            if (e.name == from_name) {
+              e.name = name;
+              break;
+            }
+          }
+          ref.Store(dir, entries);
+          break;
+        }
+        case 4: {  // Chmod an entry of this directory
+          if (entries.empty()) {
+            break;
+          }
+          FileId file = entries[pick(entries.size())].file;
+          uint32_t mode = static_cast<uint32_t>(pick(8));
+          ASSERT_TRUE(store.Chmod(file, mode, NodeId()).ok());
+          for (DirEntry& e : entries) {
+            if (e.file == file) {
+              e.mode = mode;
+            }
+          }
+          ref.Store(dir, entries);
+          if (ref.dirs().count(file) != 0) {
+            ref.dirs()[file].version++;  // a chmod is a write to the file
+          }
+          break;
+        }
+        case 5: {  // CoverDirectory: no datum changes
+          ASSERT_TRUE(store.CoverDirectory(dir).ok());
+          for (const DirEntry& e : entries) {
+            if (e.file_class == FileClass::kInstalled) {
+              EXPECT_EQ(store.CoverOf(e.file), store.CoverOf(dir));
+            }
+          }
+          break;
+        }
+        case 6: {  // Apply the same entries with ignored trailing bytes
+          std::vector<uint8_t> bytes = EncodeDirectory(entries);
+          size_t tail = 1 + pick(12);
+          for (size_t i = 0; i < tail; ++i) {
+            bytes.push_back(static_cast<uint8_t>(rng()));
+          }
+          ASSERT_TRUE(store.Apply(dir, bytes, NodeId()).ok());
+          ref.dirs()[dir].bytes = bytes;
+          ref.dirs()[dir].version++;
+          break;
+        }
+      }
+      ref.ExpectMatches(store, step);
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+TEST(FileStoreTest, FilesCoveredListsCoveredFilesInIdOrder) {
+  FileStore store;
+  FileId a = *store.CreatePath("/bin/a", FileClass::kInstalled, B("a"));
+  FileId b = *store.CreatePath("/bin/b", FileClass::kInstalled, B("b"));
+  FileId bin = *store.Resolve("/bin");
+  EXPECT_EQ(store.FilesCovered(store.CoverOf(a)), std::vector<FileId>{a});
+  ASSERT_TRUE(store.CoverDirectory(bin).ok());
+  EXPECT_EQ(store.FilesCovered(store.CoverOf(bin)),
+            (std::vector<FileId>{bin, a, b}));
+  ASSERT_TRUE(store.Remove(bin, "a", NodeId()).ok());
+  EXPECT_EQ(store.FilesCovered(store.CoverOf(bin)),
+            (std::vector<FileId>{bin, b}));
+  EXPECT_TRUE(store.FilesCovered(LeaseKey(999)).empty());
 }
 
 TEST(DurableMetaTest, SaveLoadAndWriteAccounting) {

@@ -50,12 +50,14 @@ fi
 # fs_test, cache_client_test and timer_queue_test cover the grant path's
 # index and lifetime code: the file store's id table, the client cache's
 # intrusive LRU list and per-key counts, and the runtime timer queue's slot
-# table and closure hand-off.
+# table and closure hand-off. fs_test and dir_codec_test also drive the
+# directory walker's offset arithmetic and the store's in-place datum
+# edits across every byte boundary of their sample datums.
 targets=(scheduler_test sim_test net_test proto_test fastpath_alloc_test
          runtime_test event_loop_test timer_queue_test storage_test
          journal_crash_test shard_test shard_concurrency_test swarm_test
          engine_test replica_test runtime_replica_test clock_health_test
-         fs_test cache_client_test)
+         fs_test dir_codec_test cache_client_test)
 
 cmake --preset "$preset"
 cmake --build --preset "$preset" -j"${LEASES_SANITIZER_JOBS:-$(nproc)}" \
