@@ -95,7 +95,44 @@ Oracle::ReadToken CacheClient::BeginRead(FileId file) {
   return Oracle::ReadToken{};
 }
 
+bool CacheClient::ReadCached(FileId file, ReadResult* result) {
+  auto it = cache_.find(file);
+  if (it == cache_.end()) {
+    return false;
+  }
+  Entry& entry = it->second;
+  // A temporary file is served without a lease. Anything else -- write-back
+  // staged data included -- needs a valid lease on a datum not suspect.
+  const bool temporary =
+      !entry.dirty && entry.file_class == FileClass::kTemporary;
+  const TimePoint now = clock_->Now();
+  if (!temporary && (entry.suspect || !LeaseValid(entry.key, now))) {
+    return false;
+  }
+  Touch(entry, now);
+  ++stats_.reads;
+  ++stats_.local_reads;
+  result->file = file;
+  result->version = entry.version;
+  result->from_cache = true;
+  if (entry.dirty) {
+    // Write-back staging: our copy is newer than the server's.
+    result->data = entry.dirty_data;
+    return true;
+  }
+  if (oracle_ != nullptr) {
+    oracle_->EndRead(BeginRead(file), entry.version);
+  }
+  result->data = entry.data;
+  return true;
+}
+
 void CacheClient::Read(FileId file, ReadCallback cb) {
+  ReadResult hit;
+  if (ReadCached(file, &hit)) {
+    cb(std::move(hit));
+    return;
+  }
   ++stats_.reads;
   ReadWaiter waiter;
   waiter.file = file;
@@ -106,41 +143,17 @@ void CacheClient::Read(FileId file, ReadCallback cb) {
   }
 
   auto it = cache_.find(file);
-  if (it != cache_.end()) {
-    Entry& entry = it->second;
-    if (entry.dirty) {
-      // Write-back staging: our copy is newer than the server's.
-      if (LeaseValid(entry.key) && !entry.suspect) {
-        Touch(entry);
-        ++stats_.local_reads;
-        ReadResult result;
-        result.file = file;
-        result.version = entry.version;
-        result.data = entry.dirty_data;
-        result.from_cache = true;
-        waiter.cb(std::move(result));
+  if (it != cache_.end() && it->second.dirty) {
+    // Lease lapsed under staged data: flush first, then read normally.
+    FlushEntry(file, [this, file, retry = std::move(waiter.cb)](
+                         Result<WriteResult> flushed) mutable {
+      if (!flushed.ok()) {
+        retry(flushed.error());
         return;
       }
-      // Lease lapsed under staged data: flush first, then read normally.
-      ReadCallback retry = std::move(waiter.cb);
-      FlushEntry(file, [this, file, retry = std::move(retry)](
-                           Result<WriteResult> flushed) mutable {
-        if (!flushed.ok()) {
-          retry(flushed.error());
-          return;
-        }
-        Read(file, std::move(retry));
-      });
-      return;
-    }
-    bool local = entry.file_class == FileClass::kTemporary ||
-                 (LeaseValid(entry.key) && !entry.suspect);
-    if (local) {
-      Touch(entry);
-      ++stats_.local_reads;
-      FinishRead(waiter, entry, /*from_cache=*/true);
-      return;
-    }
+      Read(file, std::move(retry));
+    });
+    return;
   }
 
   auto inflight = fetch_for_file_.find(file);
@@ -352,7 +365,7 @@ void CacheClient::OnReadReply(const ReadReply& m) {
     SetKey(entry, m.lease.key);
     entry.suspect = false;  // this reply revalidated the datum
   }
-  Touch(entry);
+  Touch(entry, clock_->Now());
   if (poisoned) {
     // We relinquished this cover key while the fetch was on the wire: the
     // grant may predate the relinquish on the server, so it cannot be
@@ -447,7 +460,7 @@ void CacheClient::OnExtendReply(const ExtendReply& m) {
       continue;
     }
     Entry& entry = EntryFor(waiter.file);
-    Touch(entry);
+    Touch(entry, clock_->Now());
     FinishRead(waiter, entry, /*from_cache=*/false);
   }
 }
@@ -465,7 +478,7 @@ void CacheClient::Write(FileId file, std::vector<uint8_t> data,
     Entry& entry = it->second;
     entry.data = std::move(data);
     entry.version++;
-    Touch(entry);
+    Touch(entry, clock_->Now());
     ++stats_.temp_local_writes;
     WriteResult result;
     result.file = file;
@@ -484,7 +497,7 @@ void CacheClient::StageWriteBack(FileId file, Entry& entry,
                                  std::vector<uint8_t> data, WriteCallback cb) {
   entry.dirty = true;
   entry.dirty_data = std::move(data);
-  Touch(entry);
+  Touch(entry, clock_->Now());
   if (!entry.flush_timer.valid()) {
     entry.flush_timer = timers_->ScheduleAfter(
         params_.write_back_delay,
@@ -632,7 +645,7 @@ void CacheClient::OnWriteReply(const WriteReply& m) {
       entry.data = std::move(op.data);
       entry.version = m.version;
     }
-    Touch(entry);
+    Touch(entry, clock_->Now());
     if (op.is_flush) {
       ++stats_.write_back_flushes;
     }
@@ -757,7 +770,7 @@ void CacheClient::AcceptLease(const LeaseGrant& grant, FileId validated,
   if (!grant.key.valid()) {
     return;
   }
-  if (!LeaseValid(grant.key)) {
+  if (!LeaseValid(grant.key, clock_->Now())) {
     // The lease lapsed before this renewal: a write may have committed in
     // the gap (for installed keys, that is precisely how writes are
     // ordered). Every other datum under the key must revalidate before it
@@ -821,9 +834,9 @@ void CacheClient::AcceptLease(const LeaseGrant& grant, FileId validated,
   }
 }
 
-bool CacheClient::LeaseValid(LeaseKey key) const {
+bool CacheClient::LeaseValid(LeaseKey key, TimePoint now) const {
   auto it = lease_expiry_.find(key);
-  return it != lease_expiry_.end() && it->second > clock_->Now();
+  return it != lease_expiry_.end() && it->second > now;
 }
 
 // --- Dynamic self-invalidation ---
@@ -957,7 +970,8 @@ void CacheClient::RelinquishKeyIfUnused(LeaseKey key) {
 }
 
 void CacheClient::RelinquishIdle(Duration idle) {
-  TimePoint cutoff = clock_->Now() - idle;
+  const TimePoint now = clock_->Now();
+  const TimePoint cutoff = now - idle;
   std::unordered_map<LeaseKey, bool> key_idle;
   for (const auto& [file, entry] : cache_) {
     bool entry_idle = entry.last_access <= cutoff && !entry.dirty;
@@ -968,7 +982,7 @@ void CacheClient::RelinquishIdle(Duration idle) {
   }
   Relinquish msg;
   for (const auto& [key, is_idle] : key_idle) {
-    if (is_idle && LeaseValid(key)) {
+    if (is_idle && LeaseValid(key, now)) {
       msg.keys.push_back(key);
       lease_expiry_.erase(key);
       ++stats_.keys_relinquished;
@@ -1011,8 +1025,8 @@ CacheClient::Entry& CacheClient::EntryFor(FileId file) {
   return entry;
 }
 
-void CacheClient::Touch(Entry& entry) {
-  entry.last_access = clock_->Now();
+void CacheClient::Touch(Entry& entry, TimePoint now) {
+  entry.last_access = now;
   if (lru_tail_ == &entry) {
     return;
   }
@@ -1141,7 +1155,7 @@ bool CacheClient::HasCached(FileId file) const {
 
 bool CacheClient::HasValidLease(FileId file) const {
   auto it = cache_.find(file);
-  return it != cache_.end() && LeaseValid(it->second.key);
+  return it != cache_.end() && LeaseValid(it->second.key, clock_->Now());
 }
 
 void CacheClient::SendToServer(MessageClass cls, Packet packet) {

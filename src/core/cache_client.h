@@ -27,6 +27,10 @@
 // stages dirty data and flushes it on a timer, on Flush(), or before
 // approving another client's write.
 //
+// ReadCached is the one place a local read is decided and served: a
+// synchronous hit that reads the clock once and allocates only the returned
+// bytes. Read tries it first, so callback and direct callers share it.
+//
 // The class is single-threaded: all calls (API and packet delivery) must
 // come from the owning event loop or simulator.
 #ifndef SRC_CORE_CACHE_CLIENT_H_
@@ -131,6 +135,14 @@ class CacheClient : public PacketHandler {
   // Resolves a '/'-separated absolute path through cached, leased directory
   // data; permission bits are checked from the cached bindings.
   void Open(const std::string& path, OpenCallback cb);
+  // Serves `file` from the cache and returns true when the datum may be read
+  // locally: a temporary file always; anything else under a valid lease and
+  // not suspect, a write-back dirty entry from its staged data. Otherwise
+  // returns false having changed nothing (Read then fetches, extends or
+  // flushes). `result` is overwritten only on a hit.
+  bool ReadCached(FileId file, ReadResult* result);
+  // ReadCached, calling `cb` at once on a hit; a miss completes `cb` when
+  // the server replies.
   void Read(FileId file, ReadCallback cb);
   void Write(FileId file, std::vector<uint8_t> data, WriteCallback cb);
   // Write-back mode: pushes staged data through now.
@@ -231,7 +243,6 @@ class CacheClient : public PacketHandler {
   };
 
   // --- Reads ---
-  void ServeLocal(const Entry& entry, FileId file, ReadWaiter waiter);
   void StartFetch(FileId file, ReadWaiter waiter);
   void StartExtension(FileId focus, ReadWaiter waiter);
   std::vector<ExtendItem> CollectExtensionItems(FileId focus);
@@ -279,7 +290,7 @@ class CacheClient : public PacketHandler {
   // transit_allowance bound alone.
   void AcceptLease(const LeaseGrant& grant, FileId validated = FileId(),
                    TimePoint anchor = TimePoint::Max());
-  bool LeaseValid(LeaseKey key) const;
+  bool LeaseValid(LeaseKey key, TimePoint now) const;
   void MaybeScheduleAnticipation();
   void AnticipationTick();
 
@@ -312,8 +323,9 @@ class CacheClient : public PacketHandler {
   // Finds or creates the entry for `file`. A new entry has not been touched
   // yet, so it goes to the least-recent end.
   Entry& EntryFor(FileId file);
-  // Records an access now: stamps last_access, moves to the most-recent end.
-  void Touch(Entry& entry);
+  // Records an access at `now`: stamps last_access, moves to the
+  // most-recent end.
+  void Touch(Entry& entry, TimePoint now);
   void SetKey(Entry& entry, LeaseKey key);
   // Returns whether `file` was cached.
   bool EraseEntry(FileId file);

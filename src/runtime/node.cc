@@ -60,6 +60,23 @@ class Waiter {
   std::shared_ptr<State> state_ = std::make_shared<State>();
 };
 
+// Waits for a call already started on `loop` to complete `waiter`. A call
+// that completed inline returns at once, without reading the clock. A
+// pending one waits by leading the loop: the reply wakes this thread, which
+// runs the callback itself. When the loop is busy or another caller leads,
+// that thread runs the callback and wakes this one.
+template <typename T>
+Result<T> Await(EventLoop& loop, Waiter<T>& waiter, Duration timeout) {
+  if (waiter.ready()) {
+    return waiter.Take();
+  }
+  const EventLoop::SteadyPoint deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::microseconds(timeout.ToMicros());
+  loop.Lead(deadline, [&waiter]() { return waiter.ready(); });
+  return waiter.Wait(deadline);
+}
+
 }  // namespace
 
 RuntimeServer::RuntimeServer(NodeId id, EngineConfig config)
@@ -206,24 +223,13 @@ Result<T> RuntimeClient::Blocking(Call call, Duration timeout) {
               cb = waiter.MakeCallback()]() mutable {
     call(*client_, std::move(cb));
   };
-  // An idle loop lets the call run right here: a cache hit completes with
-  // no thread switch, and a miss puts its request on the wire from this
-  // thread. Otherwise the call queues behind the loop's work.
+  // An idle loop lets the call run right here, so a miss puts its request
+  // on the wire from this thread. Otherwise the call queues behind the
+  // loop's work.
   if (!loop_->TryRunHere(run)) {
     loop_->Post(std::move(run));
   }
-  // A call that completed here (a hit) never reads the clock.
-  if (waiter.ready()) {
-    return waiter.Take();
-  }
-  // A miss waits by leading the loop: the reply wakes this thread, which
-  // runs the callback itself. When the loop is busy or another caller
-  // leads, that thread runs the callback and wakes this one.
-  const EventLoop::SteadyPoint deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::microseconds(timeout.ToMicros());
-  loop_->Lead(deadline, [&waiter]() { return waiter.ready(); });
-  return waiter.Wait(deadline);
+  return Await(*loop_, waiter, timeout);
 }
 
 Result<OpenResult> RuntimeClient::Open(const std::string& path,
@@ -236,11 +242,25 @@ Result<OpenResult> RuntimeClient::Open(const std::string& path,
 }
 
 Result<ReadResult> RuntimeClient::Read(FileId file, Duration timeout) {
-  return Blocking<ReadResult>(
-      [file](CacheClient& client, ReadCallback cb) {
-        client.Read(file, std::move(cb));
-      },
-      timeout);
+  LEASES_CHECK(client_ != nullptr);
+  // A hit is served right here by the cache's synchronous hit path: no
+  // callback, no waiter, no thread switch. A miss starts its fetch in the
+  // same unit of loop work and waits like any other blocking call.
+  ReadResult hit;
+  std::optional<Waiter<ReadResult>> miss;
+  const bool ran = loop_->TryRunHere([this, file, &hit, &miss]() {
+    if (!client_->ReadCached(file, &hit)) {
+      client_->Read(file, miss.emplace().MakeCallback());
+    }
+  });
+  if (!ran) {
+    loop_->Post([this, file, cb = miss.emplace().MakeCallback()]() mutable {
+      client_->Read(file, std::move(cb));
+    });
+  } else if (!miss.has_value()) {
+    return hit;
+  }
+  return Await(*loop_, *miss, timeout);
 }
 
 Result<WriteResult> RuntimeClient::Write(FileId file,

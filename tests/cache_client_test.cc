@@ -299,20 +299,39 @@ class RecordingTransport : public Transport {
   std::vector<Packet> sent;
 };
 
+// Counts the reads of the clock it passes through.
+class CountingClock : public Clock {
+ public:
+  explicit CountingClock(const Clock* inner) : inner_(inner) {}
+  TimePoint Now() const override {
+    ++reads;
+    return inner_->Now();
+  }
+  mutable uint64_t reads = 0;
+
+ private:
+  const Clock* inner_;
+};
+
 class ScriptedServerRig {
  public:
   explicit ScriptedServerRig(ClientParams params)
       : clock_(&sim_, ClockModel::Perfect()),
         timers_(&sim_, &clock_),
-        client_(kClient, kServer, FileId(1), &transport_, &clock_, &timers_,
-                params, /*oracle=*/nullptr) {}
+        counting_(&clock_),
+        client_(kClient, kServer, FileId(1), &transport_, &counting_,
+                &timers_, params, /*oracle=*/nullptr) {}
 
   CacheClient& client() { return client_; }
+  // The client's clock reads so far.
+  uint64_t clock_reads() const { return counting_.reads; }
+  size_t sent() const { return transport_.sent.size(); }
 
   // Reads `file`, which must miss, and answers the fetch with a grant of
   // `key` for `term`.
   void Fetch(FileId file, LeaseKey key,
-             Duration term = Duration::Seconds(10)) {
+             Duration term = Duration::Seconds(10),
+             FileClass file_class = FileClass::kNormal) {
     size_t before = transport_.sent.size();
     bool done = false;
     client_.Read(file, [&done](Result<ReadResult> r) {
@@ -327,6 +346,7 @@ class ScriptedServerRig {
     reply.req = request->req;
     reply.file = file;
     reply.version = 1;
+    reply.file_class = file_class;
     reply.lease = LeaseGrant{key, term};
     reply.data = Bytes("x");
     client_.HandleTyped(kServer, MessageClass::kData, reply);
@@ -366,6 +386,7 @@ class ScriptedServerRig {
   Simulator sim_;
   SimClock clock_;
   SimTimerHost timers_;
+  CountingClock counting_;
   RecordingTransport transport_;
   CacheClient client_;
 };
@@ -518,6 +539,131 @@ TEST(CacheIndexTest, InstalledRenewalReachesKeysOnlyCachedEntriesUse) {
   EXPECT_TRUE(rig.client().HasValidLease(FileId(10)));
   EXPECT_EQ(rig.client().stats().installed_renewals, 1u);  // not key 7
   EXPECT_EQ(rig.client().lease_count(), 1u);
+}
+
+// --- The synchronous hit path ---
+
+TEST(ReadCachedTest, AHitReadsTheClockOnce) {
+  ScriptedServerRig rig(ClientParams{});
+  rig.Fetch(FileId(10), LeaseKey(10));
+  uint64_t before = rig.clock_reads();
+  ReadResult result;
+  ASSERT_TRUE(rig.client().ReadCached(FileId(10), &result));
+  EXPECT_EQ(rig.clock_reads() - before, 1u);
+  EXPECT_EQ(result.file, FileId(10));
+  EXPECT_EQ(result.version, 1u);
+  EXPECT_EQ(Text(result.data), "x");
+  EXPECT_TRUE(result.from_cache);
+  // A callback read's hit is the same code.
+  before = rig.clock_reads();
+  ASSERT_TRUE(rig.ReadsLocally(FileId(10)));
+  EXPECT_EQ(rig.clock_reads() - before, 1u);
+}
+
+TEST(ReadCachedTest, RefusesAndChangesNothingWithoutAServableDatum) {
+  ScriptedServerRig rig(TinyCache(4));
+  const LeaseKey dir_key(100);
+  rig.Fetch(FileId(10), dir_key, Duration::Seconds(2));
+  rig.Fetch(FileId(11), dir_key, Duration::Seconds(2));
+  rig.Fetch(FileId(12), LeaseKey(12), Duration::Seconds(60));
+  rig.Advance(Duration::Seconds(3));  // the directory key lapses
+  auto refuses = [&rig](FileId file) {
+    const ClientStats stats = rig.client().stats();
+    const size_t sent = rig.sent();
+    ReadResult result;
+    result.version = 99;
+    bool served = rig.client().ReadCached(file, &result);
+    return !served && result.version == 99 && result.data.empty() &&
+           !result.from_cache && rig.client().stats() == stats &&
+           rig.sent() == sent;
+  };
+  EXPECT_TRUE(refuses(FileId(99)));  // not cached
+  EXPECT_TRUE(refuses(FileId(10)));  // lease lapsed
+  // A fresh grant of the lapsed key leaves 11 leased but suspect.
+  rig.Fetch(FileId(13), dir_key, Duration::Seconds(60));
+  ASSERT_TRUE(rig.client().HasValidLease(FileId(11)));
+  EXPECT_TRUE(refuses(FileId(11)));
+  // Neither refusal touched its entry: 10 is still the least recently
+  // touched, so it is the one a fifth file evicts.
+  rig.Fetch(FileId(14), LeaseKey(14));
+  EXPECT_FALSE(rig.client().HasCached(FileId(10)));
+  EXPECT_TRUE(rig.client().HasCached(FileId(11)));
+}
+
+TEST(ReadCachedTest, ServesTemporariesWithoutALease) {
+  ScriptedServerRig rig(ClientParams{});
+  rig.Fetch(FileId(10), LeaseKey(10), Duration::Seconds(2),
+            FileClass::kTemporary);
+  rig.Advance(Duration::Seconds(3));
+  ASSERT_FALSE(rig.client().HasValidLease(FileId(10)));
+  ReadResult result;
+  ASSERT_TRUE(rig.client().ReadCached(FileId(10), &result));
+  EXPECT_EQ(Text(result.data), "x");
+  EXPECT_TRUE(result.from_cache);
+  EXPECT_EQ(rig.client().stats().local_reads, 1u);
+}
+
+TEST(ReadCachedTest, ServesWriteBackDirtyDataUnderAValidLease) {
+  ClientParams params;
+  params.write_back = true;
+  params.write_back_delay = Duration::Seconds(60);  // stays dirty
+  ScriptedServerRig rig(params);
+  rig.Fetch(FileId(10), LeaseKey(10), Duration::Seconds(2));
+  bool staged = false;
+  rig.client().Write(FileId(10), Bytes("dirty"),
+                     [&staged](Result<WriteResult> r) {
+                       staged = r.ok() && r->staged;
+                     });
+  ASSERT_TRUE(staged);
+  ReadResult result;
+  ASSERT_TRUE(rig.client().ReadCached(FileId(10), &result));
+  EXPECT_EQ(Text(result.data), "dirty");
+  EXPECT_EQ(result.version, 1u);
+  EXPECT_TRUE(result.from_cache);
+  // Past the lease the staged data must be flushed before it is read.
+  rig.Advance(Duration::Seconds(3));
+  ReadResult lapsed;
+  EXPECT_FALSE(rig.client().ReadCached(FileId(10), &lapsed));
+  EXPECT_TRUE(lapsed.data.empty());
+}
+
+// Runs one sequence of reads -- hits of every kind, a lapsed lease, a miss
+// -- through Read's callbacks or, when `direct`, through ReadCached with
+// Read only on a refusal (as RuntimeClient::Read does).
+ClientStats ReadSequenceStats(bool direct) {
+  ClientParams params;
+  params.write_back = true;
+  params.write_back_delay = Duration::Seconds(60);
+  ScriptedServerRig rig(params);
+  auto read = [&rig, direct](FileId file) {
+    ReadResult result;
+    if (!direct || !rig.client().ReadCached(file, &result)) {
+      rig.client().Read(file, [](Result<ReadResult>) {});
+    }
+  };
+  rig.Fetch(FileId(10), LeaseKey(10), Duration::Seconds(2));
+  rig.Fetch(FileId(11), LeaseKey(11), Duration::Seconds(60));
+  rig.Fetch(FileId(12), LeaseKey(12), Duration::Seconds(2),
+            FileClass::kTemporary);
+  for (uint64_t f : {10, 11, 12, 10}) {
+    read(FileId(f));
+  }
+  rig.client().Write(FileId(11), Bytes("dirty"), [](Result<WriteResult>) {});
+  read(FileId(11));
+  rig.Advance(Duration::Seconds(3));
+  for (uint64_t f : {10, 11, 12, 99}) {  // 10 extends, 99 fetches
+    read(FileId(f));
+  }
+  return rig.client().stats();
+}
+
+TEST(ReadCachedTest, CountersMatchTheCallbackPath) {
+  ClientStats callbacks = ReadSequenceStats(/*direct=*/false);
+  EXPECT_EQ(callbacks, ReadSequenceStats(/*direct=*/true));
+  EXPECT_EQ(callbacks.reads, 3u + 9u);  // three fetches, nine reads
+  EXPECT_EQ(callbacks.local_reads, 7u);
+  EXPECT_EQ(callbacks.extend_requests, 1u);
+  EXPECT_EQ(callbacks.remote_fetches, 4u);
 }
 
 }  // namespace

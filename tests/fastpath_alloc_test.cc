@@ -3,8 +3,9 @@
 // performs no heap allocation at all, and neither does the UDP send path,
 // whether a shard's batcher or UdpTransport::Send from loop work, with
 // several records coalesced per datagram, nor arming and cancelling an
-// EventLoop timer, nor a file-store lookup that hits in a large directory
-// -- counted by replacing global operator new/delete.
+// EventLoop timer, nor a file-store lookup that hits in a large directory;
+// and a RuntimeClient read hit allocates only the data it returns -- counted
+// by replacing global operator new/delete.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -21,6 +22,7 @@
 #include "src/fs/file_store.h"
 #include "src/net/sim_network.h"
 #include "src/runtime/event_loop.h"
+#include "src/runtime/node.h"
 #include "src/runtime/udp_transport.h"
 #include "src/sim/simulator.h"
 
@@ -276,6 +278,36 @@ TEST(FastPathAllocTest, DirectoryLookupHitDoesNotAllocate) {
   uint64_t after = g_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "directory lookup hit allocated";
   EXPECT_EQ(hits, names.size());
+}
+
+TEST(FastPathAllocTest, RuntimeReadHitAllocatesOnlyItsData) {
+  EngineConfig config;
+  config.term = Duration::Seconds(60);  // no lease lapses during the test
+  RuntimeServer server(NodeId(1), config);
+  FileId file = *server.store().CreatePath(
+      "/f", FileClass::kNormal, std::vector<uint8_t>(256, 0x5a));
+  ASSERT_TRUE(server.Start().ok());
+  RuntimeClient client(NodeId(2), NodeId(1), server.store().root(),
+                       ClientParams{});
+  ASSERT_TRUE(client.Start(server.port()).ok());
+  server.AddPeer(NodeId(2), client.port());
+  for (int i = 0; i < 20; ++i) {  // the first read fetches; the rest warm up
+    ASSERT_TRUE(client.Read(file).ok());
+  }
+  // Each hit runs inline on this thread while both loops sleep, so the
+  // count is this thread's alone: the returned data buffer, nothing else.
+  for (int i = 0; i < 200; ++i) {
+    uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    Result<ReadResult> r = client.Read(file);
+    uint64_t after = g_allocs.load(std::memory_order_relaxed);
+    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(r->from_cache);
+    ASSERT_EQ(r->data.size(), 256u);
+    EXPECT_EQ(after - before, 1u) << "read hit " << i;
+  }
+  EXPECT_EQ(client.stats().remote_fetches, 1u);
+  client.Stop();
+  server.Stop();
 }
 
 }  // namespace

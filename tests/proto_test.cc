@@ -1,9 +1,12 @@
 // Unit tests for the wire protocol: full round-trips for every message,
-// truncation safety and garbage-input robustness.
+// truncation safety, garbage-input robustness and byte-boundary fuzzing.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "src/proto/messages.h"
 #include "src/sim/rng.h"
+#include "tests/packet_samples.h"
 
 namespace leases {
 namespace {
@@ -386,6 +389,49 @@ TEST(ProtoTest, RandomGarbageNeverCrashesTheDecoder) {
     (void)DecodePacket(garbage);  // must not crash or overread
   }
   SUCCEED();
+}
+
+// Deterministic byte-boundary fuzzing of the decoder: every byte of one
+// sample of each packet type flipped (xor 0x01, 0x80 and 0xff), and every
+// 4-byte window overwritten with 0xff. Each mutant must fail to decode, or
+// decode to a packet whose encoding is canonical: it decodes again and
+// re-encodes to the same bytes.
+TEST(ProtoTest, EveryByteFlipAndRunFailsOrReencodesCanonically) {
+  size_t cases = 0;
+  size_t decoded = 0;
+  auto check = [&cases, &decoded](const Packet& sample,
+                                  const std::vector<uint8_t>& mutant,
+                                  size_t at) {
+    ++cases;
+    std::optional<Packet> packet = DecodePacket(mutant);
+    if (!packet.has_value()) {
+      return;
+    }
+    ++decoded;
+    std::vector<uint8_t> once = EncodePacket(*packet);
+    std::optional<Packet> again = DecodePacket(once);
+    ASSERT_TRUE(again.has_value()) << PacketName(sample) << " at " << at;
+    EXPECT_EQ(EncodePacket(*again), once) << PacketName(sample) << " at "
+                                          << at;
+  };
+  for (const Packet& sample : OneOfEveryPacket()) {
+    const std::vector<uint8_t> bytes = EncodePacket(sample);
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      for (uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xff}}) {
+        std::vector<uint8_t> mutant = bytes;
+        mutant[i] ^= mask;
+        check(sample, mutant, i);
+      }
+    }
+    for (size_t i = 0; i + 4 <= bytes.size(); ++i) {
+      std::vector<uint8_t> mutant = bytes;
+      std::fill_n(mutant.begin() + static_cast<ptrdiff_t>(i), 4, 0xff);
+      check(sample, mutant, i);
+    }
+  }
+  // Both outcomes occur, so the sweep reaches past the type byte.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(cases - decoded, 0u);
 }
 
 }  // namespace

@@ -325,5 +325,100 @@ TEST(JournalBackendTest, DurableMetaOverJournalSurvivesProcessRestart) {
   EXPECT_EQ(meta.Load("boot_count").value_or(0), 1);
 }
 
+// Deterministic byte-boundary fuzzing of journal replay: every byte of a
+// 3-record journal flipped (xor 0x01 and 0xff), and every truncation. Damage
+// with an intact record after it is bit rot, which Replay refuses with
+// kCorrupt; damage to the last record, or a cut, is a crashed append's tail,
+// which Replay drops, delivering exactly the records before it. After a
+// successful Replay the repaired journal takes one more Append and replays
+// as that prefix plus the new record.
+TEST(JournalBackendTest, EveryFlipAndTruncationReplaysAPrefixOrIsRefused) {
+  ScratchDir dir("journal_fuzz");
+  const std::string path = dir.path() + "/journal";
+  const std::vector<MetaRecord> appended = {
+      {"k0", 0, false}, {"key one", -1, false}, {"k2", 2, true}};
+  // ends[i]: the journal's size once records 0..i are on disk.
+  std::vector<uint64_t> ends;
+  {
+    JournalBackend journal(dir.path());
+    ASSERT_TRUE(journal.Open().ok());
+    for (const MetaRecord& record : appended) {
+      ASSERT_TRUE(journal.Append(record).ok());
+      ends.push_back(FileSize(path));
+    }
+  }
+  std::vector<uint8_t> intact(ends.back());
+  {
+    std::ifstream in(path, std::ios::binary);
+    in.read(reinterpret_cast<char*>(intact.data()),
+            static_cast<std::streamsize>(intact.size()));
+    ASSERT_TRUE(in.good());
+  }
+  auto same = [](const MetaRecord& a, const MetaRecord& b) {
+    return a.key == b.key && a.value == b.value && a.erase == b.erase;
+  };
+  const MetaRecord extra{"after", 7, false};
+  size_t prefixes = 0;
+  size_t refused = 0;
+  // `whole` is how many records lie wholly before the damage; `rot` says
+  // whether an intact record follows it.
+  auto check = [&](const std::vector<uint8_t>& bytes, size_t whole, bool rot,
+                   const std::string& what) {
+    std::filesystem::remove_all(dir.path());
+    std::filesystem::create_directories(dir.path());
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+    JournalBackend journal(dir.path());
+    ASSERT_TRUE(journal.Open().ok()) << what;
+    std::vector<MetaRecord> records;
+    Status replayed =
+        journal.Replay([&records](const MetaRecord& r) { records.push_back(r); });
+    if (rot) {
+      EXPECT_EQ(replayed.code(), ErrorCode::kCorrupt) << what;
+      ++refused;
+      return;
+    }
+    ASSERT_TRUE(replayed.ok()) << what;
+    ASSERT_EQ(records.size(), whole) << what;
+    for (size_t i = 0; i < whole; ++i) {
+      EXPECT_TRUE(same(records[i], appended[i])) << what << " record " << i;
+    }
+    ++prefixes;
+    ASSERT_TRUE(journal.Append(extra).ok()) << what;
+    JournalBackend reopened(dir.path());
+    ASSERT_TRUE(reopened.Open().ok()) << what;
+    std::vector<MetaRecord> after = Drain(reopened);
+    ASSERT_EQ(after.size(), whole + 1) << what;
+    EXPECT_TRUE(same(after.back(), extra)) << what;
+  };
+  for (size_t i = 0; i < intact.size(); ++i) {
+    // The record holding byte i, and the count before it.
+    size_t record = 0;
+    while (ends[record] <= i) {
+      ++record;
+    }
+    for (uint8_t mask : {uint8_t{0x01}, uint8_t{0xff}}) {
+      std::vector<uint8_t> bytes = intact;
+      bytes[i] ^= mask;
+      check(bytes, record, record + 1 < appended.size(),
+            "flip " + std::to_string(mask) + " at " + std::to_string(i));
+    }
+  }
+  for (size_t keep = 0; keep <= intact.size(); ++keep) {
+    size_t whole = 0;
+    while (whole < ends.size() && ends[whole] <= keep) {
+      ++whole;
+    }
+    check(std::vector<uint8_t>(intact.begin(),
+                               intact.begin() + static_cast<ptrdiff_t>(keep)),
+          whole, false, "cut at " + std::to_string(keep));
+  }
+  EXPECT_EQ(prefixes + refused, 3 * intact.size() + 1);
+  EXPECT_GT(refused, 0u);
+}
+
 }  // namespace
 }  // namespace leases
