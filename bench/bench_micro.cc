@@ -41,7 +41,7 @@ void BM_EncodeReadReply(benchmark::State& state) {
   reply.file = FileId(7);
   reply.version = 99;
   reply.lease = LeaseGrant{LeaseKey(7), Duration::Seconds(10)};
-  reply.data.assign(static_cast<size_t>(state.range(0)), 0xAB);
+  reply.data = std::vector<uint8_t>(static_cast<size_t>(state.range(0)), 0xAB);
   for (auto _ : state) {
     benchmark::DoNotOptimize(EncodePacket(Packet(reply)));
   }
@@ -53,7 +53,7 @@ void BM_DecodeReadReply(benchmark::State& state) {
   ReadReply reply;
   reply.req = RequestId(42);
   reply.file = FileId(7);
-  reply.data.assign(static_cast<size_t>(state.range(0)), 0xAB);
+  reply.data = std::vector<uint8_t>(static_cast<size_t>(state.range(0)), 0xAB);
   std::vector<uint8_t> bytes = EncodePacket(Packet(reply));
   for (auto _ : state) {
     benchmark::DoNotOptimize(DecodePacket(bytes));
@@ -165,7 +165,7 @@ void BM_FileStoreApply(benchmark::State& state) {
   FileStore store;
   FileId file = *store.CreatePath("/bench", FileClass::kNormal,
                                   std::vector<uint8_t>(256, 1));
-  std::vector<uint8_t> data(256, 2);
+  const SharedBytes data(std::vector<uint8_t>(256, 2));
   for (auto _ : state) {
     benchmark::DoNotOptimize(store.Apply(file, data, NodeId()));
   }
@@ -397,7 +397,7 @@ class PumpNode : public PacketHandler {
     m.file = FileId(7);
     m.version = 9;
     m.lease = LeaseGrant{LeaseKey(7), Duration::Seconds(10)};
-    m.data.assign(512, 0xAB);
+    m.data = std::vector<uint8_t>(512, 0xAB);
     return m;
   }
 

@@ -112,7 +112,7 @@ inline ShardBenchResult RunShardBench(size_t num_shards, size_t num_files,
         WriteRequest m;
         m.req = RequestId(req++);
         m.file = file;
-        m.data = payload;
+        m.data = SharedBytes(payload);
         stream[shard].push_back(
             {client, MessageClass::kData, Packet(std::move(m))});
       }

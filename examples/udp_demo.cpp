@@ -4,6 +4,7 @@
 //
 // Build & run:  ./build/examples/udp_demo    (takes ~4 wall-clock seconds)
 #include <chrono>
+#include <span>
 #include <cstdio>
 #include <thread>
 
@@ -17,7 +18,7 @@ std::vector<uint8_t> B(const std::string& s) {
   return std::vector<uint8_t>(s.begin(), s.end());
 }
 
-std::string T(const std::vector<uint8_t>& b) {
+std::string T(std::span<const uint8_t> b) {
   return std::string(b.begin(), b.end());
 }
 

@@ -102,7 +102,7 @@ class BaselineClient : public PacketHandler {
 
  protected:
   struct Entry {
-    std::vector<uint8_t> data;
+    SharedBytes data;
     uint64_t version = 0;
     TimePoint fetched_at;
   };
@@ -132,7 +132,7 @@ class BaselineClient : public PacketHandler {
     bool is_write = false;
     bool is_validate = false;
     uint64_t have_version = 0;
-    std::vector<uint8_t> data;
+    SharedBytes data;
     ReadCallback read_cb;
     WriteCallback write_cb;
     Oracle::ReadToken token;

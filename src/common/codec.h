@@ -87,16 +87,20 @@ class Reader {
     return Id(static_cast<typename Id::rep_type>(ReadU64()));
   }
 
-  std::vector<uint8_t> ReadBytes() {
+  // Length-prefixed bytes as a view into the input; empty on a short read.
+  std::span<const uint8_t> ReadByteView() {
     uint32_t n = ReadU32();
     if (n > Remaining()) {
       ok_ = false;
       return {};
     }
-    std::vector<uint8_t> out(data_.begin() + static_cast<ptrdiff_t>(pos_),
-                             data_.begin() + static_cast<ptrdiff_t>(pos_ + n));
+    std::span<const uint8_t> out = data_.subspan(pos_, n);
     pos_ += n;
     return out;
+  }
+  std::vector<uint8_t> ReadBytes() {
+    std::span<const uint8_t> bytes = ReadByteView();
+    return std::vector<uint8_t>(bytes.begin(), bytes.end());
   }
   std::string ReadString() {
     std::vector<uint8_t> b = ReadBytes();

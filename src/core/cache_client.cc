@@ -112,18 +112,14 @@ bool CacheClient::ReadCached(FileId file, ReadResult* result) {
   Touch(entry, now);
   ++stats_.reads;
   ++stats_.local_reads;
-  result->file = file;
-  result->version = entry.version;
-  result->from_cache = true;
-  if (entry.dirty) {
-    // Write-back staging: our copy is newer than the server's.
-    result->data = entry.dirty_data;
-    return true;
-  }
   if (oracle_ != nullptr) {
     oracle_->EndRead(BeginRead(file), entry.version);
   }
-  result->data = entry.data;
+  result->file = file;
+  result->version = entry.version;
+  result->from_cache = true;
+  // Write-back staging: a dirty copy is newer than the server's.
+  result->data = entry.dirty ? entry.dirty_data : entry.data;
   return true;
 }
 
@@ -133,6 +129,10 @@ void CacheClient::Read(FileId file, ReadCallback cb) {
     cb(std::move(hit));
     return;
   }
+  ReadMiss(file, std::move(cb));
+}
+
+void CacheClient::ReadMiss(FileId file, ReadCallback cb) {
   ++stats_.reads;
   ReadWaiter waiter;
   waiter.file = file;
@@ -493,8 +493,8 @@ void CacheClient::Write(FileId file, std::vector<uint8_t> data,
   SendWrite(file, std::move(data), 0, /*is_flush=*/false, std::move(cb));
 }
 
-void CacheClient::StageWriteBack(FileId file, Entry& entry,
-                                 std::vector<uint8_t> data, WriteCallback cb) {
+void CacheClient::StageWriteBack(FileId file, Entry& entry, SharedBytes data,
+                                 WriteCallback cb) {
   entry.dirty = true;
   entry.dirty_data = std::move(data);
   Touch(entry, clock_->Now());
@@ -528,13 +528,12 @@ void CacheClient::FlushEntry(FileId file, WriteCallback cb) {
     timers_->CancelTimer(entry.flush_timer);
     entry.flush_timer = TimerId();
   }
-  std::vector<uint8_t> data = std::move(entry.dirty_data);
   entry.dirty = false;
-  entry.dirty_data.clear();
-  SendWrite(file, std::move(data), 0, /*is_flush=*/true, std::move(cb));
+  SendWrite(file, std::exchange(entry.dirty_data, {}), 0, /*is_flush=*/true,
+            std::move(cb));
 }
 
-void CacheClient::SendWrite(FileId file, std::vector<uint8_t> data,
+void CacheClient::SendWrite(FileId file, SharedBytes data,
                             uint64_t base_version, bool is_flush,
                             WriteCallback cb) {
   RequestId req = request_ids_.Next();

@@ -28,8 +28,9 @@
 // approving another client's write.
 //
 // ReadCached is the one place a local read is decided and served: a
-// synchronous hit that reads the clock once and allocates only the returned
-// bytes. Read tries it first, so callback and direct callers share it.
+// synchronous hit that reads the clock once and allocates nothing -- the
+// result shares the entry's data buffer (src/common/shared_bytes.h). Read
+// tries it first, so callback and direct callers share it.
 //
 // The class is single-threaded: all calls (API and packet delivery) must
 // come from the owning event loop or simulator.
@@ -47,6 +48,7 @@
 #include "src/clock/timer_host.h"
 #include "src/common/ids.h"
 #include "src/common/result.h"
+#include "src/common/shared_bytes.h"
 #include "src/core/oracle.h"
 #include "src/core/params.h"
 #include "src/net/transport.h"
@@ -57,7 +59,9 @@ namespace leases {
 struct ReadResult {
   FileId file;
   uint64_t version = 0;
-  std::vector<uint8_t> data;
+  // Shares the cached buffer: holding it keeps these bytes, whatever the
+  // cache does to the entry afterwards.
+  SharedBytes data;
   bool from_cache = false;
 };
 
@@ -144,6 +148,10 @@ class CacheClient : public PacketHandler {
   // ReadCached, calling `cb` at once on a hit; a miss completes `cb` when
   // the server replies.
   void Read(FileId file, ReadCallback cb);
+  // Read's miss half: fetches, extends or flushes `file` without trying the
+  // cache. Only for a caller whose ReadCached(file) just refused in the same
+  // unit of loop work, when nothing can have changed in between.
+  void ReadMiss(FileId file, ReadCallback cb);
   void Write(FileId file, std::vector<uint8_t> data, WriteCallback cb);
   // Write-back mode: pushes staged data through now.
   void Flush(FileId file, WriteCallback cb);
@@ -170,7 +178,7 @@ class CacheClient : public PacketHandler {
 
  private:
   struct Entry {
-    std::vector<uint8_t> data;
+    SharedBytes data;
     uint64_t version = 0;
     FileClass file_class = FileClass::kNormal;
     LeaseKey key;
@@ -182,7 +190,7 @@ class CacheClient : public PacketHandler {
     TimePoint last_access;
     // Write-back state.
     bool dirty = false;
-    std::vector<uint8_t> dirty_data;
+    SharedBytes dirty_data;
     TimerId flush_timer;
     // The entry's own key in cache_, and its links in the least-recently-
     // touched list (lru_head_ ... lru_tail_).
@@ -225,7 +233,7 @@ class CacheClient : public PacketHandler {
   struct PendingWriteOp {
     RequestId req;
     FileId file;
-    std::vector<uint8_t> data;
+    SharedBytes data;
     uint64_t base_version = 0;
     WriteCallback cb;
     int retries = 0;
@@ -255,7 +263,7 @@ class CacheClient : public PacketHandler {
   void ResendFetch(RequestId req);
 
   // --- Writes ---
-  void SendWrite(FileId file, std::vector<uint8_t> data, uint64_t base_version,
+  void SendWrite(FileId file, SharedBytes data, uint64_t base_version,
                  bool is_flush, WriteCallback cb);
   void OnWriteReply(const WriteReply& m);
   void ArmWriteTimer(RequestId req);
@@ -268,7 +276,7 @@ class CacheClient : public PacketHandler {
   // request_timeout doubled per resend up to resend_backoff_max, same
   // deterministic jitter (ClientParams::resend_backoff_max).
   Duration ResendDelay(int retries, uint64_t salt) const;
-  void StageWriteBack(FileId file, Entry& entry, std::vector<uint8_t> data,
+  void StageWriteBack(FileId file, Entry& entry, SharedBytes data,
                       WriteCallback cb);
   void FlushEntry(FileId file, WriteCallback cb);
 

@@ -186,20 +186,15 @@ void LeaseServer::OnReadRequest(NodeId from, const ReadRequest& m) {
     // Admission control: the grant queue is full, shed instead of buffering
     // without bound. kUnavailable is retryable -- the client backs off.
     reply.status = ErrorCode::kUnavailable;
-    SendTo(from, MessageClass::kData, reply);
+    SendTo(from, MessageClass::kData, std::move(reply));
     return;
   }
 
   const FileRecord* rec = store_->Find(m.file);
-  if (rec == nullptr) {
-    reply.status = ErrorCode::kNotFound;
-    SendTo(from, MessageClass::kData, reply);
-    return;
-  }
-  Result<uint64_t> perm = store_->Read(m.file, from);
-  if (!perm.ok()) {
-    reply.status = perm.code();
-    SendTo(from, MessageClass::kData, reply);
+  if (rec == nullptr || !FileStore::CanRead(*rec, from)) {
+    reply.status = rec == nullptr ? ErrorCode::kNotFound
+                                  : ErrorCode::kPermissionDenied;
+    SendTo(from, MessageClass::kData, std::move(reply));
     return;
   }
 
@@ -211,10 +206,10 @@ void LeaseServer::OnReadRequest(NodeId from, const ReadRequest& m) {
     reply.not_modified = true;
     ++stats_.not_modified_replies;
   } else {
-    reply.data = rec->data;
+    reply.data = rec->data;  // shares the store's buffer
   }
   ++stats_.reads_served;
-  SendTo(from, MessageClass::kData, reply);
+  SendTo(from, MessageClass::kData, std::move(reply));
 }
 
 void LeaseServer::OnExtendRequest(NodeId from, const ExtendRequest& m) {
@@ -237,7 +232,7 @@ void LeaseServer::OnExtendRequest(NodeId from, const ExtendRequest& m) {
       out.status = ErrorCode::kUnavailable;
       reply.items.push_back(std::move(out));
     }
-    SendTo(from, MessageClass::kConsistency, reply);
+    SendTo(from, MessageClass::kConsistency, std::move(reply));
     return;
   }
   TimePoint now = clock_->Now();
@@ -246,14 +241,9 @@ void LeaseServer::OnExtendRequest(NodeId from, const ExtendRequest& m) {
     ExtendReplyItem out;
     out.file = item.file;
     const FileRecord* rec = store_->Find(item.file);
-    if (rec == nullptr) {
-      out.status = ErrorCode::kNotFound;
-      reply.items.push_back(std::move(out));
-      continue;
-    }
-    Result<uint64_t> perm = store_->Read(item.file, from);
-    if (!perm.ok()) {
-      out.status = perm.code();
+    if (rec == nullptr || !FileStore::CanRead(*rec, from)) {
+      out.status = rec == nullptr ? ErrorCode::kNotFound
+                                  : ErrorCode::kPermissionDenied;
       reply.items.push_back(std::move(out));
       continue;
     }
@@ -270,7 +260,7 @@ void LeaseServer::OnExtendRequest(NodeId from, const ExtendRequest& m) {
     }
     reply.items.push_back(std::move(out));
   }
-  SendTo(from, MessageClass::kConsistency, reply);
+  SendTo(from, MessageClass::kConsistency, std::move(reply));
 }
 
 // --- Leases ---
@@ -464,7 +454,7 @@ void LeaseServer::CommitFlushAhead(PendingWrite& blocked, QueuedWrite write) {
   if (!applied.ok()) {
     reply.status = applied.code();
     ++stats_.writes_rejected;
-    SendTo(write.from, MessageClass::kData, reply);
+    SendTo(write.from, MessageClass::kData, std::move(reply));
     return;
   }
   if (oracle_ != nullptr) {
@@ -494,7 +484,7 @@ void LeaseServer::MaybeReleaseFlushAcks(PendingWrite& pending) {
     }
   }
   for (auto& [node, reply] : pending.deferred_flush_acks) {
-    SendTo(node, MessageClass::kData, reply);
+    SendTo(node, MessageClass::kData, std::move(reply));
   }
   pending.deferred_flush_acks.clear();
 }
@@ -693,14 +683,14 @@ void LeaseServer::CommitWrite(uint64_t seq, bool via_expiry) {
       rec->version != pending.base_version) {
     reply.status = ErrorCode::kConflict;
     ++stats_.writes_rejected;
-    SendTo(pending.writer, MessageClass::kData, reply);
+    SendTo(pending.writer, MessageClass::kData, std::move(reply));
   } else {
     Result<uint64_t> applied =
         store_->Apply(pending.file, std::move(pending.data), pending.writer);
     if (!applied.ok()) {
       reply.status = applied.code();
       ++stats_.writes_rejected;
-      SendTo(pending.writer, MessageClass::kData, reply);
+      SendTo(pending.writer, MessageClass::kData, std::move(reply));
     } else {
       if (oracle_ != nullptr) {
         oracle_->OnCommit(pending.file, *applied);
@@ -721,7 +711,7 @@ void LeaseServer::CommitWrite(uint64_t seq, bool via_expiry) {
       stats_.write_wait_total += waited;
       stats_.max_write_wait = std::max(stats_.max_write_wait, waited);
       RememberWriteReply(pending.writer, reply);
-      SendTo(pending.writer, MessageClass::kData, reply);
+      SendTo(pending.writer, MessageClass::kData, std::move(reply));
     }
   }
 
@@ -759,7 +749,7 @@ void LeaseServer::RejectWrite(NodeId from, const WriteRequest& m,
   reply.req = m.req;
   reply.file = m.file;
   reply.status = code;
-  SendTo(from, MessageClass::kData, reply);
+  SendTo(from, MessageClass::kData, std::move(reply));
 }
 
 void LeaseServer::DrainRecoveryQueue() {

@@ -190,7 +190,7 @@ class LeaseServer : public PacketHandler {
     RequestId req;
     FileId file;
     LeaseKey key;
-    std::vector<uint8_t> data;
+    SharedBytes data;
     uint64_t base_version = 0;
     std::vector<NodeId> waiting;  // holders yet to approve
     size_t holders_at_start = 0;  // S at the write (for the policy / stats)

@@ -13,7 +13,7 @@ std::vector<uint8_t> Bytes(const std::string& s) {
   return std::vector<uint8_t>(s.begin(), s.end());
 }
 
-std::string Text(const std::vector<uint8_t>& b) {
+std::string Text(std::span<const uint8_t> b) {
   return std::string(b.begin(), b.end());
 }
 

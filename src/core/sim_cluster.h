@@ -238,9 +238,9 @@ class SimCluster {
   std::vector<uint64_t> client_incarnations_;
 };
 
-// Converts between std::string payloads and the byte vectors the API uses.
+// Converts between std::string payloads and the bytes the API uses.
 std::vector<uint8_t> Bytes(const std::string& s);
-std::string Text(const std::vector<uint8_t>& b);
+std::string Text(std::span<const uint8_t> b);
 
 }  // namespace leases
 

@@ -78,10 +78,6 @@ bool FileStore::CanWrite(const FileRecord& rec, NodeId who) const {
   return !who.valid() || who == rec.owner || (rec.mode & kModeWrite) != 0;
 }
 
-bool FileStore::CanRead(const FileRecord& rec, NodeId who) const {
-  return !who.valid() || who == rec.owner || (rec.mode & kModeRead) != 0;
-}
-
 Result<FileId> FileStore::Create(FileId dir, const std::string& name,
                                  FileClass cls, std::vector<uint8_t> data,
                                  uint32_t mode, NodeId who) {
@@ -112,8 +108,9 @@ Result<FileId> FileStore::Create(FileId dir, const std::string& name,
   rec.name = name;
   Insert(std::move(rec));
 
-  parent->data.resize(match.end);
-  AppendDirEntry(parent->data, name, id, mode, cls);
+  std::vector<uint8_t>& datum = parent->data.Mutable();
+  datum.resize(match.end);
+  AppendDirEntry(datum, name, id, mode, cls);
   parent->version++;
   Mirror(id);
   Mirror(dir);
@@ -179,8 +176,9 @@ Status FileStore::Rename(FileId dir, const std::string& from,
     return Status(ErrorCode::kNotFound, "dangling entry: " + from);
   }
   rec->name = to;
-  parent->data.resize(match.end);
-  RenameDirEntry(parent->data, *match.entry, to);
+  std::vector<uint8_t>& datum = parent->data.Mutable();
+  datum.resize(match.end);
+  RenameDirEntry(datum, *match.entry, to);
   parent->version++;
   Mirror(file);
   Mirror(dir);
@@ -212,8 +210,9 @@ Status FileStore::Remove(FileId dir, const std::string& name, NodeId who) {
     }
   }
   Drop(victim);
-  parent->data.resize(match.end);
-  EraseDirEntry(parent->data, *match.entry);
+  std::vector<uint8_t>& datum = parent->data.Mutable();
+  datum.resize(match.end);
+  EraseDirEntry(datum, *match.entry);
   parent->version++;
   Mirror(victim);  // record gone: mirrors with a null rec
   Mirror(dir);
@@ -248,17 +247,6 @@ Result<FileId> FileStore::Resolve(const std::string& path) const {
   return cur;
 }
 
-Result<uint64_t> FileStore::Read(FileId file, NodeId who) const {
-  const FileRecord* rec = Find(file);
-  if (rec == nullptr) {
-    return Error{ErrorCode::kNotFound, "no such file"};
-  }
-  if (!CanRead(*rec, who)) {
-    return Error{ErrorCode::kPermissionDenied, "file not readable"};
-  }
-  return rec->version;
-}
-
 Status FileStore::CheckWrite(FileId file, NodeId who) const {
   const FileRecord* rec = Find(file);
   if (rec == nullptr) {
@@ -270,7 +258,7 @@ Status FileStore::CheckWrite(FileId file, NodeId who) const {
   return Status::Ok();
 }
 
-Result<uint64_t> FileStore::Apply(FileId file, std::vector<uint8_t> data,
+Result<uint64_t> FileStore::Apply(FileId file, SharedBytes data,
                                   NodeId who) {
   FileRecord* found = MutableRecord(file);
   if (found == nullptr) {
@@ -309,14 +297,15 @@ Status FileStore::Chmod(FileId file, uint32_t mode, NodeId who) {
     LEASES_CHECK(parent != nullptr);
     // Each patch lands inside an entry the walk has already passed, so
     // the walk's view of the bytes stays valid.
-    DirWalker walk(parent->data);
+    std::vector<uint8_t>& datum = parent->data.Mutable();
+    DirWalker walk(datum);
     while (walk.Next()) {
       if (walk.entry().file == file) {
-        SetDirEntryMode(parent->data, walk.entry(), mode);
+        SetDirEntryMode(datum, walk.entry(), mode);
       }
     }
     LEASES_CHECK(walk.ok());
-    parent->data.resize(walk.offset());
+    datum.resize(walk.offset());
     parent->version++;
     Mirror(rec.parent);
   }

@@ -32,6 +32,7 @@
 
 #include "src/common/ids.h"
 #include "src/common/result.h"
+#include "src/common/shared_bytes.h"
 #include "src/fs/dir_codec.h"
 #include "src/fs/storage.h"
 #include "src/proto/messages.h"
@@ -42,7 +43,10 @@ struct FileRecord {
   FileId id;
   FileClass file_class = FileClass::kNormal;
   uint64_t version = 1;
-  std::vector<uint8_t> data;
+  // Shared with every reply, cache entry and partition that holds this
+  // version; namespace edits go through SharedBytes::Mutable, so a holder
+  // never sees a later edit.
+  SharedBytes data;
   uint32_t mode = kModeRead | kModeWrite;
   NodeId owner;
   FileId parent;    // containing directory; invalid for the root
@@ -84,14 +88,17 @@ class FileStore {
     return file.value() < records_.size() ? records_[file.value()].get()
                                           : nullptr;
   }
-  Result<uint64_t> Read(FileId file, NodeId who) const;  // permission check
+  // Whether `who` may read `rec`; the owner always may.
+  static bool CanRead(const FileRecord& rec, NodeId who) {
+    return !who.valid() || who == rec.owner || (rec.mode & kModeRead) != 0;
+  }
   // Early validation of a write before the approval protocol runs (the
   // commit itself re-checks).
   Status CheckWrite(FileId file, NodeId who) const;
   // Commits new contents; returns the new version. This is the single commit
   // point of the system: LeaseServer calls it only after the write-approval
   // protocol has run.
-  Result<uint64_t> Apply(FileId file, std::vector<uint8_t> data, NodeId who);
+  Result<uint64_t> Apply(FileId file, SharedBytes data, NodeId who);
   Status Chmod(FileId file, uint32_t mode, NodeId who);
 
   // --- Cover keys ---
@@ -122,9 +129,9 @@ class FileStore {
   using MirrorHook = std::function<void(FileId, const FileRecord* rec)>;
   void SetMirror(MirrorHook hook) { mirror_ = std::move(hook); }
 
-  // Upserts a record copied from the namespace store; ids_ never runs on
-  // partition stores, so records keep the globally-unique ids the namespace
-  // store assigned.
+  // Upserts a record copied from the namespace store, sharing its data
+  // buffer; ids_ never runs on partition stores, so records keep the
+  // globally-unique ids the namespace store assigned.
   void Adopt(const FileRecord& rec);
   // Removes a record with no directory bookkeeping (for a mirrored record,
   // the namespace store already did it).
@@ -152,7 +159,6 @@ class FileStore {
   };
   static DirMatch FindName(const FileRecord& dir, std::string_view name);
   bool CanWrite(const FileRecord& rec, NodeId who) const;
-  bool CanRead(const FileRecord& rec, NodeId who) const;
   void Mirror(FileId file) const;
   static LeaseKey PrivateKey(FileId file) { return LeaseKey(file.value()); }
 

@@ -235,7 +235,7 @@ std::optional<Packet> DecodeBody(MsgType type, Reader& r) {
       m.not_modified = r.ReadBool();
       m.file_class = DecodeClass(r);
       m.lease = DecodeLease(r);
-      m.data = r.ReadBytes();
+      m.data = SharedBytes(r.ReadByteView());
       return Packet(std::move(m));
     }
     case MsgType::kWriteRequest: {
@@ -244,7 +244,7 @@ std::optional<Packet> DecodeBody(MsgType type, Reader& r) {
       m.file = r.ReadId<FileId>();
       m.base_version = r.ReadU64();
       m.flush = r.ReadBool();
-      m.data = r.ReadBytes();
+      m.data = SharedBytes(r.ReadByteView());
       return Packet(std::move(m));
     }
     case MsgType::kWriteReply: {
@@ -288,7 +288,7 @@ std::optional<Packet> DecodeBody(MsgType type, Reader& r) {
         item.refreshed = r.ReadBool();
         item.file_class = DecodeClass(r);
         item.lease = DecodeLease(r);
-        item.data = r.ReadBytes();
+        item.data = SharedBytes(r.ReadByteView());
         m.items.push_back(std::move(item));
       }
       return Packet(std::move(m));

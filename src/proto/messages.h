@@ -35,6 +35,7 @@
 
 #include "src/common/ids.h"
 #include "src/common/result.h"
+#include "src/common/shared_bytes.h"
 #include "src/common/time.h"
 
 namespace leases {
@@ -100,7 +101,7 @@ struct ReadReply {
   bool not_modified = false;
   FileClass file_class = FileClass::kNormal;
   LeaseGrant lease;
-  std::vector<uint8_t> data;
+  SharedBytes data;
 };
 
 struct ExtendItem {
@@ -123,7 +124,7 @@ struct ExtendReplyItem {
   bool refreshed = false;
   FileClass file_class = FileClass::kNormal;
   LeaseGrant lease;
-  std::vector<uint8_t> data;
+  SharedBytes data;
 };
 
 struct ExtendReply {
@@ -140,7 +141,7 @@ struct WriteRequest {
   // whose approval is being awaited; the server commits it ahead of the
   // pending write (token-revocation ordering).
   bool flush = false;
-  std::vector<uint8_t> data;
+  SharedBytes data;
 };
 
 struct WriteReply {

@@ -1013,19 +1013,16 @@ void ReplicaNode::ServeStandbyRead(NodeId from, const ReadRequest& m) {
   const FileRecord* rec = env_.store->Find(m.file);
   if (rec == nullptr) {
     reply.status = ErrorCode::kNotFound;
+  } else if (!FileStore::CanRead(*rec, from)) {
+    reply.status = ErrorCode::kPermissionDenied;
   } else {
-    Result<uint64_t> perm = env_.store->Read(m.file, from);
-    if (!perm.ok()) {
-      reply.status = perm.code();
+    reply.version = rec->version;
+    reply.file_class = rec->file_class;
+    reply.lease = LeaseGrant{rec->cover, Duration::Zero()};
+    if (m.have_version != 0 && m.have_version == rec->version) {
+      reply.not_modified = true;
     } else {
-      reply.version = rec->version;
-      reply.file_class = rec->file_class;
-      reply.lease = LeaseGrant{rec->cover, Duration::Zero()};
-      if (m.have_version != 0 && m.have_version == rec->version) {
-        reply.not_modified = true;
-      } else {
-        reply.data = rec->data;
-      }
+      reply.data = rec->data;
     }
   }
   ++standby_reads_served_;

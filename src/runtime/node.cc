@@ -245,12 +245,13 @@ Result<ReadResult> RuntimeClient::Read(FileId file, Duration timeout) {
   LEASES_CHECK(client_ != nullptr);
   // A hit is served right here by the cache's synchronous hit path: no
   // callback, no waiter, no thread switch. A miss starts its fetch in the
-  // same unit of loop work and waits like any other blocking call.
+  // same unit of loop work, without a second hit check, and waits like any
+  // other blocking call. Posted work runs later, so it takes the full Read.
   ReadResult hit;
   std::optional<Waiter<ReadResult>> miss;
   const bool ran = loop_->TryRunHere([this, file, &hit, &miss]() {
     if (!client_->ReadCached(file, &hit)) {
-      client_->Read(file, miss.emplace().MakeCallback());
+      client_->ReadMiss(file, miss.emplace().MakeCallback());
     }
   });
   if (!ran) {

@@ -93,8 +93,8 @@ class RuntimeClient {
 
   // Blocking wrappers (call from any thread outside this client's loop
   // work; several threads may block at once, one of them leading). Read
-  // returns a hit without waiting when the loop is idle; its only heap
-  // allocation is the returned data.
+  // returns a hit without waiting when the loop is idle, allocating
+  // nothing: the result shares the cached buffer.
   Result<OpenResult> Open(const std::string& path,
                           Duration timeout = Duration::Seconds(30));
   Result<ReadResult> Read(FileId file,

@@ -4,6 +4,8 @@
 // happens with leases.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "src/baseline/baseline_cluster.h"
 
 namespace leases {
@@ -12,7 +14,7 @@ namespace {
 std::vector<uint8_t> B(const std::string& s) {
   return std::vector<uint8_t>(s.begin(), s.end());
 }
-std::string T(const std::vector<uint8_t>& b) {
+std::string T(std::span<const uint8_t> b) {
   return std::string(b.begin(), b.end());
 }
 

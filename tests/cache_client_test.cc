@@ -240,6 +240,26 @@ TEST(WriteBackTest, ApprovalTriggersFlushWithoutDeadlockOrLostData) {
   EXPECT_FALSE(cluster.client(0).HasCached(file));
 }
 
+TEST(WriteBackTest, StagedHitsAreScoredByTheOracle) {
+  // A hit on staged data is a read like any other: the oracle checks it,
+  // and it is consistent -- nobody else can commit under the valid lease.
+  SimCluster cluster(WriteBack());
+  FileId file = *cluster.store().CreatePath("/f", FileClass::kNormal,
+                                            Bytes("v1"));
+  ASSERT_TRUE(cluster.SyncRead(0, file).ok());
+  ASSERT_TRUE(cluster.SyncWrite(0, file, Bytes("v2")).ok());
+  const uint64_t checked = cluster.oracle().reads_checked();
+  for (int i = 0; i < 3; ++i) {
+    Result<ReadResult> r = cluster.SyncRead(0, file);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r->from_cache);
+    EXPECT_EQ(Text(r->data), "v2");
+  }
+  EXPECT_EQ(cluster.oracle().reads_checked() - checked, 3u);
+  EXPECT_EQ(cluster.oracle().stale_reads(), 0u);
+  EXPECT_EQ(cluster.oracle().violations(), 0u);
+}
+
 TEST(WriteBackTest, ReadAfterLeaseLapseFlushesFirst) {
   SimCluster cluster(WriteBack());
   // Long write-back delay so the staged data outlives the lease.
@@ -627,9 +647,41 @@ TEST(ReadCachedTest, ServesWriteBackDirtyDataUnderAValidLease) {
   EXPECT_TRUE(lapsed.data.empty());
 }
 
+TEST(ReadCachedTest, AMissAfterARefusalReadsTheClockOnceLess) {
+  // After ReadCached refuses, ReadMiss starts the extension without Read's
+  // second hit check: the refusal's clock read, then the extension's own
+  // two (its send time and the request's clock stamp). Read after a
+  // refusal checks the cache, and reads the clock, once more.
+  auto miss = [](bool full_read, ClientStats* stats) {
+    ScriptedServerRig rig(ClientParams{});
+    rig.Fetch(FileId(10), LeaseKey(10), Duration::Seconds(2));
+    rig.Advance(Duration::Seconds(3));  // cached, but the lease lapsed
+    const uint64_t before = rig.clock_reads();
+    const size_t sent = rig.sent();
+    ReadResult result;
+    EXPECT_FALSE(rig.client().ReadCached(FileId(10), &result));
+    if (full_read) {
+      rig.client().Read(FileId(10), [](Result<ReadResult>) {});
+    } else {
+      rig.client().ReadMiss(FileId(10), [](Result<ReadResult>) {});
+    }
+    EXPECT_EQ(rig.sent(), sent + 1);
+    EXPECT_NE(std::get_if<ExtendRequest>(&rig.LastSent()), nullptr);
+    *stats = rig.client().stats();
+    return rig.clock_reads() - before;
+  };
+  ClientStats via_read;
+  ClientStats via_miss;
+  const uint64_t read_clocks = miss(/*full_read=*/true, &via_read);
+  const uint64_t miss_clocks = miss(/*full_read=*/false, &via_miss);
+  EXPECT_EQ(miss_clocks, 3u);
+  EXPECT_EQ(read_clocks, miss_clocks + 1);
+  EXPECT_EQ(via_read, via_miss);
+}
+
 // Runs one sequence of reads -- hits of every kind, a lapsed lease, a miss
 // -- through Read's callbacks or, when `direct`, through ReadCached with
-// Read only on a refusal (as RuntimeClient::Read does).
+// ReadMiss only on a refusal (as RuntimeClient::Read does).
 ClientStats ReadSequenceStats(bool direct) {
   ClientParams params;
   params.write_back = true;
@@ -637,8 +689,10 @@ ClientStats ReadSequenceStats(bool direct) {
   ScriptedServerRig rig(params);
   auto read = [&rig, direct](FileId file) {
     ReadResult result;
-    if (!direct || !rig.client().ReadCached(file, &result)) {
+    if (!direct) {
       rig.client().Read(file, [](Result<ReadResult>) {});
+    } else if (!rig.client().ReadCached(file, &result)) {
+      rig.client().ReadMiss(file, [](Result<ReadResult>) {});
     }
   };
   rig.Fetch(FileId(10), LeaseKey(10), Duration::Seconds(2));

@@ -834,7 +834,7 @@ TEST(UdpTransportTest, BurstLargerThanADatagramSplitsInOrder) {
   a.AddPeer(NodeId(2), b.port());
   constexpr uint64_t kPackets = 20;
   ReadReply padding;
-  padding.data.assign(8 * 1024, 0xab);
+  padding.data = std::vector<uint8_t>(8 * 1024, 0xab);
   {
     UdpBatchSender sender(&a);
     for (uint64_t i = 0; i < kPackets; ++i) {
@@ -874,7 +874,7 @@ TEST(UdpTransportTest, OversizePacketIsDroppedAndCounted) {
   ASSERT_TRUE(b.Start().ok());
   a.AddPeer(NodeId(2), b.port());
   WriteRequest big;
-  big.data.assign(64 * 1024, 7);
+  big.data = std::vector<uint8_t>(64 * 1024, 7);
 
   a.Send(NodeId(2), MessageClass::kData, Packet(big));
   EXPECT_EQ(a.stats().send_failures, 1u);

@@ -3,9 +3,10 @@
 // performs no heap allocation at all, and neither does the UDP send path,
 // whether a shard's batcher or UdpTransport::Send from loop work, with
 // several records coalesced per datagram, nor arming and cancelling an
-// EventLoop timer, nor a file-store lookup that hits in a large directory;
-// and a RuntimeClient read hit allocates only the data it returns -- counted
-// by replacing global operator new/delete.
+// EventLoop timer, nor a file-store lookup that hits in a large directory,
+// nor a warm RuntimeClient read hit; and a simulated grant hands the
+// store's buffer to the caller without allocating a block the payload's
+// size -- counted by replacing global operator new/delete.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/sim_cluster.h"
 #include "src/fs/file_store.h"
 #include "src/net/sim_network.h"
 #include "src/runtime/event_loop.h"
@@ -29,11 +31,17 @@
 namespace {
 
 std::atomic<uint64_t> g_allocs{0};
+// Allocations of at least kPayloadBytes: a copy of a datum that size.
+constexpr std::size_t kPayloadBytes = 4096;
+std::atomic<uint64_t> g_payload_allocs{0};
 
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (n >= kPayloadBytes) {
+    g_payload_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
   void* p = std::malloc(n);
   if (p == nullptr) {
     throw std::bad_alloc();
@@ -280,7 +288,7 @@ TEST(FastPathAllocTest, DirectoryLookupHitDoesNotAllocate) {
   EXPECT_EQ(hits, names.size());
 }
 
-TEST(FastPathAllocTest, RuntimeReadHitAllocatesOnlyItsData) {
+TEST(FastPathAllocTest, RuntimeReadHitDoesNotAllocate) {
   EngineConfig config;
   config.term = Duration::Seconds(60);  // no lease lapses during the test
   RuntimeServer server(NodeId(1), config);
@@ -295,7 +303,8 @@ TEST(FastPathAllocTest, RuntimeReadHitAllocatesOnlyItsData) {
     ASSERT_TRUE(client.Read(file).ok());
   }
   // Each hit runs inline on this thread while both loops sleep, so the
-  // count is this thread's alone: the returned data buffer, nothing else.
+  // count is this thread's alone. The result shares the cached buffer, so
+  // there is nothing to allocate.
   for (int i = 0; i < 200; ++i) {
     uint64_t before = g_allocs.load(std::memory_order_relaxed);
     Result<ReadResult> r = client.Read(file);
@@ -303,11 +312,36 @@ TEST(FastPathAllocTest, RuntimeReadHitAllocatesOnlyItsData) {
     ASSERT_TRUE(r.ok());
     ASSERT_TRUE(r->from_cache);
     ASSERT_EQ(r->data.size(), 256u);
-    EXPECT_EQ(after - before, 1u) << "read hit " << i;
+    EXPECT_EQ(after - before, 0u) << "read hit " << i;
   }
   EXPECT_EQ(client.stats().remote_fetches, 1u);
   client.Stop();
   server.Stop();
+}
+
+TEST(FastPathAllocTest, SimulatedGrantAllocatesNoPayloadSizedBlock) {
+  // A grant shares one buffer from the store record through the reply in
+  // flight and the client's cache entry to the caller's ReadResult, so a
+  // 4 KiB datum is never copied on the way.
+  ClusterOptions options;
+  options.num_clients = 1;
+  SimCluster cluster(options);
+  const std::vector<uint8_t> payload(kPayloadBytes, 0x5a);
+  FileId warm = *cluster.store().CreatePath("/warm", FileClass::kNormal,
+                                            std::vector<uint8_t>(payload));
+  FileId file = *cluster.store().CreatePath("/f", FileClass::kNormal,
+                                            std::vector<uint8_t>(payload));
+  // Warm up: grows the message pool, the scheduler and the client's tables.
+  ASSERT_TRUE(cluster.SyncRead(0, warm).ok());
+
+  uint64_t before = g_payload_allocs.load(std::memory_order_relaxed);
+  Result<ReadResult> r = cluster.SyncRead(0, file);
+  uint64_t after = g_payload_allocs.load(std::memory_order_relaxed);
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(r->from_cache);
+  EXPECT_EQ(after - before, 0u) << "the grant copied the payload";
+  EXPECT_EQ(r->data, payload);
+  EXPECT_EQ(r->data.data(), cluster.store().Find(file)->data.data());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <random>
 
@@ -78,8 +79,8 @@ TEST(FileStoreTest, PermissionsEnforcedWithOwnerOverride) {
   NodeId other(8);
   FileId file = *store.CreatePath("/private", FileClass::kNormal, B("x"),
                                   /*mode=*/0, owner);
-  EXPECT_EQ(store.Read(file, other).code(), ErrorCode::kPermissionDenied);
-  EXPECT_TRUE(store.Read(file, owner).ok());
+  EXPECT_FALSE(FileStore::CanRead(*store.Find(file), other));
+  EXPECT_TRUE(FileStore::CanRead(*store.Find(file), owner));
   EXPECT_EQ(store.Apply(file, B("y"), other).code(),
             ErrorCode::kPermissionDenied);
   EXPECT_TRUE(store.Apply(file, B("y"), owner).ok());
@@ -297,6 +298,53 @@ TEST(FileStoreTest, PartitionAdoptsAndDropsSparseIds) {
             std::vector<FileId>{ids[3]});
 }
 
+TEST(FileStoreTest, PartitionSharesTheNamespaceBuffer) {
+  // Adopt shares the record's bytes: a partition holds no second copy.
+  FileStore ns;
+  FileId file = *ns.CreatePath("/f", FileClass::kNormal, B("shared"));
+  FileStore part;
+  part.Adopt(*ns.Find(file));
+  EXPECT_EQ(part.Find(file)->data.data(), ns.Find(file)->data.data());
+  EXPECT_EQ(ns.Find(file)->data.use_count(), 2);
+}
+
+TEST(FileStoreTest, EditsCopyADirectoryDatumAReplyStillHolds) {
+  // A reply in flight shares the directory's buffer. Each namespace edit
+  // must change a private copy (copy-on-write), leaving the reply's bytes
+  // -- the version it names -- as they were.
+  FileStore store;
+  FileId dir = *store.Mkdir(store.root(), "d", NodeId());
+  FileId a = *store.Create(dir, "a", FileClass::kNormal, B("1"), kModeRead,
+                           NodeId());
+  auto edit_under_a_held_reply = [&](const std::function<bool()>& edit) {
+    ReadReply reply;
+    reply.version = store.Find(dir)->version;
+    reply.data = store.Find(dir)->data;
+    const std::vector<uint8_t> sent(reply.data.begin(), reply.data.end());
+    ASSERT_TRUE(edit());
+    EXPECT_EQ(reply.data, sent);
+    EXPECT_EQ(reply.data.use_count(), 1);  // the store moved to a copy
+    EXPECT_EQ(store.Find(dir)->version, reply.version + 1);
+    EXPECT_FALSE(store.Find(dir)->data == sent);
+  };
+  FileId b;
+  edit_under_a_held_reply([&] {
+    Result<FileId> made = store.Create(dir, "b", FileClass::kNormal, B("2"),
+                                       kModeRead, NodeId());
+    b = made.ok() ? *made : FileId();
+    return made.ok();
+  });
+  edit_under_a_held_reply(
+      [&] { return store.Rename(dir, "a", "c", NodeId()).ok(); });
+  edit_under_a_held_reply(
+      [&] { return store.Chmod(b, kModeRead | kModeWrite, NodeId()).ok(); });
+  edit_under_a_held_reply([&] { return store.Remove(dir, "c", NodeId()).ok(); });
+  EXPECT_EQ(store.Find(a), nullptr);
+  EXPECT_EQ(store.Find(dir)->data,
+            EncodeDirectory({{"b", b, kModeRead | kModeWrite,
+                              FileClass::kNormal}}));
+}
+
 TEST(FileStoreTest, AllFilesComesBackInIdOrder) {
   FileStore ns;
   std::vector<FileId> ids;
@@ -328,7 +376,7 @@ const char* const kUnreachableNames[] = {"", "x/y", "/", "z/"};
 
 TEST(FileStoreTest, CreateRejectsUnreachableNames) {
   FileStore store;
-  std::vector<uint8_t> datum = store.Find(store.root())->data;
+  SharedBytes datum = store.Find(store.root())->data;
   uint64_t version = store.Find(store.root())->version;
   for (const char* name : kUnreachableNames) {
     EXPECT_EQ(store.Create(store.root(), name, FileClass::kNormal, B("x"),
@@ -345,7 +393,7 @@ TEST(FileStoreTest, CreateRejectsUnreachableNames) {
 TEST(FileStoreTest, MkdirRejectsUnreachableNames) {
   FileStore store;
   FileId dir = *store.Mkdir(store.root(), "d", NodeId());
-  std::vector<uint8_t> datum = store.Find(dir)->data;
+  SharedBytes datum = store.Find(dir)->data;
   for (const char* name : kUnreachableNames) {
     EXPECT_EQ(store.Mkdir(dir, name, NodeId()).code(),
               ErrorCode::kInvalidArgument)
@@ -369,7 +417,7 @@ TEST(FileStoreTest, CreatePathRejectsUnreachableNames) {
 TEST(FileStoreTest, RenameRejectsUnreachableNames) {
   FileStore store;
   FileId d = *store.CreatePath("/d", FileClass::kNormal, B("x"));
-  std::vector<uint8_t> datum = store.Find(store.root())->data;
+  SharedBytes datum = store.Find(store.root())->data;
   uint64_t version = store.Find(store.root())->version;
   for (const char* name : kUnreachableNames) {
     EXPECT_EQ(store.Rename(store.root(), "d", name, NodeId()).code(),
@@ -404,8 +452,9 @@ class DirDatumReference {
   };
 
   explicit DirDatumReference(const FileStore& store) {
-    dirs_[store.root()] = {store.Find(store.root())->data,
-                           store.Find(store.root())->version};
+    const FileRecord& root = *store.Find(store.root());
+    dirs_[store.root()] = {{root.data.begin(), root.data.end()},
+                           root.version};
   }
 
   std::vector<DirEntry> Entries(FileId dir) const {
@@ -553,7 +602,7 @@ TEST(FileStoreTest, InPlaceDatumEditsMatchDecodeEditEncode) {
           for (size_t i = 0; i < tail; ++i) {
             bytes.push_back(static_cast<uint8_t>(rng()));
           }
-          ASSERT_TRUE(store.Apply(dir, bytes, NodeId()).ok());
+          ASSERT_TRUE(store.Apply(dir, SharedBytes(bytes), NodeId()).ok());
           ref.dirs()[dir].bytes = bytes;
           ref.dirs()[dir].version++;
           break;

@@ -199,6 +199,45 @@ TEST(RuntimeMultiClient, SharedWriteInvalidatesOtherClient) {
   server.Stop();
 }
 
+TEST(RuntimeMultiClient, HeldReadResultKeepsItsBytesAcrossAnOverwrite) {
+  // A hit shares the cache entry's buffer with the caller. Another client's
+  // write then invalidates the entry on the loop thread while this thread
+  // still holds the result: the bytes must stay as they were read.
+  RuntimeServer server(NodeId(1), TermConfig(Duration::Seconds(5)));
+  FileId file = *server.store().CreatePath("/shared", FileClass::kNormal,
+                                           B("v1"));
+  ASSERT_TRUE(server.Start().ok());
+
+  ClientParams params;
+  params.transit_allowance = Duration::Millis(50);
+  params.epsilon = Duration::Millis(50);
+  RuntimeClient a(NodeId(2), NodeId(1), server.store().root(), params);
+  RuntimeClient b(NodeId(3), NodeId(1), server.store().root(), params);
+  ASSERT_TRUE(a.Start(server.port()).ok());
+  ASSERT_TRUE(b.Start(server.port()).ok());
+  server.AddPeer(NodeId(2), a.port());
+  server.AddPeer(NodeId(3), b.port());
+
+  ASSERT_TRUE(a.Read(file).ok());
+  Result<ReadResult> held = a.Read(file);
+  ASSERT_TRUE(held.ok());
+  ASSERT_TRUE(held->from_cache);
+
+  ASSERT_TRUE(b.Write(file, B("v2")).ok());
+  ClientStats stats = a.stats();
+  EXPECT_EQ(stats.invalidations, 1u);
+  EXPECT_EQ(std::string(held->data.begin(), held->data.end()), "v1");
+
+  Result<ReadResult> fresh = a.Read(file);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(std::string(fresh->data.begin(), fresh->data.end()), "v2");
+  EXPECT_EQ(std::string(held->data.begin(), held->data.end()), "v1");
+
+  a.Stop();
+  b.Stop();
+  server.Stop();
+}
+
 TEST(RuntimeMultiClient, TwoCallersBlockOnOneClientAtOnce) {
   // Two threads block on client A at once: while one leads A's loop, the
   // other runs inline or waits on its condvar, and the leader runs the

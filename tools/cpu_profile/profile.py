@@ -4,8 +4,8 @@
 Run from the repository root:
 
   python3 tools/cpu_profile/profile.py --workload write-share [--seed 1] \\
-      [--seconds 5] [--top 25]
-  python3 tools/cpu_profile/profile.py --dump FILE [--top 25]
+      [--seconds 5] [--top 25] [--focus FUNC]
+  python3 tools/cpu_profile/profile.py --dump FILE [--top 25] [--focus FUNC]
 
 The first form profiles one untraced loopbench run from loopbench/run.py's
 build tree ($CARGO_TARGET_DIR or .bench_build; run run.py once first), with
@@ -24,12 +24,22 @@ nm lists. Libraries without debug information, such as libc, have only
 their exported symbols, so libc internals are attributed to the nearest
 exported symbol. The thread start frames (clone, start_thread and
 libstdc++'s thread routine) therefore head the inclusive list under
-unrelated names at ~90%. Code in the vDSO (clock_gettime) shows as [vdso].
+unrelated names at ~90%, and a hot libc routine may wear a misleading
+name: in the glibc this was written against, the memcpy behind a 4 KiB
+vector copy showed as __nss_database_lookup. Code in the vDSO
+(clock_gettime) shows as [vdso].
 
 Prints the busiest threads' shares of the samples, then the top functions
 by self share (the sampled instruction was in the function) and by
 inclusive share (the function was anywhere on the stack), each as a
 percentage of all samples.
+
+--focus FUNC then looks at one function: every sample with a function
+whose name contains FUNC on its stack (the innermost such frame counts).
+It prints the names that matched, then the focus function's callers and
+callees -- the frame just outside and just inside it, "(self)" when the
+sampled instruction was in it -- each with its share of the focus samples
+and of all samples.
 
 Exit status: 0 with a report; 1 when the build, the run or the dump fails.
 """
@@ -172,7 +182,7 @@ def symbolize(addresses, mappings):
     return names
 
 
-def report(dump, top):
+def report(dump, top, focus=None):
     samples, mappings = read_dump(dump)
     if not samples:
         fail("the dump holds no samples")
@@ -200,6 +210,33 @@ def report(dump, top):
         print(f"\ntop {top} by {title} share:")
         for name, count in counter.most_common(top):
             print(f"  {100 * count / total:5.1f}%  {name}")
+    if focus:
+        report_focus([[names[a] for a in s] for _, s in stacks], focus, top)
+
+
+def report_focus(stacks, focus, top):
+    """Callers and callees of the innermost frame whose name holds `focus`."""
+    matched = collections.Counter()
+    callers = collections.Counter()
+    callees = collections.Counter()
+    for functions in stacks:
+        i = next((i for i, f in enumerate(functions) if focus in f), None)
+        if i is None:
+            continue
+        matched[functions[i]] += 1
+        callers[functions[i + 1] if i + 1 < len(functions) else "(none)"] += 1
+        callees[functions[i - 1] if i > 0 else "(self)"] += 1
+    count = sum(matched.values())
+    total = len(stacks)
+    print(f"\nfocus {focus!r}: {count} samples, "
+          f"{100 * count / total:.1f}% of all")
+    if not count:
+        return
+    for title, counter in (("matched", matched), ("callers", callers),
+                           ("callees", callees)):
+        print(f"\n{title} (% of focus, % of all):")
+        for name, n in counter.most_common(top):
+            print(f"  {100 * n / count:5.1f}%  {100 * n / total:5.1f}%  {name}")
 
 
 def main():
@@ -210,10 +247,11 @@ def main():
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=5)
     parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--focus", metavar="FUNC")
     args = parser.parse_args()
 
     if args.dump:
-        report(args.dump, args.top)
+        report(args.dump, args.top, args.focus)
         return
     build = loopbench.build_dir()
     binary = os.path.join(build, "loopbench", "loopbench")
@@ -225,7 +263,7 @@ def main():
         args.workload, args.seed, args.seconds, False, build)
     dump = run_sampled(command, build_sampler(out_dir),
                        os.path.join(out_dir, "run"), loopbench.child_env(build))
-    report(dump, args.top)
+    report(dump, args.top, args.focus)
 
 
 if __name__ == "__main__":

@@ -53,6 +53,12 @@ fi
 # table and closure hand-off. fs_test and dir_codec_test also drive the
 # directory walker's offset arithmetic and the store's in-place datum
 # edits across every byte boundary of their sample datums.
+# File data is one refcounted buffer shared across layers and threads
+# (SharedBytes): runtime_test's HeldReadResultKeepsItsBytesAcrossAnOverwrite
+# keeps a hit's bytes on the caller's thread while the loop thread drops
+# the cache entry that shared them, so ASan would see an early free and
+# TSan a racy count; fs_test's EditsCopyADirectoryDatumAReplyStillHolds
+# covers the copy-on-write directory edits.
 targets=(scheduler_test sim_test net_test proto_test fastpath_alloc_test
          runtime_test event_loop_test timer_queue_test storage_test
          journal_crash_test shard_test shard_concurrency_test swarm_test
