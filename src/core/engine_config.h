@@ -18,6 +18,7 @@
 #include "src/common/result.h"
 #include "src/common/time.h"
 #include "src/core/params.h"
+#include "src/core/term_policy.h"
 
 namespace leases {
 
@@ -79,6 +80,16 @@ struct EngineConfig {
   // ClientParams::epsilon remains (clients are built from ClientParams
   // alone) but must agree -- ClusterOptions::Validate() enforces that.
   Duration epsilon = Duration::Millis(100);
+
+  // Clock-health plane: wrap the term policy in an
+  // UncertaintyAwareTermPolicy fed by the clock stamps on read/extend
+  // requests. Grants are then capped by each client's measured drift bound
+  // and degrade to zero-term when sync is blown; a replicated authority
+  // additionally composes the measured epsilon bound into its safety
+  // margins. `uncertainty.epsilon` is overwritten with `epsilon` above.
+  // MakeEnginePolicy (server_engine.h) builds the policy for every host.
+  bool uncertainty_terms = false;
+  UncertaintyAwareTermPolicy::Options uncertainty;
 
   // Sharded grant plane (src/core/sharded_lease_server.h); 1 = plain.
   size_t num_shards = 1;

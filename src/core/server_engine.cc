@@ -124,6 +124,35 @@ Status InvalidEnv(std::string message) {
 
 }  // namespace
 
+void EnginePolicy::Wire(EngineEnv* env) const {
+  env->policy = policy.get();
+  for (ShardEnv& shard : env->shards) {
+    shard.policy = policy.get();
+  }
+  if (clock_health != nullptr) {
+    env->epsilon_bound = [health = clock_health](Duration horizon) {
+      return health->EpsilonBound(horizon);
+    };
+  }
+}
+
+EnginePolicy MakeEnginePolicy(const EngineConfig& config,
+                              std::unique_ptr<TermPolicy> inner) {
+  EnginePolicy out;
+  out.policy = inner != nullptr
+                   ? std::move(inner)
+                   : std::make_unique<FixedTermPolicy>(config.term);
+  if (config.uncertainty_terms) {
+    UncertaintyAwareTermPolicy::Options options = config.uncertainty;
+    options.epsilon = config.epsilon;  // one authoritative source
+    auto wrapped = std::make_unique<UncertaintyAwareTermPolicy>(
+        std::move(out.policy), options);
+    out.clock_health = wrapped.get();
+    out.policy = std::move(wrapped);
+  }
+  return out;
+}
+
 Result<std::unique_ptr<ServerEngine>> MakeServerEngine(
     const EngineConfig& config, EngineEnv env) {
   Status valid = config.Validate();

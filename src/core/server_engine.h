@@ -112,6 +112,27 @@ class ServerEngine : public PacketHandler {
   virtual ReplicaNode* replica() { return nullptr; }
 };
 
+// The grant policy an EngineConfig describes, built in one place for every
+// host (SimCluster and RuntimeServer), so the simulator and the sockets
+// grant alike.
+struct EnginePolicy {
+  std::unique_ptr<TermPolicy> policy;
+  // The clock-health wrapper that is `policy` when config.uncertainty_terms
+  // is set, else null.
+  UncertaintyAwareTermPolicy* clock_health = nullptr;
+
+  // Points `env` and each of its shard environments at `policy`. With clock
+  // health it also sets env->epsilon_bound, which a replicated authority
+  // composes into its safety margins.
+  void Wire(EngineEnv* env) const;
+};
+
+// `inner` (FixedTermPolicy(config.term) when null), wrapped in an
+// UncertaintyAwareTermPolicy sized by config.epsilon when
+// config.uncertainty_terms is set.
+EnginePolicy MakeEnginePolicy(const EngineConfig& config,
+                              std::unique_ptr<TermPolicy> inner = nullptr);
+
 // Builds the engine `config` describes over `env`. Fails with
 // kInvalidArgument (from EngineConfig::Validate or env checks) instead of
 // crashing on unsupported combinations. The engine is returned stopped;

@@ -63,19 +63,8 @@ SimCluster::SimCluster(ClusterOptions options)
   // backend replays zero records.
   LEASES_CHECK(meta_.Reopen().ok());
   network_ = std::make_unique<SimNetwork>(&sim_, options_.net);
-  if (options_.make_policy) {
-    policy_ = options_.make_policy();
-  } else {
-    policy_ = std::make_unique<FixedTermPolicy>(options_.term);
-  }
-  if (options_.uncertainty_terms) {
-    UncertaintyAwareTermPolicy::Options uopts = options_.uncertainty;
-    uopts.epsilon = options_.epsilon;  // one authoritative source
-    auto wrapped = std::make_unique<UncertaintyAwareTermPolicy>(
-        std::move(policy_), uopts);
-    clock_health_ = wrapped.get();
-    policy_ = std::move(wrapped);
-  }
+  policy_ = MakeEnginePolicy(
+      options_, options_.make_policy ? options_.make_policy() : nullptr);
 
   server_id_ = NodeId(1);
   server_node_ = MakeRig(server_id_, options_.server_clock, nullptr);
@@ -146,7 +135,6 @@ std::vector<ShardEnv> SimCluster::MakeShardEnvs(Clock* clock,
     envs[s].clock = clock;
     envs[s].timers = timers;
     envs[s].transport = transport;
-    envs[s].policy = policy_.get();
   }
   return envs;
 }
@@ -166,8 +154,8 @@ void SimCluster::BuildEngine() {
     env.transport = server_node_.transport;
     env.clock = server_node_.clock.get();
     env.timers = server_node_.timers.get();
-    env.policy = policy_.get();
   }
+  policy_.Wire(&env);
   Result<std::unique_ptr<ServerEngine>> engine =
       MakeServerEngine(options_, std::move(env));
   LEASES_CHECK(engine.ok());
@@ -181,12 +169,6 @@ EngineEnv SimCluster::MakeReplicaEnv(size_t r, std::vector<NodeId> peers) {
   env.id = server_id_;
   env.store = &store_;
   env.oracle = &oracle_;
-  env.policy = policy_.get();
-  if (clock_health_ != nullptr) {
-    env.epsilon_bound = [health = clock_health_](Duration horizon) {
-      return health->EpsilonBound(horizon);
-    };
-  }
   env.serve_transport = server_node_.transport;
   env.replica_cold_boot = true;  // replicated clusters start fresh
   env.on_takeover = [this, r](NodeId) {
@@ -221,6 +203,7 @@ EngineEnv SimCluster::MakeReplicaEnv(size_t r, std::vector<NodeId> peers) {
     env.shards = MakeShardEnvs(env.clock, env.timers, server_node_.transport);
   }
   env.peers = std::move(peers);
+  policy_.Wire(&env);
   return env;
 }
 

@@ -45,16 +45,8 @@ struct ClusterOptions : EngineConfig {
   NetworkParams net;
   ClientParams client;
   // Optional custom policy (e.g. AdaptiveTermPolicy); overrides `term`.
+  // With uncertainty_terms set, the clock-health wrapper wraps it.
   std::function<std::unique_ptr<TermPolicy>()> make_policy;
-  // Clock-health plane: wrap the policy (make_policy's product, or the
-  // default FixedTermPolicy(term)) in an UncertaintyAwareTermPolicy fed by
-  // the clock stamps on read/extend requests. Grants are then capped by
-  // each client's measured drift bound and degrade to zero-term when sync
-  // is blown; in replicated mode the authority additionally composes the
-  // measured epsilon bound into its safety margins. `uncertainty.epsilon`
-  // is overwritten with the authoritative EngineConfig::epsilon.
-  bool uncertainty_terms = false;
-  UncertaintyAwareTermPolicy::Options uncertainty;
   ClockModel server_clock = ClockModel::Perfect();
   // Per-client clock model; clients beyond the vector get perfect clocks.
   std::vector<ClockModel> client_clocks;
@@ -79,10 +71,10 @@ class SimCluster {
   SimNetwork& network() { return *network_; }
   FileStore& store() { return store_; }
   Oracle& oracle() { return oracle_; }
-  TermPolicy& policy() { return *policy_; }
+  TermPolicy& policy() { return *policy_.policy; }
   // The uncertainty wrapper when options.uncertainty_terms is set, else
   // null. (policy() returns the wrapper itself in that mode.)
-  UncertaintyAwareTermPolicy* clock_health() { return clock_health_; }
+  UncertaintyAwareTermPolicy* clock_health() { return policy_.clock_health; }
 
   // The engine behind the service (plain and sharded modes).
   ServerEngine& engine() { return *engine_; }
@@ -205,8 +197,7 @@ class SimCluster {
   std::unique_ptr<StorageBackend> storage_;  // outlives server incarnations
   DurableMeta meta_;
   Oracle oracle_;
-  std::unique_ptr<TermPolicy> policy_;
-  UncertaintyAwareTermPolicy* clock_health_ = nullptr;  // into policy_
+  EnginePolicy policy_;
 
   NodeId server_id_;
   NodeRig server_node_;  // the (virtual, in replicated mode) serving host

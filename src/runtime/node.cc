@@ -8,6 +8,7 @@
 
 #include "src/common/check.h"
 #include "src/fs/journal.h"
+#include "src/replica/authority.h"
 
 namespace leases {
 namespace {
@@ -79,72 +80,186 @@ Result<T> Await(EventLoop& loop, Waiter<T>& waiter, Duration timeout) {
 
 }  // namespace
 
-RuntimeServer::RuntimeServer(NodeId id, EngineConfig config)
+RuntimeServer::RuntimeServer(NodeId id, EngineConfig config, ReplicaBoot boot)
     : id_(id),
       config_(std::move(config)),
-      policy_(std::make_unique<FixedTermPolicy>(config_.term)) {}
+      boot_(boot),
+      policy_(MakeEnginePolicy(config_)) {}
 
 RuntimeServer::~RuntimeServer() { Stop(); }
 
-Status RuntimeServer::Start(uint16_t port) { return StartInternal(port); }
-
 Status RuntimeServer::Start(const std::string& data_dir, uint16_t port) {
-  auto journal = std::make_unique<JournalBackend>(data_dir);
-  Status opened = journal->Open();
-  if (!opened.ok()) {
-    return opened;
-  }
-  storage_ = std::move(journal);
-  meta_ = DurableMeta(storage_.get());
-  // Replay IS recovery: the rebuilt max term / boot count make the new
-  // server delay writes for the previous incarnation's grant window.
-  Status replayed = meta_.Reopen();
-  if (!replayed.ok()) {
-    return replayed;
-  }
-  return StartInternal(port);
+  config_.data_dir = data_dir;
+  return Start(port);
 }
 
-Status RuntimeServer::StartInternal(uint16_t port) {
+Status RuntimeServer::Start(uint16_t port) {
+  Status valid = config_.Validate();
+  if (valid.ok() && config_.replica.num_replicas > 0 &&
+      config_.num_shards > 1) {
+    valid = Status(ErrorCode::kInvalidArgument,
+                   "RuntimeServer runs a replicated engine unsharded");
+  }
+  if (!valid.ok()) {
+    return valid;
+  }
+  if (!config_.data_dir.empty()) {
+    auto journal = std::make_unique<JournalBackend>(config_.data_dir);
+    Status opened = journal->Open();
+    if (!opened.ok()) {
+      return opened;
+    }
+    storage_ = std::move(journal);
+    meta_ = DurableMeta(storage_.get());
+    // Replay IS recovery: the rebuilt max term / boot count make the new
+    // server delay writes for the previous incarnation's grant window.
+    Status replayed = meta_.Reopen();
+    if (!replayed.ok()) {
+      return replayed;
+    }
+  }
+  Status serving = config_.num_shards > 1 ? ServeSharded(port) : Serve(port);
+  if (!serving.ok()) {
+    Stop();
+  }
+  return serving;
+}
+
+Status RuntimeServer::Serve(uint16_t port) {
   loop_ = std::make_unique<EventLoop>();
   transport_ = std::make_unique<UdpTransport>(id_, loop_.get(), nullptr);
-  Status started = transport_->Start(port);
-  if (!started.ok()) {
-    return started;
-  }
-  // All protocol traffic goes through the fault decorator (a passthrough
-  // until faults are configured); delayed re-sends run on the loop.
-  faulty_ =
-      std::make_unique<FaultInjectingTransport>(transport_.get(), loop_.get());
   EngineEnv env;
   env.id = id_;
   env.store = &store_;
   env.meta = &meta_;
-  env.transport = faulty_.get();
+  env.transport = transport_.get();
   env.clock = &clock_;
   env.timers = loop_.get();
-  env.policy = policy_.get();
+  if (config_.replica.num_replicas > 0) {
+    authority_ = std::make_unique<UdpTransport>(ReplicaAddr(boot_.index),
+                                                loop_.get(), nullptr);
+    Status bound = authority_->Start(boot_.authority_port);
+    if (!bound.ok()) {
+      return bound;
+    }
+    env.transport = authority_.get();
+    env.serve_transport = transport_.get();
+    env.replica_index = boot_.index;
+    for (size_t r = 0; r < config_.replica.num_replicas; ++r) {
+      env.peers.push_back(ReplicaAddr(r));
+    }
+    env.replica_cold_boot = boot_.cold_boot;
+    env.join_as_learner = boot_.join_as_learner;
+  }
+  Status bound = transport_->Start(port);
+  if (!bound.ok()) {
+    return bound;
+  }
+  policy_.Wire(&env);
   auto engine = MakeServerEngine(config_, std::move(env));
   if (!engine.ok()) {
     return Status(engine.error().code, engine.error().message);
   }
   engine_ = std::move(engine.value());
-  // Engine start (LeaseServer construction, timer arming) runs on the loop
-  // thread, preserving the single-threaded protocol model.
+  // Engine start (LeaseServer construction, timer arming, a seed replica's
+  // first acquisition) runs on the loop thread, preserving the
+  // single-threaded protocol model.
   Status serving;
   loop_->RunSync([this, &serving]() { serving = engine_->Start(); });
   if (!serving.ok()) {
     return serving;
   }
   transport_->SetHandler(engine_.get());
+  if (authority_ != nullptr) {
+    authority_->SetHandler(engine_.get());
+  }
   return Status::Ok();
 }
 
-void RuntimeServer::Stop() {
-  if (transport_ != nullptr) {
-    transport_->SetHandler(nullptr);
-    transport_->Stop();
+Status RuntimeServer::ServeSharded(uint16_t port) {
+  // Raw-handler mode: the transport runs a private event loop whose only
+  // work is routing packets straight into the shard queues.
+  transport_ = std::make_unique<UdpTransport>(id_, nullptr, nullptr);
+  EngineEnv env;
+  env.id = id_;
+  env.shards.resize(config_.num_shards);
+  for (ShardEnv& shard : env.shards) {
+    auto rig = std::make_unique<ShardRig>();
+    rig->loop = std::make_unique<ShardLoop>();
+    rig->sender = std::make_unique<UdpBatchSender>(transport_.get());
+    shard.store = &rig->store;
+    shard.meta = &rig->meta;
+    shard.clock = &clock_;
+    shard.timers = rig->loop.get();
+    shard.transport = rig->sender.get();
+    rigs_.push_back(std::move(rig));
   }
+  // Shards share the one policy: FixedTermPolicy is immutable and the
+  // clock-health wrapper locks internally.
+  policy_.Wire(&env);
+
+  // Constructing the per-shard LeaseServers before the shard threads exist
+  // is single-threaded and therefore safe: constructor-scheduled timers land
+  // in the still-unstarted timer queues, and thread creation below
+  // happens-after all of it.
+  auto engine = MakeServerEngine(config_, std::move(env));
+  if (!engine.ok()) {
+    return Status(engine.error().code, engine.error().message);
+  }
+  engine_ = std::move(engine.value());
+  Status serving = engine_->Start();
+  if (!serving.ok()) {
+    return serving;
+  }
+  sharded_ = engine_->sharded();
+  store_.SetMirror([this](FileId file, const FileRecord* rec) {
+    sharded_->MirrorRecord(file, rec);
+  });
+  sharded_->AdoptAll(store_);
+
+  for (size_t i = 0; i < rigs_.size(); ++i) {
+    ShardRig* rig = rigs_[i].get();
+    rig->loop->Start(
+        [this, i](const ShardInbound& msg) {
+          sharded_->DeliverToShard(i, msg.from, msg.cls, msg.packet);
+        },
+        [sender = rig->sender.get()]() { sender->Flush(); });
+  }
+
+  // Routing runs as the transport loop's work; only the enqueue touches
+  // shard state, through the SPSC ring. A full ring means the shard is
+  // saturated: shed the packet like the wire would.
+  transport_->SetRawHandler([this](NodeId from, MessageClass cls,
+                                   std::span<const uint8_t> payload) {
+    std::optional<Packet> packet = DecodePacket(payload);
+    if (!packet) {
+      return;  // malformed packets are dropped, as in LeaseServer
+    }
+    sharded_->Route(
+        from, cls, std::move(*packet),
+        [this](size_t shard, NodeId f, MessageClass c, Packet&& p) {
+          if (!rigs_[shard]->loop->Enqueue(
+                  ShardInbound{f, c, std::move(p)})) {
+            dropped_.fetch_add(1, std::memory_order_relaxed);
+          }
+        });
+  });
+  return transport_->Start(port);
+}
+
+void RuntimeServer::Stop() {
+  // No receive callback runs once the sockets stop.
+  for (UdpTransport* socket : {transport_.get(), authority_.get()}) {
+    if (socket != nullptr) {
+      socket->SetHandler(nullptr);
+      socket->Stop();
+    }
+  }
+  for (auto& rig : rigs_) {
+    rig->loop->Stop();  // joins the shard thread; in-flight input is lost
+  }
+  // Engine teardown cancels its timers against the host that holds them:
+  // the still-running event loop, or the now-quiescent shard loops.
   if (loop_ != nullptr && engine_ != nullptr) {
     loop_->RunSync([this]() { engine_.reset(); });
   }
@@ -152,23 +267,69 @@ void RuntimeServer::Stop() {
     loop_->Stop();
   }
   engine_.reset();
-  faulty_.reset();  // after Stop: no more loop callbacks into the decorator
+  sharded_ = nullptr;
+  store_.SetMirror(nullptr);
+  rigs_.clear();  // the batch senders go before the socket they send on
+  authority_.reset();
   transport_.reset();
   loop_.reset();
 }
 
-void RuntimeServer::WithServer(std::function<void(LeaseServer&)> fn) {
-  LEASES_CHECK(loop_ != nullptr && engine_ != nullptr);
-  loop_->RunSync([this, &fn]() { fn(*engine_->plain()); });
+void RuntimeServer::WithEngine(const std::function<void(ServerEngine&)>& fn) {
+  LEASES_CHECK(engine_ != nullptr);
+  if (loop_ != nullptr) {
+    loop_->RunSync([this, &fn]() { fn(*engine_); });
+    return;
+  }
+  // Sharded: each shard thread, in turn, waits inside a control task for
+  // the next one, so `fn` runs on the last with every shard held.
+  std::function<void(size_t)> hold = [&](size_t i) {
+    if (i == rigs_.size()) {
+      fn(*engine_);
+      return;
+    }
+    rigs_[i]->loop->RunSync([&hold, i]() { hold(i + 1); });
+  };
+  hold(0);
 }
 
 ServerStats RuntimeServer::stats() {
   ServerStats out;
-  WithServer([&out](LeaseServer& server) { out = server.stats(); });
-  // Transport plane: local send failures are invisible to the protocol (it
-  // reads them as wire loss), so surface them alongside the server counters.
-  out.send_failures = transport_->stats().send_failures;
+  WithEngine([&out](ServerEngine& engine) { out = engine.stats(); });
+  // Local send failures are invisible to the protocol (it reads them as
+  // wire loss), so surface them alongside the engine counters.
+  for (UdpTransport* socket : {transport_.get(), authority_.get()}) {
+    if (socket != nullptr) {
+      out.send_failures += socket->stats().send_failures;
+    }
+  }
   return out;
+}
+
+bool RuntimeServer::is_holder() {
+  bool holder = false;
+  if (engine_ != nullptr) {
+    WithEngine([&holder](ServerEngine& e) {
+      holder = e.replica()->is_holder();
+    });
+  }
+  return holder;
+}
+
+Duration RuntimeServer::last_inherited_bound() {
+  Duration bound = Duration::Zero();
+  WithEngine([&bound](ServerEngine& e) {
+    bound = e.replica()->last_inherited_bound();
+  });
+  return bound;
+}
+
+uint64_t RuntimeServer::processed() const {
+  uint64_t total = 0;
+  for (const auto& rig : rigs_) {
+    total += rig->loop->processed();
+  }
+  return total;
 }
 
 RuntimeClient::RuntimeClient(NodeId id, NodeId server_id, FileId root,

@@ -1,84 +1,189 @@
 // Runtime node harnesses: the same LeaseServer / CacheClient state machines
 // running over real UDP sockets and the monotonic system clock.
 //
-// RuntimeServer and RuntimeClient each own an event loop, a UDP transport
-// and a clock; all protocol work runs as loop work (see event_loop.h).
-// RuntimeClient additionally offers blocking wrappers for application code,
-// which run the call on the caller's thread when the loop is idle and wait
-// for a miss's reply by leading the loop (EventLoop::Lead): the reply wakes
-// the caller, which handles it itself, and the loop thread stays asleep. A
-// read hit is cheaper still: CacheClient::ReadCached serves it inline on the
-// caller's thread, with no waiter, no callback and one clock read.
+// RuntimeServer is the one server host; its EngineConfig picks the shape:
+//   * plain: one event loop and one socket; the engine's protocol work runs
+//     as that loop's work (see event_loop.h). A non-empty config.data_dir
+//     journals the recovery state (max term, boot count, optional lease
+//     records) there and replays it before serving, so a restarted process
+//     honors the previous incarnation's grants.
+//   * num_shards > 1: the FileId-partitioned grant plane. One socket, served
+//     by the transport's private event loop, fronts N run-to-completion
+//     ShardLoop threads. That loop decodes each packet straight from its
+//     receive buffer, routes it with the simulator's shard_router.h
+//     functions (ShardedLeaseServer::Route) and pushes it onto the owning
+//     shard's SPSC ring; the shard thread runs its LeaseServer against a
+//     private FileStore partition, timer queue and outbound batch sender,
+//     so the grant path takes no locks. A full ring drops the packet
+//     (counted), which the protocol reads as wire loss and the client
+//     repairs by retransmission.
+//   * replica.num_replicas > 0: one replica of the replicated lease
+//     authority (PaxosLease), two sockets on one loop. The authority socket
+//     is bound to the replica's own address (ReplicaAddr(index)) and carries
+//     the prepare/promise/propose/accept traffic between replicas. The
+//     serving socket is bound to the virtual server identity every replica
+//     shares and carries client traffic; only the authority holder answers
+//     on it (standbys drop client datagrams, which the client repairs by
+//     retry). With no real VIP on localhost, a client re-points its peer
+//     table for the virtual NodeId at the new holder's serving port after a
+//     takeover. The replica is diskless: safety across process loss comes
+//     from the acceptor warm-up window (see src/replica/authority.h).
+// Every shape grants through the one term policy MakeEnginePolicy builds
+// from the config (clock health included), and exposes its engine on the
+// protocol thread through WithEngine.
+//
+// RuntimeClient owns an event loop, a UDP transport and a clock; all
+// protocol work runs as loop work. It offers blocking wrappers for
+// application code, which run the call on the caller's thread when the loop
+// is idle and wait for a miss's reply by leading the loop (EventLoop::Lead):
+// the reply wakes the caller, which handles it itself, and the loop thread
+// stays asleep. A read hit is cheaper still: CacheClient::ReadCached serves
+// it inline on the caller's thread, with no waiter, no callback and one
+// clock read.
 #ifndef SRC_RUNTIME_NODE_H_
 #define SRC_RUNTIME_NODE_H_
 
+#include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/clock/system_clock.h"
 #include "src/core/cache_client.h"
 #include "src/core/server_engine.h"
-#include "src/core/term_policy.h"
 #include "src/fs/file_store.h"
 #include "src/net/faulty_transport.h"
 #include "src/runtime/event_loop.h"
+#include "src/runtime/shard_loop.h"
 #include "src/runtime/udp_transport.h"
 
 namespace leases {
 
+// The boot inputs of one authority replica; ignored by the other shapes.
+struct ReplicaBoot {
+  size_t index = 0;  // this replica's slot, < config.replica.num_replicas
+  // The host's assertion that this replica never took part in an authority
+  // round (fresh cluster); when false the replica warms up for one
+  // authority term before voting.
+  bool cold_boot = false;
+  uint16_t authority_port = 0;  // 0 picks an ephemeral port
+  // Join a live cluster as a learner: an acceptor that never proposes until
+  // a committed member set names it.
+  bool join_as_learner = false;
+};
+
 class RuntimeServer {
  public:
-  // The full configuration surface; the engine shape (plain only -- sharded
-  // runs under ShardedRuntimeServer, replicated under RuntimeReplicaServer)
-  // is validated by MakeServerEngine at Start.
-  RuntimeServer(NodeId id, EngineConfig config);
+  // The authority-plane address of replica `index`; kept out of the small
+  // NodeId range clients and servers use.
+  static NodeId ReplicaAddr(size_t index) {
+    return NodeId(900 + static_cast<uint32_t>(index));
+  }
+
+  // `id` is the client-facing address (the virtual one a replica shares).
+  RuntimeServer(NodeId id, EngineConfig config, ReplicaBoot boot = {});
   ~RuntimeServer();
 
+  RuntimeServer(const RuntimeServer&) = delete;
+  RuntimeServer& operator=(const RuntimeServer&) = delete;
+
+  // Builds the shape config names and starts serving on 127.0.0.1:`port`
+  // (0 picks one). A shape EngineConfig::Validate refuses, or a replicated
+  // sharded one (which this host does not run), returns kInvalidArgument.
   Status Start(uint16_t port = 0);
-  // Durable variant: recovery state (max term, boot count, optional lease
-  // records) is journaled under `data_dir` and replayed before the server
-  // starts serving, so a restarted process honors the previous incarnation's
-  // grants. The directory is created if missing.
+  // Start with config.data_dir = `data_dir`.
   Status Start(const std::string& data_dir, uint16_t port = 0);
   void Stop();
 
-  uint16_t port() const { return transport_->port(); }
+  // The serving port; 0 when not serving.
+  uint16_t port() const {
+    return transport_ != nullptr ? transport_->port() : 0;
+  }
+  // Registers a client's address on the serving socket.
   void AddPeer(NodeId peer, uint16_t peer_port) {
     transport_->AddPeer(peer, peer_port);
   }
+  // Replica shape: the authority socket and its peers.
+  uint16_t authority_port() const { return authority_->port(); }
+  void AddReplicaPeer(size_t index, uint16_t peer_port) {
+    authority_->AddPeer(ReplicaAddr(index), peer_port);
+  }
 
-  // Valid between Start and Stop.
+  // The serving socket (valid between Start and Stop).
   UdpTransport& transport() { return *transport_; }
 
-  // Direct (pre-start) store setup; not thread-safe once serving.
+  // Namespace store for pre-start setup (CreatePath etc.); not thread-safe
+  // once serving. A sharded Start copies every record into its owning
+  // partition, and the partitions are authoritative from then on. Replica
+  // stores are independent copies (the plane replicates authority, not file
+  // data): seed them identically.
   FileStore& store() { return store_; }
-  // Runs `fn` on the protocol thread against the live server.
-  void WithServer(std::function<void(LeaseServer&)> fn);
-  // The engine shell (valid between Start and Stop).
-  ServerEngine& engine() { return *engine_; }
-  ServerStats stats();
+  // The clock-health policy when config.uncertainty_terms is set, else null.
+  UncertaintyAwareTermPolicy* clock_health() { return policy_.clock_health; }
 
-  // Fault-injection decorator the server sends through; a passthrough until
-  // faults are configured. Valid between Start and Stop.
-  FaultInjectingTransport& faults() { return *faulty_; }
+  // Runs `fn` against the live engine with no protocol work running beside
+  // it: on the loop thread, or for a sharded engine on the last shard's
+  // thread while every other shard thread waits. Valid between a successful
+  // Start and Stop.
+  void WithEngine(const std::function<void(ServerEngine&)>& fn);
+  // Engine counters plus the sockets' local send failures.
+  ServerStats stats();
+  // Pre-registers a client for installed-file multicasts; a replica replays
+  // it into the serving engine it builds at takeover.
+  void RegisterClient(NodeId client) {
+    WithEngine([client](ServerEngine& e) { e.RegisterClient(client); });
+  }
+
+  // Replica shape: whether this replica holds the authority lease (false
+  // when not serving), and the grant bound it inherited at takeover.
+  bool is_holder();
+  Duration last_inherited_bound();
+
+  // Sharded shape: datagrams dropped because a shard's ring was full, and
+  // messages processed across all shards.
+  uint64_t dropped() const {
+    return dropped_.load(std::memory_order_relaxed);
+  }
+  uint64_t processed() const;
 
  private:
-  Status StartInternal(uint16_t port);
+  // Everything one shard owns: its worker loop, its FileStore partition,
+  // its in-memory recovery metadata and its outbound batcher. unique_ptr
+  // keeps addresses stable for the ShardEnv pointers.
+  struct ShardRig {
+    std::unique_ptr<ShardLoop> loop;
+    FileStore store;
+    DurableMeta meta;
+    std::unique_ptr<UdpBatchSender> sender;
+  };
+
+  Status Serve(uint16_t port);
+  Status ServeSharded(uint16_t port);
 
   NodeId id_;
   EngineConfig config_;
+  ReplicaBoot boot_;
   FileStore store_;
-  // Set only by the durable Start overload; meta_ journals through it and
+  // Set when config.data_dir names a journal; meta_ journals through it and
   // must be destroyed first (declaration order keeps the backend alive).
   std::unique_ptr<StorageBackend> storage_;
   DurableMeta meta_;
   SystemClock clock_;
-  std::unique_ptr<TermPolicy> policy_;
-  std::unique_ptr<EventLoop> loop_;
-  std::unique_ptr<UdpTransport> transport_;
-  std::unique_ptr<FaultInjectingTransport> faulty_;
+  EnginePolicy policy_;
+  std::unique_ptr<EventLoop> loop_;            // plain and replica shapes
+  std::unique_ptr<UdpTransport> transport_;    // the serving socket
+  std::unique_ptr<UdpTransport> authority_;    // replica shape
+  std::vector<std::unique_ptr<ShardRig>> rigs_;  // sharded shape
   std::unique_ptr<ServerEngine> engine_;
+  // The sharded engine's concrete type, kept for the routing fast path.
+  ShardedLeaseServer* sharded_ = nullptr;
+  std::atomic<uint64_t> dropped_{0};
 };
+
+// loopbench (a benchmark whose sources stay fixed) still names the sharded
+// host by its old class name and includes sharded_node.h.
+using ShardedRuntimeServer = RuntimeServer;
 
 class RuntimeClient {
  public:

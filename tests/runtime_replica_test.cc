@@ -15,7 +15,6 @@
 #include <thread>
 
 #include "src/runtime/node.h"
-#include "src/runtime/replica_node.h"
 
 namespace leases {
 namespace {
@@ -51,15 +50,15 @@ TEST(RuntimeReplica, SingleReplicaShellServesOverUdp) {
   EngineConfig config;
   config.term = Duration::Seconds(5);
   config.replica.num_replicas = 1;
-  RuntimeReplicaServer server(NodeId(1), 0, config);
+  RuntimeServer server(NodeId(1), config, ReplicaBoot{.cold_boot = true});
   FileId file = *server.store().CreatePath("/data/hello", FileClass::kNormal,
                                            B("world"));
-  ASSERT_TRUE(server.Start(/*cold_boot=*/true).ok());
+  ASSERT_TRUE(server.Start().ok());
 
   RuntimeClient client(NodeId(10), NodeId(1), server.store().root(),
                        RuntimeClientParams());
-  ASSERT_TRUE(client.Start(server.serve_port()).ok());
-  server.AddClientPeer(NodeId(10), client.port());
+  ASSERT_TRUE(client.Start(server.port()).ok());
+  server.AddPeer(NodeId(10), client.port());
   server.RegisterClient(NodeId(10));
 
   Result<ReadResult> read = client.Read(file, Duration::Seconds(10));
@@ -83,16 +82,16 @@ TEST(RuntimeReplica, ThreeReplicaFailoverPromotesStandby) {
   config.term = Duration::Seconds(10);  // grants are capped far below this
   config.replica.num_replicas = 3;
 
-  std::vector<std::unique_ptr<RuntimeReplicaServer>> replicas;
+  std::vector<std::unique_ptr<RuntimeServer>> replicas;
   FileId file;
   for (size_t r = 0; r < 3; ++r) {
-    auto replica =
-        std::make_unique<RuntimeReplicaServer>(NodeId(1), r, config);
+    auto replica = std::make_unique<RuntimeServer>(
+        NodeId(1), config, ReplicaBoot{.index = r, .cold_boot = true});
     // The lease plane replicates authority, not file data: seed each
     // replica's independent store identically.
     file = *replica->store().CreatePath("/data/hello", FileClass::kNormal,
                                         B("world"));
-    ASSERT_TRUE(replica->Start(/*cold_boot=*/true).ok());
+    ASSERT_TRUE(replica->Start().ok());
     replicas.push_back(std::move(replica));
   }
   for (size_t a = 0; a < 3; ++a) {
@@ -109,9 +108,9 @@ TEST(RuntimeReplica, ThreeReplicaFailoverPromotesStandby) {
 
   RuntimeClient client(NodeId(10), NodeId(1), replicas[0]->store().root(),
                        RuntimeClientParams());
-  ASSERT_TRUE(client.Start(replicas[0]->serve_port()).ok());
+  ASSERT_TRUE(client.Start(replicas[0]->port()).ok());
   for (auto& replica : replicas) {
-    replica->AddClientPeer(NodeId(10), client.port());
+    replica->AddPeer(NodeId(10), client.port());
     replica->RegisterClient(NodeId(10));
   }
 
@@ -123,7 +122,7 @@ TEST(RuntimeReplica, ThreeReplicaFailoverPromotesStandby) {
   // inside the 10 s term a single server would have to wait out.
   auto crash = std::chrono::steady_clock::now();
   replicas[0]->Stop();
-  RuntimeReplicaServer* successor = nullptr;
+  RuntimeServer* successor = nullptr;
   ASSERT_TRUE(WaitFor([&] {
     for (size_t r = 1; r < 3; ++r) {
       if (replicas[r]->is_holder()) {
@@ -138,7 +137,7 @@ TEST(RuntimeReplica, ThreeReplicaFailoverPromotesStandby) {
       << "failover took as long as single-server recovery";
 
   // The VIP move: re-point the virtual server id at the new holder.
-  client.transport().AddPeer(NodeId(1), successor->serve_port());
+  client.transport().AddPeer(NodeId(1), successor->port());
 
   // The first write pays the inherited grant bound (the deferred
   // inheritance hold), not the max-granted-term wait, then commits.

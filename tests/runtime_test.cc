@@ -315,6 +315,151 @@ TEST(RuntimeMultiClient, TwoCallersBlockOnOneClientAtOnce) {
   server.Stop();
 }
 
+// The engine shapes one RuntimeServer builds from its EngineConfig.
+enum class Shape { kPlain, kTwoShards, kOneReplica };
+
+class RuntimeShapes : public ::testing::TestWithParam<Shape> {};
+
+// Open, read, a shared write and the invalidated re-read, over UDP, through
+// the same class whatever the shape.
+TEST_P(RuntimeShapes, SharedWriteInvalidatesTheOtherClient) {
+  EngineConfig config = TermConfig(Duration::Seconds(5));
+  if (GetParam() == Shape::kTwoShards) {
+    config.num_shards = 2;
+  } else if (GetParam() == Shape::kOneReplica) {
+    config.replica.num_replicas = 1;
+  }
+  RuntimeServer server(NodeId(1), config, ReplicaBoot{.cold_boot = true});
+  FileId file = *server.store().CreatePath("/data/shared", FileClass::kNormal,
+                                           B("v1"));
+  ASSERT_TRUE(server.Start().ok());
+
+  ClientParams params;
+  params.transit_allowance = Duration::Millis(50);
+  params.epsilon = Duration::Millis(50);
+  params.request_timeout = Duration::Millis(300);
+  RuntimeClient a(NodeId(2), NodeId(1), server.store().root(), params);
+  RuntimeClient b(NodeId(3), NodeId(1), server.store().root(), params);
+  ASSERT_TRUE(a.Start(server.port()).ok());
+  ASSERT_TRUE(b.Start(server.port()).ok());
+  server.AddPeer(NodeId(2), a.port());
+  server.AddPeer(NodeId(3), b.port());
+
+  Result<OpenResult> open = a.Open("/data/shared", Duration::Seconds(10));
+  ASSERT_TRUE(open.ok()) << open.error().ToString();
+  EXPECT_EQ(open->file, file);
+  Result<ReadResult> read = a.Read(file, Duration::Seconds(10));
+  ASSERT_TRUE(read.ok()) << read.error().ToString();
+  EXPECT_EQ(std::string(read->data.begin(), read->data.end()), "v1");
+  ASSERT_TRUE(b.Read(file, Duration::Seconds(10)).ok());
+
+  // B's write must consult A (a callback round over UDP) and invalidate
+  // A's copy before it commits.
+  Result<WriteResult> write = b.Write(file, B("v2"), Duration::Seconds(10));
+  ASSERT_TRUE(write.ok()) << write.error().ToString();
+  EXPECT_EQ(a.stats().approvals_granted, 1u);
+
+  Result<ReadResult> again = a.Read(file, Duration::Seconds(10));
+  ASSERT_TRUE(again.ok()) << again.error().ToString();
+  EXPECT_FALSE(again->from_cache);
+  EXPECT_EQ(std::string(again->data.begin(), again->data.end()), "v2");
+  EXPECT_EQ(server.stats().writes_committed, 1u);
+
+  a.Stop();
+  b.Stop();
+  server.Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, RuntimeShapes,
+    ::testing::Values(Shape::kPlain, Shape::kTwoShards, Shape::kOneReplica),
+    [](const ::testing::TestParamInfo<Shape>& param_info) {
+      switch (param_info.param) {
+        case Shape::kPlain:
+          return "Plain";
+        case Shape::kTwoShards:
+          return "TwoShards";
+        case Shape::kOneReplica:
+          return "OneReplica";
+      }
+      return "Unknown";
+    });
+
+// A shape the host cannot run fails Start with kInvalidArgument, touches no
+// disk, and leaves a server that stops and destructs cleanly.
+TEST(RuntimeShapes, RefusedShapeFailsStartAndStopsCleanly) {
+  const std::string dir = ::testing::TempDir() + "leases_runtime_refused." +
+                          std::to_string(::getpid()) + ".tmp";
+  std::filesystem::remove_all(dir);
+  EngineConfig shards_and_dir;
+  shards_and_dir.num_shards = 2;
+  shards_and_dir.data_dir = dir;
+  EngineConfig replicas_and_shards;
+  replicas_and_shards.replica.num_replicas = 1;
+  replicas_and_shards.num_shards = 2;
+  EngineConfig replicas_and_dir;
+  replicas_and_dir.replica.num_replicas = 1;
+  replicas_and_dir.data_dir = dir;
+  for (const EngineConfig& config :
+       {shards_and_dir, replicas_and_shards, replicas_and_dir}) {
+    SCOPED_TRACE("shards=" + std::to_string(config.num_shards) +
+                 " replicas=" + std::to_string(config.replica.num_replicas) +
+                 " data_dir=" + config.data_dir);
+    auto server = std::make_unique<RuntimeServer>(NodeId(1), config);
+    Status started = server->Start();
+    EXPECT_EQ(started.code(), ErrorCode::kInvalidArgument)
+        << started.ToString();
+    EXPECT_EQ(server->port(), 0);
+    EXPECT_FALSE(std::filesystem::exists(dir));
+    server->Stop();
+    server->Stop();
+    server.reset();
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// The clock-health plane reaches a socket: with uncertainty_terms set the
+// server grants through the uncertainty-aware policy, which learns from
+// the clock stamps on the client's requests.
+TEST(RuntimeClockHealth, UncertaintyAwarePolicySeesClientClockSamples) {
+  EngineConfig config = TermConfig(Duration::Seconds(5));
+  config.epsilon = Duration::Millis(50);
+  config.uncertainty_terms = true;
+  RuntimeServer server(NodeId(1), config);
+  FileId file = *server.store().CreatePath("/data/hello", FileClass::kNormal,
+                                           B("world"));
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_NE(server.clock_health(), nullptr);
+  EXPECT_EQ(server.clock_health()->estimator().tracked_nodes(), 0u);
+
+  ClientParams params;
+  params.transit_allowance = Duration::Millis(50);
+  params.epsilon = Duration::Millis(50);
+  RuntimeClient client(NodeId(2), NodeId(1), server.store().root(), params);
+  ASSERT_TRUE(client.Start(server.port()).ok());
+  server.AddPeer(NodeId(2), client.port());
+
+  Result<ReadResult> read = client.Read(file, Duration::Seconds(10));
+  ASSERT_TRUE(read.ok()) << read.error().ToString();
+  EXPECT_EQ(std::string(read->data.begin(), read->data.end()), "world");
+  Result<WriteResult> write =
+      client.Write(file, B("there"), Duration::Seconds(10));
+  ASSERT_TRUE(write.ok()) << write.error().ToString();
+  Result<ReadResult> again = client.Read(file, Duration::Seconds(10));
+  ASSERT_TRUE(again.ok()) << again.error().ToString();
+  EXPECT_EQ(std::string(again->data.begin(), again->data.end()), "there");
+
+  bool known = false;
+  server.WithEngine([&](ServerEngine&) {
+    known = server.clock_health()->estimator().View(NodeId(2)).known;
+  });
+  EXPECT_TRUE(known) << "the policy never saw the client's clock stamp";
+  EXPECT_EQ(server.stats().writes_committed, 1u);
+
+  client.Stop();
+  server.Stop();
+}
+
 TEST(RuntimeDurability, RestartedServerRecoversGrantWindowFromDataDir) {
   const std::string dir =
       "leases_runtime_durable." + std::to_string(::getpid()) + ".tmp";
@@ -354,8 +499,8 @@ TEST(RuntimeDurability, RestartedServerRecoversGrantWindowFromDataDir) {
   EXPECT_GE(stats.journal_replays, 1u);
   EXPECT_GT(stats.journal_replayed_records, 0u);
   bool in_recovery = false;
-  reborn.WithServer(
-      [&](LeaseServer& s) { in_recovery = s.InRecovery(); });
+  reborn.WithEngine(
+      [&](ServerEngine& e) { in_recovery = e.plain()->InRecovery(); });
   EXPECT_TRUE(in_recovery);
 
   // A write during the window is held, not lost: it commits once the

@@ -1,5 +1,5 @@
 // The sharded grant plane under real concurrency: several RuntimeClients
-// hammer a ShardedRuntimeServer over UDP, exercising the receiver-thread
+// hammer a sharded RuntimeServer over UDP, exercising the receiver-thread
 // routing, the SPSC shard queues, the per-shard timer queues and the
 // sendmmsg outbound batchers all at once. Run under TSan in the sanitizer
 // tier (tools/run_sanitizer_tier.sh), this is the proof that the hot path
@@ -14,7 +14,7 @@
 
 #include "src/core/shard_router.h"
 #include "src/runtime/node.h"
-#include "src/runtime/sharded_node.h"
+#include "src/runtime/node.h"
 #include "src/runtime/udp_transport.h"
 
 namespace leases {
@@ -46,8 +46,8 @@ TEST(ShardConcurrency, ClientsHammerAllShardsThroughBatchedUdp) {
   constexpr size_t kFiles = 16;
   constexpr int kRounds = 30;
 
-  ShardedRuntimeServer server(NodeId(1),
-                              ShardedConfig(Duration::Seconds(5), kShards));
+  RuntimeServer server(NodeId(1),
+                       ShardedConfig(Duration::Seconds(5), kShards));
   std::vector<FileId> files;
   for (size_t i = 0; i < kFiles; ++i) {
     files.push_back(*server.store().CreatePath(
@@ -145,8 +145,8 @@ TEST(ShardConcurrency, CrossShardBatchedExtendOverUdp) {
   constexpr size_t kShards = 8;
   constexpr size_t kFiles = 12;
 
-  ShardedRuntimeServer server(NodeId(1),
-                              ShardedConfig(Duration::Millis(800), kShards));
+  RuntimeServer server(NodeId(1),
+                       ShardedConfig(Duration::Millis(800), kShards));
   std::vector<FileId> files;
   for (size_t i = 0; i < kFiles; ++i) {
     files.push_back(*server.store().CreatePath(

@@ -94,7 +94,7 @@ def run_sampled(command, library, run_dir, env):
 def read_dump(path):
     """Returns (samples, mappings): [(tid, [addr...])], [(start, end, offset,
     path)] for the executable mappings."""
-    samples, mappings = [], []
+    samples = []
     with open(path) as f:
         header = f.readline().split()
         if header[:1] != ["interval_us"]:
@@ -107,15 +107,21 @@ def read_dump(path):
                 break
             fields = line.split()
             samples.append((int(fields[0]), [int(a, 16) for a in fields[1:]]))
-        for line in f:
-            fields = line.split(maxsplit=5)
-            if len(fields) < 6 or "x" not in fields[1]:
-                continue
-            start, end = (int(v, 16) for v in fields[0].split("-"))
-            mappings.append((start, end, int(fields[2], 16),
-                             fields[5].strip()))
-    mappings.sort()
+        mappings = read_mappings(f)
     return samples, mappings
+
+
+def read_mappings(lines):
+    """The executable mappings among /proc/self/maps `lines`, sorted:
+    [(start, end, offset, path)]."""
+    mappings = []
+    for line in lines:
+        fields = line.split(maxsplit=5)
+        if len(fields) < 6 or "x" not in fields[1]:
+            continue
+        start, end = (int(v, 16) for v in fields[0].split("-"))
+        mappings.append((start, end, int(fields[2], 16), fields[5].strip()))
+    return sorted(mappings)
 
 
 def load_bias(path, mappings):

@@ -45,6 +45,9 @@ fi
 # the factory lifecycle, the PaxosLease authority state machine across
 # crash/partition/drift soaks, and the two-socket runtime failover rig --
 # real threads under TSan, serving-engine churn under ASan.
+# runtime_test's RuntimeShapes drives the one RuntimeServer through the
+# plain, sharded and replica shapes and through refused Starts; a sharded
+# stats() (shard_concurrency_test) holds every shard thread at once.
 # clock_health_test exercises the clock-error estimator (internally locked,
 # shared across shard threads) and the drift-ramp acceptance soaks.
 # fs_test, cache_client_test and timer_queue_test cover the grant path's
