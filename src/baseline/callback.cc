@@ -259,7 +259,7 @@ void BaselineClient::SendOp(PendingOp op) {
   RequestId req = op.req;
   if (op.is_write) {
     transport_->Send(server_, MessageClass::kData,
-                     WriteRequest{req, op.file, 0, false, op.data});
+                     WriteRequest{req, op.file, 0, op.data});
   } else {
     // Validations are consistency traffic; cold fetches are data traffic.
     transport_->Send(server_,
@@ -295,7 +295,7 @@ void BaselineClient::ResendOp(RequestId req) {
   // Re-send with the same request id.
   if (op.is_write) {
     transport_->Send(server_, MessageClass::kData,
-                     WriteRequest{req, op.file, 0, false, op.data});
+                     WriteRequest{req, op.file, 0, op.data});
   } else {
     transport_->Send(server_,
                      op.is_validate ? MessageClass::kConsistency

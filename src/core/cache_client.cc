@@ -1,7 +1,6 @@
 #include "src/core/cache_client.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -38,11 +37,6 @@ CacheClient::~CacheClient() {
   for (auto& [req, write] : writes_) {
     if (write.timer.valid()) {
       timers_->CancelTimer(write.timer);
-    }
-  }
-  for (auto& [file, entry] : cache_) {
-    if (entry.flush_timer.valid()) {
-      timers_->CancelTimer(entry.flush_timer);
     }
   }
   if (anticipation_timer_.valid()) {
@@ -101,12 +95,11 @@ bool CacheClient::ReadCached(FileId file, ReadResult* result) {
     return false;
   }
   Entry& entry = it->second;
-  // A temporary file is served without a lease. Anything else -- write-back
-  // staged data included -- needs a valid lease on a datum not suspect.
-  const bool temporary =
-      !entry.dirty && entry.file_class == FileClass::kTemporary;
+  // A temporary file is served without a lease. Anything else needs a valid
+  // lease on a datum not suspect.
   const TimePoint now = clock_->Now();
-  if (!temporary && (entry.suspect || !LeaseValid(entry.key, now))) {
+  if (entry.file_class != FileClass::kTemporary &&
+      (entry.suspect || !LeaseValid(entry.keys, now))) {
     return false;
   }
   Touch(entry, now);
@@ -118,8 +111,7 @@ bool CacheClient::ReadCached(FileId file, ReadResult* result) {
   result->file = file;
   result->version = entry.version;
   result->from_cache = true;
-  // Write-back staging: a dirty copy is newer than the server's.
-  result->data = entry.dirty ? entry.dirty_data : entry.data;
+  result->data = entry.data;
   return true;
 }
 
@@ -142,27 +134,13 @@ void CacheClient::ReadMiss(FileId file, ReadCallback cb) {
     waiter.has_token = true;
   }
 
-  auto it = cache_.find(file);
-  if (it != cache_.end() && it->second.dirty) {
-    // Lease lapsed under staged data: flush first, then read normally.
-    FlushEntry(file, [this, file, retry = std::move(waiter.cb)](
-                         Result<WriteResult> flushed) mutable {
-      if (!flushed.ok()) {
-        retry(flushed.error());
-        return;
-      }
-      Read(file, std::move(retry));
-    });
-    return;
-  }
-
   auto inflight = fetch_for_file_.find(file);
   if (inflight != fetch_for_file_.end()) {
     // A request covering this file is already on the wire; join it.
     fetches_[inflight->second].waiters.push_back(std::move(waiter));
     return;
   }
-  if (it != cache_.end()) {
+  if (HasCached(file)) {
     StartExtension(file, std::move(waiter));
   } else {
     StartFetch(file, std::move(waiter));
@@ -214,14 +192,6 @@ std::vector<ExtendItem> CacheClient::CollectExtensionItems(FileId focus) {
       continue;
     }
     if (file != focus && fetch_for_file_.count(file) > 0) {
-      continue;
-    }
-    if (file != focus && KeyContended(entry.key)) {
-      // Dynamic self-invalidation: a cover key we keep approving writes on
-      // is cheaper to drop than to renew -- stop carrying it in batched
-      // extensions and let the lease lapse. The read path revalidates on
-      // the next access, exactly as if the lease had expired naturally.
-      ++stats_.contention_skipped_items;
       continue;
     }
     items.push_back(ExtendItem{file, entry.version});
@@ -486,68 +456,21 @@ void CacheClient::Write(FileId file, std::vector<uint8_t> data,
     cb(std::move(result));
     return;
   }
-  if (params_.write_back && it != cache_.end()) {
-    StageWriteBack(file, it->second, std::move(data), std::move(cb));
-    return;
-  }
-  SendWrite(file, std::move(data), 0, /*is_flush=*/false, std::move(cb));
+  SendWrite(file, std::move(data), std::move(cb));
 }
 
-void CacheClient::StageWriteBack(FileId file, Entry& entry, SharedBytes data,
-                                 WriteCallback cb) {
-  entry.dirty = true;
-  entry.dirty_data = std::move(data);
-  Touch(entry, clock_->Now());
-  if (!entry.flush_timer.valid()) {
-    entry.flush_timer = timers_->ScheduleAfter(
-        params_.write_back_delay,
-        [this, file]() { FlushEntry(file, [](Result<WriteResult>) {}); });
-  }
-  WriteResult result;
-  result.file = file;
-  result.version = entry.version;
-  result.staged = true;
-  cb(std::move(result));
-}
-
-void CacheClient::Flush(FileId file, WriteCallback cb) {
-  FlushEntry(file, std::move(cb));
-}
-
-void CacheClient::FlushEntry(FileId file, WriteCallback cb) {
-  auto it = cache_.find(file);
-  if (it == cache_.end() || !it->second.dirty) {
-    WriteResult result;
-    result.file = file;
-    result.version = it == cache_.end() ? 0 : it->second.version;
-    cb(std::move(result));
-    return;
-  }
-  Entry& entry = it->second;
-  if (entry.flush_timer.valid()) {
-    timers_->CancelTimer(entry.flush_timer);
-    entry.flush_timer = TimerId();
-  }
-  entry.dirty = false;
-  SendWrite(file, std::exchange(entry.dirty_data, {}), 0, /*is_flush=*/true,
-            std::move(cb));
-}
-
-void CacheClient::SendWrite(FileId file, SharedBytes data,
-                            uint64_t base_version, bool is_flush,
-                            WriteCallback cb) {
+void CacheClient::SendWrite(FileId file, SharedBytes data, WriteCallback cb) {
   RequestId req = request_ids_.Next();
   PendingWriteOp op;
   op.req = req;
   op.file = file;
   op.data = data;
-  op.base_version = base_version;
   op.cb = std::move(cb);
-  op.is_flush = is_flush;
   writes_.emplace(req, std::move(op));
+  // A blind write (base_version 0): the write-through order is the
+  // server's.
   SendToServer(MessageClass::kData,
-               WriteRequest{req, file, base_version, is_flush,
-                            std::move(data)});
+               WriteRequest{req, file, 0, std::move(data)});
   ArmWriteTimer(req);
 }
 
@@ -577,9 +500,7 @@ void CacheClient::ResendWrite(RequestId req) {
   ++op.retries;
   ++stats_.retransmits;
   // Same request id: the server's dedup cache makes the retry idempotent.
-  SendToServer(MessageClass::kData,
-               WriteRequest{req, op.file, op.base_version, op.is_flush,
-                            op.data});
+  SendToServer(MessageClass::kData, WriteRequest{req, op.file, 0, op.data});
   ArmWriteTimer(req);
 }
 
@@ -593,12 +514,11 @@ Duration CacheClient::UnavailableBackoff(int retries, uint64_t salt) const {
 
 Duration CacheClient::ResendDelay(int retries, uint64_t salt) const {
   // Resend pacing for silent losses (dead server, failover window): the
-  // same deterministic jitter machinery, seeded at request_timeout. A
-  // fleet probing a restarting server therefore spreads its resends
-  // instead of re-synchronizing every timeout. A cap at or below the
-  // timeout keeps the wait flat (jitter only).
-  Duration cap = std::max(params_.resend_backoff_max, params_.request_timeout);
-  return JitteredBackoff(params_.request_timeout, cap, retries, salt);
+  // same deterministic jitter machinery with its cap at request_timeout,
+  // so the wait stays flat. A fleet probing a restarting server therefore
+  // spreads its resends instead of re-synchronizing every timeout.
+  return JitteredBackoff(params_.request_timeout, params_.request_timeout,
+                         retries, salt);
 }
 
 void CacheClient::OnWriteReply(const WriteReply& m) {
@@ -645,9 +565,6 @@ void CacheClient::OnWriteReply(const WriteReply& m) {
       entry.version = m.version;
     }
     Touch(entry, clock_->Now());
-    if (op.is_flush) {
-      ++stats_.write_back_flushes;
-    }
     MaybeEvict(m.file);
     if (oracle_ != nullptr) {
       // The write is now acknowledged: it becomes the floor every later
@@ -662,82 +579,41 @@ void CacheClient::OnWriteReply(const WriteReply& m) {
     result.version = m.version;
     op.cb(std::move(result));
   }
-
-  // Approvals deferred behind this flush can now be answered.
-  for (auto deferred = deferred_approvals_.begin();
-       deferred != deferred_approvals_.end();) {
-    if (deferred->second.first == m.file) {
-      uint64_t seq = deferred->first;
-      auto [file, key] = deferred->second;
-      deferred = deferred_approvals_.erase(deferred);
-      SendApproval(seq, file, key);
-    } else {
-      ++deferred;
-    }
-  }
 }
 
 // --- Server-initiated traffic ---
 
 void CacheClient::OnApproveRequest(const ApproveRequest& m) {
-  if (params_.approval_delay > Duration::Zero()) {
-    // Deliberately deferred approval (Section 4 client option). Duplicate
-    // callbacks during the hold are ignored; the server's deadline still
-    // bounds the writer's wait.
-    if (!deferred_approvals_.emplace(m.write_seq,
-                                     std::make_pair(m.file, m.key))
-             .second) {
-      return;
-    }
-    uint64_t seq = m.write_seq;
-    timers_->ScheduleAfter(params_.approval_delay, [this, seq]() {
-      auto deferred = deferred_approvals_.find(seq);
-      if (deferred == deferred_approvals_.end()) {
-        return;
-      }
-      auto [file, key] = deferred->second;
-      auto entry = cache_.find(file);
-      if (params_.write_back && entry != cache_.end() &&
-          entry->second.dirty) {
-        // Staged data must reach the server before we give up the copy;
-        // the approval rides the flush completion (OnWriteReply drains
-        // deferred_approvals_ for this file).
-        FlushEntry(file, [](Result<WriteResult>) {});
-        return;
-      }
-      deferred_approvals_.erase(deferred);
-      SendApproval(seq, file, key);
-    });
+  if (params_.approval_delay <= Duration::Zero()) {
+    SendApproval(m.write_seq, m.file, m.key);
     return;
   }
-  auto it = cache_.find(m.file);
-  if (params_.write_back && it != cache_.end() && it->second.dirty) {
-    // Token-style revocation: our staged data causally precedes the write
-    // we are being asked to approve, so flush it first. The server commits
-    // a consulted holder's flush ahead of the pending write.
-    if (deferred_approvals_.count(m.write_seq) > 0) {
-      return;  // duplicate callback while the flush is in flight
-    }
-    deferred_approvals_[m.write_seq] = {m.file, m.key};
-    FlushEntry(m.file, [](Result<WriteResult>) {});
+  // Deliberately deferred approval (Section 4 client option). Duplicate
+  // callbacks during the hold are ignored; the server's deadline still
+  // bounds the writer's wait.
+  if (!deferred_approvals_.insert(m.write_seq).second) {
     return;
   }
-  SendApproval(m.write_seq, m.file, m.key);
+  timers_->ScheduleAfter(
+      params_.approval_delay,
+      [this, seq = m.write_seq, file = m.file, key = m.key]() {
+        deferred_approvals_.erase(seq);
+        SendApproval(seq, file, key);
+      });
 }
 
 void CacheClient::SendApproval(uint64_t seq, FileId file, LeaseKey key) {
   LEASES_DEBUG("client %u: approve seq=%llu file=%llu", id_.value(),
                (unsigned long long)seq, (unsigned long long)file.value());
-  // Every approval we serve is evidence the key is write-contended; the
-  // decayed score steers future extension and lease-acceptance decisions.
-  NoteContention(key);
   // Granting approval invalidates the local copy (Section 2).
   if (EraseEntry(file)) {
     ++stats_.invalidations;
   }
-  bool key_still_used = KeyEntries(key) > 0;
+  auto keys = keys_.find(key);
+  const bool key_still_used = keys != keys_.end() && keys->second.entries > 0;
   if (!key_still_used) {
-    if (lease_expiry_.erase(key) > 0) {
+    if (keys != keys_.end()) {  // a state with no entries holds a lease
+      keys_.erase(keys);
       ++stats_.keys_relinquished;
     }
     // The server will drop us as a holder of `key` when this approval
@@ -755,7 +631,7 @@ void CacheClient::SendApproval(uint64_t seq, FileId file, LeaseKey key) {
 
 void CacheClient::OnInstalledExtend(const InstalledExtend& m) {
   for (LeaseKey key : m.keys) {
-    if (lease_expiry_.count(key) > 0 || KeyEntries(key) > 0) {
+    if (keys_.count(key) > 0) {  // leased, or cached entries use it
       AcceptLease(LeaseGrant{key, m.term});
       ++stats_.installed_renewals;
     }
@@ -769,12 +645,14 @@ void CacheClient::AcceptLease(const LeaseGrant& grant, FileId validated,
   if (!grant.key.valid()) {
     return;
   }
-  if (!LeaseValid(grant.key, clock_->Now())) {
+  auto found = keys_.find(grant.key);
+  KeyState* keys = found == keys_.end() ? nullptr : &found->second;
+  if (!LeaseValid(keys, clock_->Now())) {
     // The lease lapsed before this renewal: a write may have committed in
     // the gap (for installed keys, that is precisely how writes are
     // ordered). Every other datum under the key must revalidate before it
     // may be served again. The scan runs only when there is one.
-    size_t others = KeyEntries(grant.key);
+    size_t others = keys == nullptr ? 0 : keys->entries;
     auto v = cache_.find(validated);
     if (v != cache_.end() && v->second.key == grant.key) {
       --others;
@@ -795,20 +673,6 @@ void CacheClient::AcceptLease(const LeaseGrant& grant, FileId validated,
     // the server granted it, up to transit_allowance ago, and our clock may
     // disagree by up to epsilon over the term.
     Duration tc = grant.term - params_.transit_allowance - params_.epsilon;
-    if (params_.dynamic_self_invalidation) {
-      // Dynamic self-invalidation: under observed write contention, hold
-      // the grant for less than the server offered. A shorter effective
-      // term means fewer approval round trips charged to writers, at the
-      // cost of revalidating sooner -- the right trade when writes
-      // dominate. The server-side expiry is untouched, so this is always
-      // safe: we only ever treat the lease as MORE expired than it is.
-      double score = ContentionScore(grant.key);
-      if (score > 0.1) {
-        tc = Duration::Micros(static_cast<int64_t>(
-            static_cast<double>(tc.ToMicros()) / (1.0 + score)));
-        ++stats_.contention_shortened_leases;
-      }
-    }
     if (tc <= Duration::Zero()) {
       return;  // grants never shorten an existing lease
     }
@@ -823,69 +687,22 @@ void CacheClient::AcceptLease(const LeaseGrant& grant, FileId validated,
       candidate = std::min(candidate, anchor + grant.term - params_.epsilon);
     }
   }
-  // Absence means "no lease": never default-construct an entry, whose epoch
-  // value would read as far-future on a clock with negative readings.
-  auto it = lease_expiry_.find(grant.key);
-  if (it == lease_expiry_.end()) {
-    lease_expiry_.emplace(grant.key, candidate);
-  } else {
-    it->second = std::max(it->second, candidate);
+  // An empty expiry means "no lease": never default it to the epoch, which
+  // would read as far-future on a clock with negative readings.
+  if (keys == nullptr) {
+    keys = &keys_[grant.key];
   }
+  keys->expiry = keys->expiry ? std::max(*keys->expiry, candidate) : candidate;
 }
 
-bool CacheClient::LeaseValid(LeaseKey key, TimePoint now) const {
-  auto it = lease_expiry_.find(key);
-  return it != lease_expiry_.end() && it->second > now;
+size_t CacheClient::lease_count() const {
+  return static_cast<size_t>(std::count_if(
+      keys_.begin(), keys_.end(),
+      [](const auto& key) { return key.second.expiry.has_value(); }));
 }
-
-// --- Dynamic self-invalidation ---
 
 uint64_t CacheClient::ClockStampUs() const {
   return static_cast<uint64_t>(clock_->Now().ToMicros());
-}
-
-double CacheClient::DecayedScore(const Contention& c, TimePoint now) const {
-  int64_t half_life_us = params_.contention_half_life.ToMicros();
-  if (half_life_us <= 0) {
-    return 0.0;  // non-positive half-life: contention is forgotten instantly
-  }
-  if (now <= c.updated) {
-    return c.score;
-  }
-  double half_lives = static_cast<double>((now - c.updated).ToMicros()) /
-                      static_cast<double>(half_life_us);
-  double score = c.score * std::exp2(-half_lives);
-  return score < 1e-3 ? 0.0 : score;
-}
-
-void CacheClient::NoteContention(LeaseKey key) {
-  if (!params_.dynamic_self_invalidation || !key.valid()) {
-    return;
-  }
-  TimePoint now = clock_->Now();
-  auto it = contention_.find(key);
-  if (it == contention_.end()) {
-    contention_.emplace(key, Contention{1.0, now});
-    return;
-  }
-  it->second.score = DecayedScore(it->second, now) + 1.0;
-  it->second.updated = now;
-}
-
-double CacheClient::ContentionScore(LeaseKey key) const {
-  if (!params_.dynamic_self_invalidation) {
-    return 0.0;
-  }
-  auto it = contention_.find(key);
-  if (it == contention_.end()) {
-    return 0.0;
-  }
-  return DecayedScore(it->second, clock_->Now());
-}
-
-bool CacheClient::KeyContended(LeaseKey key) const {
-  return params_.dynamic_self_invalidation &&
-         ContentionScore(key) >= params_.contention_threshold;
 }
 
 void CacheClient::MaybeScheduleAnticipation() {
@@ -922,11 +739,7 @@ void CacheClient::AnticipationTick() {
     if (fetch_for_file_.count(file) > 0) {
       continue;
     }
-    if (KeyContended(entry.key)) {
-      continue;  // write-contended: let the lease lapse rather than renew
-    }
-    auto lease = lease_expiry_.find(entry.key);
-    if (lease == lease_expiry_.end() || lease->second <= horizon) {
+    if (!LeaseValid(entry.keys, horizon)) {
       focus = file;
       break;
     }
@@ -944,14 +757,10 @@ void CacheClient::MaybeEvict(FileId keep) {
       cache_.size() <= params_.max_cached_files) {
     return;
   }
-  // Victim: the least recently touched clean entry other than `keep`. Dirty
-  // entries hold unflushed data and stay.
+  // Victim: the least recently touched entry other than `keep`.
   Entry* victim = lru_head_;
-  while (victim != nullptr && (victim->file == keep || victim->dirty)) {
+  if (victim->file == keep) {
     victim = victim->lru_next;
-  }
-  if (victim == nullptr) {
-    return;
   }
   LeaseKey key = victim->key;
   EraseEntry(victim->file);
@@ -960,10 +769,12 @@ void CacheClient::MaybeEvict(FileId keep) {
 }
 
 void CacheClient::RelinquishKeyIfUnused(LeaseKey key) {
-  if (!key.valid() || KeyEntries(key) > 0 || lease_expiry_.count(key) == 0) {
+  // A state with no entries holds a lease.
+  auto it = keys_.find(key);
+  if (it == keys_.end() || it->second.entries > 0) {
     return;
   }
-  lease_expiry_.erase(key);
+  keys_.erase(it);
   ++stats_.keys_relinquished;
   SendToServer(MessageClass::kConsistency, Relinquish{{key}});
 }
@@ -973,7 +784,7 @@ void CacheClient::RelinquishIdle(Duration idle) {
   const TimePoint cutoff = now - idle;
   std::unordered_map<LeaseKey, bool> key_idle;
   for (const auto& [file, entry] : cache_) {
-    bool entry_idle = entry.last_access <= cutoff && !entry.dirty;
+    bool entry_idle = entry.last_access <= cutoff;
     auto [it, inserted] = key_idle.emplace(entry.key, entry_idle);
     if (!inserted) {
       it->second = it->second && entry_idle;
@@ -981,9 +792,10 @@ void CacheClient::RelinquishIdle(Duration idle) {
   }
   Relinquish msg;
   for (const auto& [key, is_idle] : key_idle) {
-    if (is_idle && LeaseValid(key, now)) {
+    auto keys = keys_.find(key);
+    if (is_idle && keys != keys_.end() && LeaseValid(&keys->second, now)) {
       msg.keys.push_back(key);
-      lease_expiry_.erase(key);
+      keys->second.expiry.reset();  // its entries keep the state
       ++stats_.keys_relinquished;
     }
   }
@@ -994,16 +806,10 @@ void CacheClient::RelinquishIdle(Duration idle) {
 }
 
 void CacheClient::DropCache() {
-  for (auto& [file, entry] : cache_) {
-    if (entry.flush_timer.valid()) {
-      timers_->CancelTimer(entry.flush_timer);
-    }
-  }
   cache_.clear();
   lru_head_ = nullptr;
   lru_tail_ = nullptr;
-  key_entries_.clear();
-  lease_expiry_.clear();
+  keys_.clear();
 }
 
 // --- Cache entries ---
@@ -1058,23 +864,19 @@ void CacheClient::SetKey(Entry& entry, LeaseKey key) {
   if (entry.key == key) {
     return;
   }
-  ReleaseKey(entry.key);
+  ReleaseKey(entry);
   entry.key = key;
   if (key.valid()) {
-    ++key_entries_[key];
+    entry.keys = &keys_[key];
+    ++entry.keys->entries;
   }
 }
 
-void CacheClient::ReleaseKey(LeaseKey key) {
-  auto it = key_entries_.find(key);
-  if (it != key_entries_.end() && --it->second == 0) {
-    key_entries_.erase(it);
+void CacheClient::ReleaseKey(Entry& entry) {
+  KeyState* keys = std::exchange(entry.keys, nullptr);
+  if (keys != nullptr && --keys->entries == 0 && !keys->expiry) {
+    keys_.erase(entry.key);
   }
-}
-
-size_t CacheClient::KeyEntries(LeaseKey key) const {
-  auto it = key_entries_.find(key);
-  return it == key_entries_.end() ? 0 : it->second;
 }
 
 bool CacheClient::EraseEntry(FileId file) {
@@ -1083,7 +885,7 @@ bool CacheClient::EraseEntry(FileId file) {
     return false;
   }
   LruUnlink(it->second);
-  ReleaseKey(it->second.key);
+  ReleaseKey(it->second);
   cache_.erase(it);
   return true;
 }
@@ -1154,7 +956,7 @@ bool CacheClient::HasCached(FileId file) const {
 
 bool CacheClient::HasValidLease(FileId file) const {
   auto it = cache_.find(file);
-  return it != cache_.end() && LeaseValid(it->second.key, clock_->Now());
+  return it != cache_.end() && LeaseValid(it->second.keys, clock_->Now());
 }
 
 void CacheClient::SendToServer(MessageClass cls, Packet packet) {

@@ -22,15 +22,15 @@
 //     messages.
 //
 // Options from Section 4: anticipatory extension (renew before expiry),
-// voluntary relinquish of idle leases, and -- as the straightforward
-// extension the paper mentions -- a non-write-through (write-back) mode that
-// stages dirty data and flushes it on a timer, on Flush(), or before
+// voluntary relinquish of idle leases, and a deliberate hold before
 // approving another client's write.
 //
 // ReadCached is the one place a local read is decided and served: a
-// synchronous hit that reads the clock once and allocates nothing -- the
-// result shares the entry's data buffer (src/common/shared_bytes.h). Read
-// tries it first, so callback and direct callers share it.
+// synchronous hit that probes cache_ once, reads its cover key's lease
+// through the entry's KeyState pointer, reads the clock once and allocates
+// nothing -- the result shares the entry's data buffer
+// (src/common/shared_bytes.h). Read tries it first, so callback and direct
+// callers share it.
 //
 // The class is single-threaded: all calls (API and packet delivery) must
 // come from the owning event loop or simulator.
@@ -40,8 +40,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/clock/clock.h"
@@ -68,9 +70,6 @@ struct ReadResult {
 struct WriteResult {
   FileId file;
   uint64_t version = 0;
-  // True when the write was only staged locally (write-back mode) and will
-  // reach the server on flush.
-  bool staged = false;
 };
 
 struct OpenResult {
@@ -94,7 +93,6 @@ struct ClientStats {
   uint64_t writes = 0;
   uint64_t temp_local_writes = 0;
   uint64_t writes_failed = 0;
-  uint64_t write_back_flushes = 0;
 
   uint64_t approvals_granted = 0;
   uint64_t invalidations = 0;
@@ -111,12 +109,6 @@ struct ClientStats {
   // Writes the recovering server shed with kUnavailable, retried after a
   // jittered exponential backoff rather than failed.
   uint64_t unavailable_retries = 0;
-
-  // Dynamic self-invalidation (ClientParams::dynamic_self_invalidation):
-  // extension items not sent because the cover key was write-contended, and
-  // grants whose locally-effective term was shortened by contention.
-  uint64_t contention_skipped_items = 0;
-  uint64_t contention_shortened_leases = 0;
 
   bool operator==(const ClientStats&) const = default;
 };
@@ -141,20 +133,17 @@ class CacheClient : public PacketHandler {
   void Open(const std::string& path, OpenCallback cb);
   // Serves `file` from the cache and returns true when the datum may be read
   // locally: a temporary file always; anything else under a valid lease and
-  // not suspect, a write-back dirty entry from its staged data. Otherwise
-  // returns false having changed nothing (Read then fetches, extends or
-  // flushes). `result` is overwritten only on a hit.
+  // not suspect. Otherwise returns false having changed nothing (Read then
+  // fetches or extends). `result` is overwritten only on a hit.
   bool ReadCached(FileId file, ReadResult* result);
   // ReadCached, calling `cb` at once on a hit; a miss completes `cb` when
   // the server replies.
   void Read(FileId file, ReadCallback cb);
-  // Read's miss half: fetches, extends or flushes `file` without trying the
+  // Read's miss half: fetches or extends `file` without trying the
   // cache. Only for a caller whose ReadCached(file) just refused in the same
   // unit of loop work, when nothing can have changed in between.
   void ReadMiss(FileId file, ReadCallback cb);
   void Write(FileId file, std::vector<uint8_t> data, WriteCallback cb);
-  // Write-back mode: pushes staged data through now.
-  void Flush(FileId file, WriteCallback cb);
 
   // Voluntarily relinquishes leases on cover keys whose every cached file
   // has been idle for `idle`; data stays cached (the next read re-extends).
@@ -171,27 +160,34 @@ class CacheClient : public PacketHandler {
   bool HasCached(FileId file) const;
   bool HasValidLease(FileId file) const;
   size_t cache_size() const { return cache_.size(); }
-  size_t lease_count() const { return lease_expiry_.size(); }
+  // Cover keys holding a lease record, lapsed or not.
+  size_t lease_count() const;
 
   void HandleTyped(NodeId from, MessageClass cls,
                    const Packet& packet) override;
 
  private:
+  // One cover key's lease and the cached entries under it. It lives while
+  // either is present; entries point at it (keys_' nodes never move).
+  struct KeyState {
+    // Expiry on the local clock; empty when the key holds no lease.
+    std::optional<TimePoint> expiry;
+    size_t entries = 0;
+  };
+
   struct Entry {
     SharedBytes data;
     uint64_t version = 0;
     FileClass file_class = FileClass::kNormal;
     LeaseKey key;
+    // keys_[key] while `key` is valid, else null.
+    KeyState* keys = nullptr;
     // Set when the entry's cover lease lapsed and was later re-established
     // without this datum being revalidated: a write may have slipped into
     // the gap (the installed-files drop-from-multicast path relies on
     // exactly that). Suspect entries revalidate before being served.
     bool suspect = false;
     TimePoint last_access;
-    // Write-back state.
-    bool dirty = false;
-    SharedBytes dirty_data;
-    TimerId flush_timer;
     // The entry's own key in cache_, and its links in the least-recently-
     // touched list (lru_head_ ... lru_tail_).
     FileId file;
@@ -234,11 +230,9 @@ class CacheClient : public PacketHandler {
     RequestId req;
     FileId file;
     SharedBytes data;
-    uint64_t base_version = 0;
     WriteCallback cb;
     int retries = 0;
     TimerId timer;
-    bool is_flush = false;
   };
 
   struct OpenState {
@@ -263,8 +257,7 @@ class CacheClient : public PacketHandler {
   void ResendFetch(RequestId req);
 
   // --- Writes ---
-  void SendWrite(FileId file, SharedBytes data, uint64_t base_version,
-                 bool is_flush, WriteCallback cb);
+  void SendWrite(FileId file, SharedBytes data, WriteCallback cb);
   void OnWriteReply(const WriteReply& m);
   void ArmWriteTimer(RequestId req);
   void ResendWrite(RequestId req);
@@ -272,13 +265,9 @@ class CacheClient : public PacketHandler {
   // exponential in `retries`, capped, with deterministic +/-25% jitter
   // salted by the request id.
   Duration UnavailableBackoff(int retries, uint64_t salt) const;
-  // Wait before declaring the attempt after `retries` resends lost:
-  // request_timeout doubled per resend up to resend_backoff_max, same
-  // deterministic jitter (ClientParams::resend_backoff_max).
+  // Wait before declaring an attempt lost: request_timeout with the same
+  // deterministic jitter.
   Duration ResendDelay(int retries, uint64_t salt) const;
-  void StageWriteBack(FileId file, Entry& entry, SharedBytes data,
-                      WriteCallback cb);
-  void FlushEntry(FileId file, WriteCallback cb);
 
   // --- Server-initiated ---
   void OnApproveRequest(const ApproveRequest& m);
@@ -298,35 +287,24 @@ class CacheClient : public PacketHandler {
   // transit_allowance bound alone.
   void AcceptLease(const LeaseGrant& grant, FileId validated = FileId(),
                    TimePoint anchor = TimePoint::Max());
-  bool LeaseValid(LeaseKey key, TimePoint now) const;
+  static bool LeaseValid(const KeyState* keys, TimePoint now) {
+    return keys != nullptr && keys->expiry > now;
+  }
   void MaybeScheduleAnticipation();
   void AnticipationTick();
 
-  // --- Dynamic self-invalidation ---
-  // One contention point per approval callback served for `key`,
-  // exponentially decayed (ClientParams::contention_half_life). No-ops
-  // unless params_.dynamic_self_invalidation.
-  void NoteContention(LeaseKey key);
-  // Current decayed score; 0 for untracked keys or when disabled.
-  double ContentionScore(LeaseKey key) const;
-  // True when the key is hot enough that extensions should stop carrying
-  // it (score >= contention_threshold).
-  bool KeyContended(LeaseKey key) const;
   // Local clock in microseconds for request stamping (0 stays "absent").
   uint64_t ClockStampUs() const;
-
-  struct Contention;
-  double DecayedScore(const Contention& c, TimePoint now) const;
 
   void StepOpen(std::shared_ptr<OpenState> state);
 
   // Enforces params_.max_cached_files by evicting the least recently
-  // touched clean entry (never `keep`).
+  // touched entry (never `keep`).
   void MaybeEvict(FileId keep);
 
   // --- Cache entries ---
   // Every entry sits in the least-recently-touched list and is counted
-  // under its cover key in key_entries_; these keep both true.
+  // in its cover key's KeyState; these keep both true.
   //
   // Finds or creates the entry for `file`. A new entry has not been touched
   // yet, so it goes to the least-recent end.
@@ -338,9 +316,8 @@ class CacheClient : public PacketHandler {
   // Returns whether `file` was cached.
   bool EraseEntry(FileId file);
   void LruUnlink(Entry& entry);
-  // Cached entries under `key` (valid keys only).
-  size_t KeyEntries(LeaseKey key) const;
-  void ReleaseKey(LeaseKey key);
+  // Uncounts `entry` from its key, erasing a KeyState left empty.
+  void ReleaseKey(Entry& entry);
   // Drops the key's lease and tells the server, unless another cached entry
   // still uses the key.
   void RelinquishKeyIfUnused(LeaseKey key);
@@ -364,28 +341,19 @@ class CacheClient : public PacketHandler {
   // nodes never move, so the links are plain pointers.
   Entry* lru_head_ = nullptr;  // least recently touched
   Entry* lru_tail_ = nullptr;  // most recently touched
-  // Valid cover key -> number of cached entries under it; absent when none.
-  std::unordered_map<LeaseKey, size_t> key_entries_;
-  // Cover key -> expiry on the local clock. Absent or past == invalid.
-  std::unordered_map<LeaseKey, TimePoint> lease_expiry_;
+  // Valid cover key -> its lease and entry count; absent when neither.
+  std::unordered_map<LeaseKey, KeyState> keys_;
 
   IdGenerator<RequestId> request_ids_;
   std::map<RequestId, PendingFetch> fetches_;
   std::unordered_map<FileId, RequestId> fetch_for_file_;
   std::map<RequestId, PendingWriteOp> writes_;
-  // Approvals deferred behind a write-back flush: write_seq -> (file, key).
-  std::map<uint64_t, std::pair<FileId, LeaseKey>> deferred_approvals_;
+  // Write seqs whose approval is held for params_.approval_delay.
+  std::unordered_set<uint64_t> deferred_approvals_;
 
   TimerId anticipation_timer_;
   // Tick counter salting the deterministic extension-jitter hash.
   uint64_t anticipation_seq_ = 0;
-
-  // Dynamic self-invalidation: decayed per-cover-key contention scores.
-  struct Contention {
-    double score = 0.0;
-    TimePoint updated;
-  };
-  std::unordered_map<LeaseKey, Contention> contention_;
 
   ClientStats stats_;
 };

@@ -411,82 +411,20 @@ void LeaseServer::AdmitWrite(QueuedWrite write) {
     return;
   }
   const FileRecord* rec = store_->Find(m.file);
-  if (m.base_version != 0 && m.base_version != rec->version &&
-      active_write_.find(m.file) == active_write_.end()) {
+  const bool active = active_write_.count(m.file) > 0;
+  if (m.base_version != 0 && m.base_version != rec->version && !active) {
     // Fast-fail an already-stale optimistic write. (If writes are queued,
     // the check happens at commit against the then-current version.)
     RejectWrite(write.from, m, ErrorCode::kConflict);
     return;
   }
-  auto active = active_write_.find(m.file);
-  if (m.flush && active != active_write_.end()) {
-    auto pending = pending_.find(active->second);
-    if (pending != pending_.end() &&
-        std::find(pending->second.waiting.begin(),
-                  pending->second.waiting.end(),
-                  write.from) != pending->second.waiting.end()) {
-      // A write-back flush from a holder whose approval the active write is
-      // waiting on. Its staged data causally precedes the pending write, so
-      // commit it ahead (token-revocation ordering); the holder's formal
-      // approval follows once its flush is acknowledged. Only genuine
-      // flushes take this path -- an ordinary competing write must queue
-      // and run the full approval protocol.
-      CommitFlushAhead(pending->second, std::move(write));
-      return;
-    }
-  }
   write.key = rec->cover;
   BlockKey(write.key);
-  if (active != active_write_.end() || !write_queue_[m.file].empty()) {
+  if (active || !write_queue_[m.file].empty()) {
     write_queue_[m.file].push_back(std::move(write));
     return;
   }
   ActivateWrite(std::move(write));
-}
-
-void LeaseServer::CommitFlushAhead(PendingWrite& blocked, QueuedWrite write) {
-  const WriteRequest& m = write.request;
-  WriteReply reply;
-  reply.req = m.req;
-  reply.file = m.file;
-  writes_in_flight_.erase({write.from.value(), m.req.value()});
-  Result<uint64_t> applied = store_->Apply(m.file, m.data, write.from);
-  if (!applied.ok()) {
-    reply.status = applied.code();
-    ++stats_.writes_rejected;
-    SendTo(write.from, MessageClass::kData, std::move(reply));
-    return;
-  }
-  if (oracle_ != nullptr) {
-    oracle_->OnCommit(m.file, *applied);
-  }
-  reply.status = ErrorCode::kOk;
-  reply.version = *applied;
-  ++stats_.writes_committed;
-  ++stats_.writes_immediate;
-  RememberWriteReply(write.from, reply);
-  // The flush is applied, but its acknowledgement (which makes the staged
-  // data an observable-completed write) is deferred until every OTHER
-  // holder of the blocked write has invalidated -- otherwise one of them
-  // could serve its pre-flush copy after the flusher saw the ack.
-  blocked.flushers.insert(write.from);
-  blocked.deferred_flush_acks.emplace_back(write.from, reply);
-  MaybeReleaseFlushAcks(blocked);
-}
-
-void LeaseServer::MaybeReleaseFlushAcks(PendingWrite& pending) {
-  if (pending.deferred_flush_acks.empty()) {
-    return;
-  }
-  for (NodeId node : pending.waiting) {
-    if (pending.flushers.count(node) == 0) {
-      return;  // a non-flushing holder has not yet approved or expired
-    }
-  }
-  for (auto& [node, reply] : pending.deferred_flush_acks) {
-    SendTo(node, MessageClass::kData, std::move(reply));
-  }
-  pending.deferred_flush_acks.clear();
 }
 
 void LeaseServer::ActivateWrite(QueuedWrite write) {
@@ -629,7 +567,6 @@ void LeaseServer::OnApproveReply(NodeId from, const ApproveReply& m) {
                from.value(), (unsigned long long)m.file.value(),
                m.relinquish_key, pending.waiting.size() - 1);
   pending.waiting.erase(waiting);
-  pending.flushers.erase(from);
   if (m.relinquish_key) {
     // The holder caches nothing else under this key; forgetting it spares
     // future writes a callback to this client.
@@ -638,8 +575,6 @@ void LeaseServer::OnApproveReply(NodeId from, const ApproveReply& m) {
   }
   if (pending.waiting.empty()) {
     CommitWrite(m.write_seq, /*via_expiry=*/false);
-  } else {
-    MaybeReleaseFlushAcks(pending);
   }
 }
 
@@ -665,10 +600,6 @@ void LeaseServer::CommitWrite(uint64_t seq, bool via_expiry) {
   if (pending.retry_timer.valid()) {
     timers_->CancelTimer(pending.retry_timer);
   }
-  // Remaining holders have expired (expiry-commit path); any flush acks
-  // still deferred are released now, before the blocked write commits.
-  pending.waiting.clear();
-  MaybeReleaseFlushAcks(pending);
   writes_in_flight_.erase({pending.writer.value(), pending.req.value()});
   UnblockKey(pending.key);
   active_write_.erase(pending.file);

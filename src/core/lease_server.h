@@ -199,11 +199,6 @@ class LeaseServer : public PacketHandler {
     TimerId retry_timer;
     TimePoint arrival;
     bool installed = false;
-    // Write-back flushes committed ahead of this write whose acks are held
-    // until every non-flushing holder has invalidated (see
-    // CommitFlushAhead / MaybeReleaseFlushAcks).
-    std::set<NodeId> flushers;
-    std::vector<std::pair<NodeId, WriteReply>> deferred_flush_acks;
   };
 
   struct QueuedWrite {
@@ -234,11 +229,6 @@ class LeaseServer : public PacketHandler {
   // --- Write machinery ---
   void AdmitWrite(QueuedWrite write);
   void ActivateWrite(QueuedWrite write);
-  // Commits a consulted holder's write-back flush ahead of the pending write
-  // that is waiting on its approval (see CacheClient::OnApproveRequest).
-  void CommitFlushAhead(PendingWrite& blocked, QueuedWrite write);
-  // Sends deferred flush acks once only flushers remain unapproved.
-  void MaybeReleaseFlushAcks(PendingWrite& pending);
   void SendApprovalRound(PendingWrite& pending, bool retry);
   void OnWriteDeadline(uint64_t seq);
   void CommitWrite(uint64_t seq, bool via_expiry);

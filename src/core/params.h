@@ -107,17 +107,12 @@ struct ClientParams {
   // lockstep forever -- a synchronized extension storm every lead/2.
   Duration extension_jitter = Duration::Zero();
 
-  // Request retransmission (lost datagrams / crashed server). The first
-  // wait is request_timeout; every wait carries +/-25% jitter derived
-  // deterministically from the request id, so a fleet re-probing a
-  // failed-over (or restarting) server spreads its resends instead of
-  // stampeding in lockstep. When resend_backoff_max exceeds
-  // request_timeout, each resend additionally doubles the wait up to that
-  // cap (escalation suits failover waits; plain lossy links keep the flat
-  // default).
+  // Request retransmission (lost datagrams / crashed server). Every wait is
+  // request_timeout with +/-25% jitter derived deterministically from the
+  // request id, so a fleet re-probing a failed-over (or restarting) server
+  // spreads its resends instead of stampeding in lockstep.
   Duration request_timeout = Duration::Seconds(2);
   int max_retries = 8;
-  Duration resend_backoff_max = Duration::Zero();
 
   // Graceful degradation when the server answers kUnavailable (recovering
   // from a crash and shedding its write queue): instead of burning the
@@ -136,33 +131,10 @@ struct ClientParams {
   Duration approval_delay = Duration::Zero();
 
   // Maximum cached entries; 0 = unbounded. When full, the least-recently
-  // accessed clean entry is evicted and its cover lease relinquished if no
+  // accessed entry is evicted and its cover lease relinquished if no
   // other cached file shares it (evicted-but-leased entries would only
   // cause false sharing, Section 3).
   size_t max_cached_files = 0;
-
-  // Non-write-through extension (Section 2 notes it is straightforward;
-  // Burrows' MFS and Echo use it): writes are staged dirty and flushed
-  // after write_back_delay, on lease-approval callbacks, or on Flush().
-  bool write_back = false;
-  Duration write_back_delay = Duration::Millis(500);
-
-  // --- Dynamic self-invalidation (clock-health plane) ---
-  // Under observed write contention a lease is a liability: every remote
-  // write pays an approval round-trip to this client, and the client pays
-  // extension traffic to keep a datum it keeps losing. When enabled, the
-  // client tracks an exponentially-decayed per-cover-key contention score
-  // (one point per approval callback served, halved every
-  // contention_half_life) and sheds hot keys itself: scores at or above
-  // contention_threshold drop the key from batched and anticipatory
-  // extensions (the lease lapses instead of being renewed), and any
-  // nonzero score shortens the locally-effective term of a fresh grant by
-  // 1/(1+score) -- so conflict storms shed extension and approval load
-  // before the server's policy has to. Off by default: behavior and
-  // message flow are bit-identical to builds without the feature.
-  bool dynamic_self_invalidation = false;
-  double contention_threshold = 2.0;
-  Duration contention_half_life = Duration::Seconds(10);
 };
 
 }  // namespace leases

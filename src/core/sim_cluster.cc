@@ -31,12 +31,6 @@ Status ClusterOptions::Validate() const {
     return Status(ErrorCode::kInvalidArgument,
                   "client.transit_allowance must be non-negative");
   }
-  if (replica.standby_reads && client.write_back) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "standby_reads requires write-through clients: a write-back "
-                  "client stages dirty data the holder has not seen, so the "
-                  "write-locked set piggybacked to standbys cannot cover it");
-  }
   return Status::Ok();
 }
 

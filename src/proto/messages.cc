@@ -63,7 +63,6 @@ void EncodeBody(Writer& w, const WriteRequest& m) {
   w.WriteId(m.req);
   w.WriteId(m.file);
   w.WriteU64(m.base_version);
-  w.WriteBool(m.flush);
   w.WriteBytes(m.data);
 }
 
@@ -243,7 +242,6 @@ std::optional<Packet> DecodeBody(MsgType type, Reader& r) {
       m.req = r.ReadId<RequestId>();
       m.file = r.ReadId<FileId>();
       m.base_version = r.ReadU64();
-      m.flush = r.ReadBool();
       m.data = SharedBytes(r.ReadByteView());
       return Packet(std::move(m));
     }

@@ -137,10 +137,6 @@ struct WriteRequest {
   FileId file;
   // Expected current version (optimistic check); 0 means blind write.
   uint64_t base_version = 0;
-  // True when this write is a write-back FLUSH of staged data from a holder
-  // whose approval is being awaited; the server commits it ahead of the
-  // pending write (token-revocation ordering).
-  bool flush = false;
   SharedBytes data;
 };
 

@@ -143,8 +143,6 @@ class ChaosRun {
         const ClientStats& cs = cluster_->client(i).stats();
         report.unavailable_retries += cs.unavailable_retries;
         report.extend_requests += cs.extend_requests;
-        report.contention_skipped_items += cs.contention_skipped_items;
-        report.contention_shortened_leases += cs.contention_shortened_leases;
       }
     }
     return report;

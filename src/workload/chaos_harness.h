@@ -136,8 +136,6 @@ struct ChaosReport {
   uint64_t uncertainty_capped_grants = 0;
   uint64_t uncertainty_zero_grants = 0;
   uint64_t extend_requests = 0;
-  uint64_t contention_skipped_items = 0;
-  uint64_t contention_shortened_leases = 0;
 };
 
 // Runs one soak to completion. Deterministic per options.

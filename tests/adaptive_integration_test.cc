@@ -1,6 +1,5 @@
 // Integration test for the adaptive term policy running inside a live
-// cluster (Section 4's dynamic term selection), plus a write-back fuzz with
-// a single writer per file -- the usage discipline the mode is meant for.
+// cluster (Section 4's dynamic term selection).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -106,61 +105,6 @@ TEST(AdaptiveIntegration, AdaptsWhenAccessPatternShifts) {
   EXPECT_LT(term_write_phase, term_read_phase);
   EXPECT_EQ(cluster.oracle().violations(), 0u);
 }
-
-class WriteBackFuzz : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(WriteBackFuzz, SingleWriterPerFileStaysConsistent) {
-  // Write-back discipline: each file has one designated writer (like a home
-  // directory); everyone reads everything. Staged data, flush timers,
-  // revocation flushes, loss and crashes may interleave arbitrarily.
-  ClusterOptions options = MakeVClusterOptions(Duration::Seconds(5), 3,
-                                               GetParam());
-  options.client.write_back = true;
-  options.client.write_back_delay = Duration::Millis(800);
-  options.net.loss_prob = 0.05;
-  options.client.request_timeout = Duration::Millis(400);
-  options.client.max_retries = 30;
-  SimCluster cluster(options);
-
-  std::vector<FileId> files;
-  for (int f = 0; f < 3; ++f) {
-    files.push_back(*cluster.store().CreatePath(
-        "/wb/f" + std::to_string(f), FileClass::kNormal, Bytes("v0")));
-  }
-  Rng rng(GetParam() * 77 + 1);
-  uint64_t tick = 0;
-  std::function<void(size_t)> ops = [&](size_t c) {
-    cluster.sim().ScheduleAfter(rng.NextExponentialDuration(2.0), [&, c]() {
-      size_t f = rng.NextBounded(3);
-      if (f == c && rng.NextBernoulli(0.4)) {
-        // Only the designated writer writes its file.
-        cluster.client(c).Write(files[f],
-                                Bytes("w" + std::to_string(++tick)),
-                                [](Result<WriteResult>) {});
-      } else {
-        cluster.client(c).Read(files[f], [](Result<ReadResult>) {});
-      }
-      ops(c);
-    });
-  };
-  for (size_t c = 0; c < 3; ++c) {
-    ops(c);
-  }
-  cluster.RunFor(Duration::Seconds(300));
-  EXPECT_EQ(cluster.oracle().violations(), 0u)
-      << (cluster.oracle().violation_log().empty()
-              ? "none"
-              : cluster.oracle().violation_log()[0]);
-  // Liveness: flushes actually happened.
-  uint64_t flushes = 0;
-  for (size_t c = 0; c < 3; ++c) {
-    flushes += cluster.client(c).stats().write_back_flushes;
-  }
-  EXPECT_GT(flushes, 10u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, WriteBackFuzz,
-                         ::testing::Range<uint64_t>(1, 7));
 
 }  // namespace
 }  // namespace leases

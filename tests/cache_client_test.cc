@@ -1,6 +1,6 @@
 // Unit tests for CacheClient features: batching, anticipatory extension,
-// voluntary relinquish, write-back mode, open() edge cases and cache
-// management.
+// voluntary relinquish, open() edge cases, cache management and the
+// per-key lease table.
 #include <gtest/gtest.h>
 
 #include "src/clock/sim_clock.h"
@@ -159,128 +159,6 @@ TEST(OpenTest, ReturnsModeAndClassFromBinding) {
   EXPECT_EQ(open->mode, kModeRead);
 }
 
-// --- Write-back mode (the paper's non-write-through extension) ---
-
-ClusterOptions WriteBack(size_t clients = 2) {
-  ClusterOptions options = Base(clients);
-  options.client.write_back = true;
-  options.client.write_back_delay = Duration::Millis(500);
-  return options;
-}
-
-TEST(WriteBackTest, StagedWriteIsLocalUntilFlush) {
-  SimCluster cluster(WriteBack());
-  FileId file = *cluster.store().CreatePath("/f", FileClass::kNormal,
-                                            Bytes("v1"));
-  ASSERT_TRUE(cluster.SyncRead(0, file).ok());
-  Result<WriteResult> w = cluster.SyncWrite(0, file, Bytes("v2"));
-  ASSERT_TRUE(w.ok());
-  EXPECT_TRUE(w->staged);
-  // Not at the server yet...
-  EXPECT_EQ(Text(cluster.store().Find(file)->data), "v1");
-  // ...but read-your-writes holds locally.
-  Result<ReadResult> r = cluster.SyncRead(0, file);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(Text(r->data), "v2");
-  // The background flush timer pushes it through.
-  cluster.RunFor(Duration::Seconds(1));
-  EXPECT_EQ(Text(cluster.store().Find(file)->data), "v2");
-  EXPECT_EQ(cluster.client(0).stats().write_back_flushes, 1u);
-}
-
-TEST(WriteBackTest, ExplicitFlush) {
-  SimCluster cluster(WriteBack());
-  FileId file = *cluster.store().CreatePath("/f", FileClass::kNormal,
-                                            Bytes("v1"));
-  ASSERT_TRUE(cluster.SyncRead(0, file).ok());
-  ASSERT_TRUE(cluster.SyncWrite(0, file, Bytes("v2")).ok());
-  bool flushed = false;
-  cluster.client(0).Flush(file, [&](Result<WriteResult> r) {
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->version, 2u);
-    flushed = true;
-  });
-  cluster.RunFor(Duration::Millis(50));
-  EXPECT_TRUE(flushed);
-  EXPECT_EQ(Text(cluster.store().Find(file)->data), "v2");
-  // Flushing a clean entry is a no-op success.
-  bool noop = false;
-  cluster.client(0).Flush(file, [&](Result<WriteResult> r) {
-    EXPECT_TRUE(r.ok());
-    noop = true;
-  });
-  cluster.RunFor(Duration::Millis(10));
-  EXPECT_TRUE(noop);
-}
-
-TEST(WriteBackTest, ApprovalTriggersFlushWithoutDeadlockOrLostData) {
-  // The critical interaction: client 0 holds staged dirty data; client 1
-  // writes the same file. Client 0 must flush BEFORE approving, the server
-  // commits the flush ahead of the blocked write, and nothing deadlocks or
-  // is lost: final order is (flush, then write).
-  SimCluster cluster(WriteBack(2));
-  FileId file = *cluster.store().CreatePath("/f", FileClass::kNormal,
-                                            Bytes("v1"));
-  ASSERT_TRUE(cluster.SyncRead(0, file).ok());
-  ASSERT_TRUE(cluster.SyncWrite(0, file, Bytes("staged-by-0")).ok());
-
-  TimePoint start = cluster.sim().Now();
-  // Client 1 has no cached entry, so its write goes straight through.
-  Result<WriteResult> w =
-      cluster.SyncWrite(1, file, Bytes("written-by-1"), Duration::Seconds(5));
-  ASSERT_TRUE(w.ok());
-  // Resolved by a flush round-trip, not by waiting out the 10 s lease.
-  EXPECT_LT(cluster.sim().Now() - start, Duration::Millis(100));
-  // Both writes committed, in causal order.
-  EXPECT_EQ(w->version, 3u);
-  EXPECT_EQ(Text(cluster.store().Find(file)->data), "written-by-1");
-  EXPECT_EQ(cluster.client(0).stats().write_back_flushes, 1u);
-  EXPECT_EQ(cluster.oracle().violations(), 0u);
-  // Client 0's copy was invalidated by its (post-flush) approval.
-  EXPECT_FALSE(cluster.client(0).HasCached(file));
-}
-
-TEST(WriteBackTest, StagedHitsAreScoredByTheOracle) {
-  // A hit on staged data is a read like any other: the oracle checks it,
-  // and it is consistent -- nobody else can commit under the valid lease.
-  SimCluster cluster(WriteBack());
-  FileId file = *cluster.store().CreatePath("/f", FileClass::kNormal,
-                                            Bytes("v1"));
-  ASSERT_TRUE(cluster.SyncRead(0, file).ok());
-  ASSERT_TRUE(cluster.SyncWrite(0, file, Bytes("v2")).ok());
-  const uint64_t checked = cluster.oracle().reads_checked();
-  for (int i = 0; i < 3; ++i) {
-    Result<ReadResult> r = cluster.SyncRead(0, file);
-    ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r->from_cache);
-    EXPECT_EQ(Text(r->data), "v2");
-  }
-  EXPECT_EQ(cluster.oracle().reads_checked() - checked, 3u);
-  EXPECT_EQ(cluster.oracle().stale_reads(), 0u);
-  EXPECT_EQ(cluster.oracle().violations(), 0u);
-}
-
-TEST(WriteBackTest, ReadAfterLeaseLapseFlushesFirst) {
-  SimCluster cluster(WriteBack());
-  // Long write-back delay so the staged data outlives the lease.
-  FileId file = *cluster.store().CreatePath("/f", FileClass::kNormal,
-                                            Bytes("v1"));
-  ASSERT_TRUE(cluster.SyncRead(0, file).ok());
-  bool staged = false;
-  cluster.client(0).Write(file, Bytes("v2"), [&](Result<WriteResult> r) {
-    ASSERT_TRUE(r.ok());
-    staged = r->staged;
-  });
-  cluster.RunFor(Duration::Millis(10));
-  ASSERT_TRUE(staged);
-  cluster.RunFor(Duration::Seconds(12));  // lease gone; flush timer fired
-  Result<ReadResult> r = cluster.SyncRead(0, file);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(Text(r->data), "v2");
-  EXPECT_EQ(cluster.store().Find(file)->version, 2u);
-  EXPECT_EQ(cluster.oracle().violations(), 0u);
-}
-
 TEST(TimeoutTest, UnreachableServerFailsReadsAfterRetries) {
   ClusterOptions options = Base();
   options.client.request_timeout = Duration::Millis(200);
@@ -437,45 +315,13 @@ TEST(CacheIndexTest, EvictsTheLeastRecentlyTouchedEntry) {
   EXPECT_EQ(rig.client().stats().evictions, 2u);
 }
 
-TEST(CacheIndexTest, EvictionSkipsDirtyEntriesAndTheKeptOne) {
-  ClientParams params = TinyCache(2);
-  params.write_back = true;
-  params.write_back_delay = Duration::Seconds(60);  // stays dirty
-  ScriptedServerRig rig(params);
-  rig.Fetch(FileId(10), LeaseKey(10));
-  rig.Advance(Duration::Millis(1));
-  bool staged = false;
-  rig.client().Write(FileId(10), Bytes("dirty"),
-                     [&staged](Result<WriteResult> r) {
-                       staged = r.ok() && r->staged;
-                     });
-  ASSERT_TRUE(staged);
-  rig.Advance(Duration::Millis(1));
-  rig.Fetch(FileId(11), LeaseKey(11));
-  rig.Advance(Duration::Millis(1));
-  ASSERT_TRUE(rig.ReadsLocally(FileId(11)));
-  // 10 is the least recently touched but dirty: 11 goes instead.
-  rig.Fetch(FileId(12), LeaseKey(12));
-  EXPECT_TRUE(rig.client().HasCached(FileId(10)));
-  EXPECT_FALSE(rig.client().HasCached(FileId(11)));
-  EXPECT_TRUE(rig.client().HasCached(FileId(12)));
-
-  // With one slot the entry just fetched is never the victim...
+TEST(CacheIndexTest, EvictionSkipsTheKeptOne) {
+  // With one slot the entry just fetched is never the victim.
   ScriptedServerRig one(TinyCache(1));
   one.Fetch(FileId(10), LeaseKey(10));
   one.Fetch(FileId(11), LeaseKey(11));
   EXPECT_FALSE(one.client().HasCached(FileId(10)));
   EXPECT_TRUE(one.client().HasCached(FileId(11)));
-  // ...so beside a dirty entry there is no victim, and the cache runs over
-  // its bound.
-  ClientParams dirty_one = params;
-  dirty_one.max_cached_files = 1;
-  ScriptedServerRig pinned(dirty_one);
-  pinned.Fetch(FileId(10), LeaseKey(10));
-  pinned.client().Write(FileId(10), Bytes("dirty"), [](Result<WriteResult>) {});
-  pinned.Fetch(FileId(11), LeaseKey(11));
-  EXPECT_EQ(pinned.client().cache_size(), 2u);
-  EXPECT_EQ(pinned.client().stats().evictions, 0u);
 }
 
 TEST(CacheIndexTest, SharedKeyIsRelinquishedWithItsLastEntry) {
@@ -561,6 +407,73 @@ TEST(CacheIndexTest, InstalledRenewalReachesKeysOnlyCachedEntriesUse) {
   EXPECT_EQ(rig.client().lease_count(), 1u);
 }
 
+// --- Key table lifetimes ---
+//
+// A cover key's KeyState lives while it holds a lease or a cached entry
+// uses it; entries point at it.
+
+TEST(KeyTableTest, ConflictErasesTheEntryButKeepsTheLease) {
+  ScriptedServerRig rig(ClientParams{});
+  rig.Fetch(FileId(10), LeaseKey(10));
+  ErrorCode code = ErrorCode::kOk;
+  rig.client().Write(FileId(10), Bytes("y"), [&code](Result<WriteResult> r) {
+    code = r.code();
+  });
+  const auto* request = std::get_if<WriteRequest>(&rig.LastSent());
+  ASSERT_NE(request, nullptr);
+  rig.Deliver(WriteReply{request->req, FileId(10), ErrorCode::kConflict, 0});
+  EXPECT_EQ(code, ErrorCode::kConflict);
+  EXPECT_EQ(rig.client().cache_size(), 0u);
+  EXPECT_EQ(rig.client().lease_count(), 1u);
+  // The re-fetched entry finds the key's lease still there.
+  rig.Fetch(FileId(10), LeaseKey(10));
+  EXPECT_TRUE(rig.ReadsLocally(FileId(10)));
+  EXPECT_EQ(rig.client().lease_count(), 1u);
+}
+
+TEST(KeyTableTest, IdleRelinquishKeepsTheEntriesForTheNextGrant) {
+  ScriptedServerRig rig(ClientParams{});
+  const LeaseKey dir_key(100);
+  rig.Fetch(FileId(10), dir_key);
+  rig.Fetch(FileId(11), dir_key);
+  rig.Advance(Duration::Seconds(2));
+  rig.client().RelinquishIdle(Duration::Seconds(1));
+  EXPECT_EQ(rig.Relinquished(), std::vector<LeaseKey>{dir_key});
+  EXPECT_EQ(rig.client().lease_count(), 0u);
+  EXPECT_EQ(rig.client().cache_size(), 2u);
+  EXPECT_FALSE(rig.client().HasValidLease(FileId(10)));
+  // The key's entries are still counted, so the next grant of it marks
+  // them suspect: the server forgot this client in between.
+  rig.Fetch(FileId(12), dir_key);
+  EXPECT_TRUE(rig.ReadsLocally(FileId(12)));
+  EXPECT_FALSE(rig.ReadsLocally(FileId(10)));
+  EXPECT_FALSE(rig.ReadsLocally(FileId(11)));
+}
+
+TEST(KeyTableTest, AnEntryMovingToANewKeyFreesTheOldKeysState) {
+  ScriptedServerRig rig(ClientParams{});
+  rig.Fetch(FileId(10), LeaseKey(20));
+  rig.Advance(Duration::Seconds(2));
+  rig.client().RelinquishIdle(Duration::Seconds(1));
+  ASSERT_EQ(rig.client().lease_count(), 0u);  // key 20: one entry, no lease
+  // The extension's reply moves the entry under key 21.
+  rig.client().Read(FileId(10), [](Result<ReadResult>) {});
+  const auto* request = std::get_if<ExtendRequest>(&rig.LastSent());
+  ASSERT_NE(request, nullptr);
+  ExtendReplyItem item;
+  item.file = FileId(10);
+  item.version = 1;
+  item.lease = LeaseGrant{LeaseKey(21), Duration::Seconds(10)};
+  rig.Deliver(ExtendReply{request->req, {item}});
+  ASSERT_TRUE(rig.ReadsLocally(FileId(10)));
+  // Key 20 has neither lease nor entry left, so a renewal no longer
+  // reaches it.
+  rig.Deliver(
+      InstalledExtend{Duration::Seconds(60), {LeaseKey(20), LeaseKey(21)}});
+  EXPECT_EQ(rig.client().stats().installed_renewals, 1u);
+  EXPECT_EQ(rig.client().lease_count(), 1u);
+}
+
 // --- The synchronous hit path ---
 
 TEST(ReadCachedTest, AHitReadsTheClockOnce) {
@@ -623,30 +536,6 @@ TEST(ReadCachedTest, ServesTemporariesWithoutALease) {
   EXPECT_EQ(rig.client().stats().local_reads, 1u);
 }
 
-TEST(ReadCachedTest, ServesWriteBackDirtyDataUnderAValidLease) {
-  ClientParams params;
-  params.write_back = true;
-  params.write_back_delay = Duration::Seconds(60);  // stays dirty
-  ScriptedServerRig rig(params);
-  rig.Fetch(FileId(10), LeaseKey(10), Duration::Seconds(2));
-  bool staged = false;
-  rig.client().Write(FileId(10), Bytes("dirty"),
-                     [&staged](Result<WriteResult> r) {
-                       staged = r.ok() && r->staged;
-                     });
-  ASSERT_TRUE(staged);
-  ReadResult result;
-  ASSERT_TRUE(rig.client().ReadCached(FileId(10), &result));
-  EXPECT_EQ(Text(result.data), "dirty");
-  EXPECT_EQ(result.version, 1u);
-  EXPECT_TRUE(result.from_cache);
-  // Past the lease the staged data must be flushed before it is read.
-  rig.Advance(Duration::Seconds(3));
-  ReadResult lapsed;
-  EXPECT_FALSE(rig.client().ReadCached(FileId(10), &lapsed));
-  EXPECT_TRUE(lapsed.data.empty());
-}
-
 TEST(ReadCachedTest, AMissAfterARefusalReadsTheClockOnceLess) {
   // After ReadCached refuses, ReadMiss starts the extension without Read's
   // second hit check: the refusal's clock read, then the extension's own
@@ -679,14 +568,11 @@ TEST(ReadCachedTest, AMissAfterARefusalReadsTheClockOnceLess) {
   EXPECT_EQ(via_read, via_miss);
 }
 
-// Runs one sequence of reads -- hits of every kind, a lapsed lease, a miss
-// -- through Read's callbacks or, when `direct`, through ReadCached with
+// Runs one sequence of reads -- hits of every kind, one beside a write in
+// flight, a lapsed lease, a miss -- through Read's callbacks or, when `direct`, through ReadCached with
 // ReadMiss only on a refusal (as RuntimeClient::Read does).
 ClientStats ReadSequenceStats(bool direct) {
-  ClientParams params;
-  params.write_back = true;
-  params.write_back_delay = Duration::Seconds(60);
-  ScriptedServerRig rig(params);
+  ScriptedServerRig rig(ClientParams{});
   auto read = [&rig, direct](FileId file) {
     ReadResult result;
     if (!direct) {
@@ -702,7 +588,7 @@ ClientStats ReadSequenceStats(bool direct) {
   for (uint64_t f : {10, 11, 12, 10}) {
     read(FileId(f));
   }
-  rig.client().Write(FileId(11), Bytes("dirty"), [](Result<WriteResult>) {});
+  rig.client().Write(FileId(11), Bytes("new"), [](Result<WriteResult>) {});
   read(FileId(11));
   rig.Advance(Duration::Seconds(3));
   for (uint64_t f : {10, 11, 12, 99}) {  // 10 extends, 99 fetches

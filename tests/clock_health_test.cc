@@ -1,9 +1,9 @@
 // Clock-health plane tests: the measured clock-error estimator, the
 // uncertainty-aware term policy's degradation ladder (long leases -> short
 // leases -> zero-term), its composition with the replicated authority's
-// CappedTermPolicy, epsilon validation, dynamic self-invalidation, and the
-// drift-ramp chaos acceptance runs that prove the measured bound where the
-// assumed constant fails.
+// CappedTermPolicy, epsilon validation, and the drift-ramp chaos
+// acceptance runs that prove the measured bound where the assumed constant
+// fails.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -323,53 +323,6 @@ TEST(ClusterValidateTest, RejectsClientServerEpsilonMismatch) {
   ClusterOptions options = MakeVClusterOptions(Duration::Seconds(10), 1);
   options.client.epsilon = options.epsilon + Duration::Millis(1);
   EXPECT_FALSE(options.Validate().ok());
-}
-
-// --- Dynamic self-invalidation --------------------------------------------
-
-TEST(SelfInvalidationTest, ContentionShedsExtensionsAndShortensLeases) {
-  ClusterOptions options = MakeVClusterOptions(Duration::Seconds(10), 2);
-  options.client.dynamic_self_invalidation = true;
-  options.client.contention_threshold = 2.0;
-  options.client.contention_half_life = Duration::Seconds(1000);
-  SimCluster cluster(options);
-  FileId hot = *cluster.store().CreatePath("/hot", FileClass::kNormal,
-                                           Bytes("h"));
-  FileId cold = *cluster.store().CreatePath("/cold", FileClass::kNormal,
-                                            Bytes("c"));
-  // Client 0 keeps re-reading `hot` while client 1 writes it: every write
-  // consults client 0 (an approval), feeding its contention score.
-  ASSERT_TRUE(cluster.SyncRead(0, hot).ok());
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(cluster.SyncWrite(1, hot, Bytes("w" + std::to_string(i))).ok());
-    ASSERT_TRUE(cluster.SyncRead(0, hot).ok());
-  }
-  const ClientStats& mid = cluster.client(0).stats();
-  EXPECT_GT(mid.approvals_granted, 0u);
-  // Grants accepted after the score passed 0.1 were locally shortened.
-  EXPECT_GT(mid.contention_shortened_leases, 0u);
-  // Cache `cold` too, expire both leases, then read `cold`: the batched
-  // extension keeps its focus but sheds the contended key.
-  ASSERT_TRUE(cluster.SyncRead(0, cold).ok());
-  ASSERT_TRUE(cluster.SyncRead(0, hot).ok());
-  cluster.RunFor(Duration::Seconds(11));
-  ASSERT_TRUE(cluster.SyncRead(0, cold).ok());
-  EXPECT_GT(cluster.client(0).stats().contention_skipped_items, 0u);
-}
-
-TEST(SelfInvalidationTest, OffByDefaultKeepsCountersAtZero) {
-  ClusterOptions options = MakeVClusterOptions(Duration::Seconds(10), 2);
-  ASSERT_FALSE(options.client.dynamic_self_invalidation);
-  SimCluster cluster(options);
-  FileId hot = *cluster.store().CreatePath("/hot", FileClass::kNormal,
-                                           Bytes("h"));
-  ASSERT_TRUE(cluster.SyncRead(0, hot).ok());
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(cluster.SyncWrite(1, hot, Bytes("w" + std::to_string(i))).ok());
-    ASSERT_TRUE(cluster.SyncRead(0, hot).ok());
-  }
-  EXPECT_EQ(cluster.client(0).stats().contention_shortened_leases, 0u);
-  EXPECT_EQ(cluster.client(0).stats().contention_skipped_items, 0u);
 }
 
 // --- Drift-ramp chaos acceptance ------------------------------------------

@@ -129,30 +129,6 @@ TEST(ApprovalDelayTest, ExpiryStillBoundsTheWriterDespiteTheHold) {
   EXPECT_EQ(cluster.oracle().violations(), 0u);
 }
 
-TEST(ApprovalDelayTest, DirtyEntryFlushesAfterTheHoldNothingLost) {
-  // approval_delay + write_back: when the hold expires on a dirty entry,
-  // the staged data must flush (and commit ahead) before the approval --
-  // deferring must never silently discard a staged write.
-  ClusterOptions options = MakeVClusterOptions(Duration::Seconds(10), 2);
-  options.client.approval_delay = Duration::Seconds(1);
-  options.client.write_back = true;
-  options.client.write_back_delay = Duration::Seconds(60);  // stays staged
-  SimCluster cluster(options);
-  FileId file = *cluster.store().CreatePath("/f", FileClass::kNormal,
-                                            Bytes("v1"));
-  ASSERT_TRUE(cluster.SyncRead(0, file).ok());
-  ASSERT_TRUE(cluster.SyncWrite(0, file, Bytes("staged")).ok());  // dirty
-
-  Result<WriteResult> w =
-      cluster.SyncWrite(1, file, Bytes("other"), Duration::Seconds(30));
-  ASSERT_TRUE(w.ok());
-  // Both writes committed, flush first: versions 2 (flush) then 3 (other).
-  EXPECT_EQ(w->version, 3u);
-  EXPECT_EQ(Text(cluster.store().Find(file)->data), "other");
-  EXPECT_EQ(cluster.client(0).stats().write_back_flushes, 1u);
-  EXPECT_EQ(cluster.oracle().violations(), 0u);
-}
-
 TEST(ApprovalDelayTest, DuplicateCallbacksDuringHoldAreIdempotent) {
   ClusterOptions options = MakeVClusterOptions(Duration::Seconds(10), 2);
   options.client.approval_delay = Duration::Seconds(2);

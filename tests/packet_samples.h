@@ -47,7 +47,7 @@ inline std::vector<Packet> OneOfEveryPacket() {
   std::vector<Packet> packets = {
       ReadRequest{RequestId(1), FileId(2), 3, 4},
       read_reply,
-      WriteRequest{RequestId(1), FileId(2), 3, true, {1, 2, 3}},
+      WriteRequest{RequestId(1), FileId(2), 3, {1, 2, 3}},
       WriteReply{RequestId(1), FileId(2), ErrorCode::kOk, 4},
       ExtendRequest{RequestId(1), {{FileId(2), 3}, {FileId(4), 5}}, 6},
       ExtendReply{RequestId(1), {item}},

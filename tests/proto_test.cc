@@ -58,10 +58,9 @@ TEST(ProtoTest, InfiniteTermSurvivesTheWire) {
 }
 
 TEST(ProtoTest, WriteRequestRoundTrip) {
-  WriteRequest m{RequestId(3), FileId(5), 11, true, {9, 9, 9}};
+  WriteRequest m{RequestId(3), FileId(5), 11, {9, 9, 9}};
   WriteRequest out = RoundTrip(m);
   EXPECT_EQ(out.base_version, 11u);
-  EXPECT_TRUE(out.flush);
   EXPECT_EQ(out.data, m.data);
 }
 
@@ -154,7 +153,7 @@ TEST(ProtoTest, EmptyAndUnknownTypeRejected) {
 TEST(ProtoTest, EveryTruncationOfEveryMessageIsRejectedSafely) {
   std::vector<Packet> packets = {
       Packet(ReadRequest{RequestId(1), FileId(2), 3}),
-      Packet(WriteRequest{RequestId(1), FileId(2), 3, false, {1, 2, 3}}),
+      Packet(WriteRequest{RequestId(1), FileId(2), 3, {1, 2, 3}}),
       Packet(ApproveRequest{5, FileId(2), LeaseKey(2)}),
       Packet(Relinquish{{LeaseKey(1)}}),
       Packet(InstalledExtend{Duration::Seconds(1), {LeaseKey(1)}}),
@@ -240,7 +239,6 @@ Packet RandomPacket(Rng& rng, size_t type_index) {
       m.req = RequestId(rng.NextU64());
       m.file = FileId(rng.NextU64());
       m.base_version = rng.NextU64();
-      m.flush = rng.NextBernoulli(0.5);
       m.data = RandomBytes(rng, 64);
       return m;
     }

@@ -190,29 +190,6 @@ TEST(CacheEvictionTest, EvictionRelinquishesTheLease) {
   EXPECT_EQ(cluster.oracle().violations(), 0u);
 }
 
-TEST(CacheEvictionTest, DirtyEntriesAreNotEvicted) {
-  ClusterOptions options = MakeVClusterOptions(Duration::Seconds(30), 1);
-  options.client.max_cached_files = 1;
-  options.client.write_back = true;
-  options.client.write_back_delay = Duration::Seconds(60);  // stays dirty
-  SimCluster cluster(options);
-  FileId a = *cluster.store().CreatePath("/a", FileClass::kNormal, Bytes("x"));
-  FileId b = *cluster.store().CreatePath("/b", FileClass::kNormal, Bytes("x"));
-  ASSERT_TRUE(cluster.SyncRead(0, a).ok());
-  ASSERT_TRUE(cluster.SyncWrite(0, a, Bytes("dirty")).ok());  // staged
-  ASSERT_TRUE(cluster.SyncRead(0, b).ok());  // would evict a, but it's dirty
-  EXPECT_TRUE(cluster.client(0).HasCached(a));
-  // No data loss: the staged write still flushes on demand.
-  bool flushed = false;
-  cluster.client(0).Flush(a, [&](Result<WriteResult> r) {
-    ASSERT_TRUE(r.ok());
-    flushed = true;
-  });
-  cluster.RunFor(Duration::Millis(50));
-  EXPECT_TRUE(flushed);
-  EXPECT_EQ(Text(cluster.store().Find(a)->data), "dirty");
-}
-
 TEST(CacheEvictionTest, EvictedFileRefetchesConsistently) {
   ClusterOptions options = MakeVClusterOptions(Duration::Seconds(30), 2);
   options.client.max_cached_files = 2;

@@ -52,8 +52,10 @@ fi
 # shared across shard threads) and the drift-ramp acceptance soaks.
 # fs_test, cache_client_test and timer_queue_test cover the grant path's
 # index and lifetime code: the file store's id table, the client cache's
-# intrusive LRU list and per-key counts, and the runtime timer queue's slot
-# table and closure hand-off. fs_test and dir_codec_test also drive the
+# intrusive LRU list and the KeyState* every cache entry holds into the
+# per-key table (KeyTableTest moves entries between keys and drops leases
+# under them, so ASan sees a state freed while an entry still points at
+# it), and the runtime timer queue's slot table and closure hand-off. fs_test and dir_codec_test also drive the
 # directory walker's offset arithmetic and the store's in-place datum
 # edits across every byte boundary of their sample datums.
 # File data is one refcounted buffer shared across layers and threads
