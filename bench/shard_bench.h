@@ -4,6 +4,9 @@
 // queues into per-shard LeaseServers -- with the UDP layer replaced by a
 // per-shard counting transport, so the number is the typed cluster-lease-op
 // benchmark of BENCH_CORE.json scaled across cores, not a socket benchmark.
+// RuntimeServer no longer serves with this topology (its shards are its
+// socket loop's work); only loopbench's traced sharded host still runs
+// ShardLoop, and this bench goes when ShardLoop does.
 //
 // Workload: `files` files spread across the shards by the production hash,
 // each driven by its own client with an alternating read (lease grant) /

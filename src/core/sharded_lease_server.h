@@ -14,9 +14,8 @@
 //   * simulator -- SimCluster installs a ShardedLeaseServer as the server
 //     node's PacketHandler; HandleTyped routes each message to its owning
 //     shard inline (single-threaded, deterministic).
-//   * runtime -- the shard engine calls Route() from the UDP receiver
-//     thread to pick the SPSC queue, and DeliverToShard() from the owning
-//     shard's worker thread.
+//   * runtime -- RuntimeServer does the same: the engine is its socket's
+//     handler, and every shard runs as that socket loop's work.
 //
 // Cross-shard batched extensions (Section 3.1 batches every held lease into
 // one ExtendRequest) are split into per-shard sub-requests; a reply tap on
@@ -91,11 +90,13 @@ class ShardedLeaseServer : public PacketHandler {
   void HandleTyped(NodeId from, MessageClass cls,
                    const Packet& packet) override;
 
-  // --- Two-phase dispatch (runtime shard engine) ---
-  // Route() runs on the I/O thread: it resolves the owning shard (splitting
-  // cross-shard extend/relinquish batches and arming the merge rendezvous)
-  // and hands each delivery to `sink`, which enqueues it on the shard's
-  // inbound queue. The shard's worker thread then calls DeliverToShard().
+  // --- Two-phase dispatch ---
+  // Route() resolves the owning shard (splitting cross-shard
+  // extend/relinquish batches and arming the merge rendezvous) and hands
+  // each delivery to `sink`; HandleTyped's sink runs the shard inline.
+  // DeliverToShard() runs one shard's handler from elsewhere; no host in
+  // src/ calls it, and it stays only for loopbench's traced sharded host,
+  // whose ShardLoop threads deliver with it.
   using DispatchSink =
       std::function<void(size_t shard, NodeId from, MessageClass cls,
                          Packet&& packet)>;

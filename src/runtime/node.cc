@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "src/common/check.h"
+#include "src/core/shard_router.h"
 #include "src/fs/journal.h"
 #include "src/replica/authority.h"
 
@@ -95,11 +96,6 @@ Status RuntimeServer::Start(const std::string& data_dir, uint16_t port) {
 
 Status RuntimeServer::Start(uint16_t port) {
   Status valid = config_.Validate();
-  if (valid.ok() && config_.replica.num_replicas > 0 &&
-      config_.num_shards > 1) {
-    valid = Status(ErrorCode::kInvalidArgument,
-                   "RuntimeServer runs a replicated engine unsharded");
-  }
   if (!valid.ok()) {
     return valid;
   }
@@ -118,7 +114,7 @@ Status RuntimeServer::Start(uint16_t port) {
       return replayed;
     }
   }
-  Status serving = config_.num_shards > 1 ? ServeSharded(port) : Serve(port);
+  Status serving = Serve(port);
   if (!serving.ok()) {
     Stop();
   }
@@ -135,6 +131,32 @@ Status RuntimeServer::Serve(uint16_t port) {
   env.transport = transport_.get();
   env.clock = &clock_;
   env.timers = loop_.get();
+  if (config_.num_shards > 1) {
+    // One host, as in the simulator: every shard shares the loop's timers,
+    // the serving socket and the clock, and owns its partition and
+    // metadata. The namespace store mirrors each record into its owner.
+    env.shards.resize(config_.num_shards);
+    for (ShardEnv& shard : env.shards) {
+      ShardRig& rig = *rigs_.emplace_back(std::make_unique<ShardRig>());
+      shard.store = &rig.store;
+      shard.meta = &rig.meta;
+      shard.clock = &clock_;
+      shard.timers = loop_.get();
+      shard.transport = transport_.get();
+    }
+    store_.SetMirror([this](FileId file, const FileRecord* rec) {
+      FileStore& partition = rigs_[ShardIndexOf(file, rigs_.size())]->store;
+      if (rec != nullptr) {
+        partition.Adopt(*rec);
+      } else {
+        partition.Drop(file);
+      }
+    });
+    for (FileId file : store_.AllFiles()) {
+      rigs_[ShardIndexOf(file, rigs_.size())]->store.Adopt(
+          *store_.Find(file));
+    }
+  }
   if (config_.replica.num_replicas > 0) {
     authority_ = std::make_unique<UdpTransport>(ReplicaAddr(boot_.index),
                                                 loop_.get(), nullptr);
@@ -155,6 +177,8 @@ Status RuntimeServer::Serve(uint16_t port) {
   if (!bound.ok()) {
     return bound;
   }
+  // Shards share the one policy: FixedTermPolicy is immutable and the
+  // clock-health wrapper locks internally.
   policy_.Wire(&env);
   auto engine = MakeServerEngine(config_, std::move(env));
   if (!engine.ok()) {
@@ -176,77 +200,6 @@ Status RuntimeServer::Serve(uint16_t port) {
   return Status::Ok();
 }
 
-Status RuntimeServer::ServeSharded(uint16_t port) {
-  // Raw-handler mode: the transport runs a private event loop whose only
-  // work is routing packets straight into the shard queues.
-  transport_ = std::make_unique<UdpTransport>(id_, nullptr, nullptr);
-  EngineEnv env;
-  env.id = id_;
-  env.shards.resize(config_.num_shards);
-  for (ShardEnv& shard : env.shards) {
-    auto rig = std::make_unique<ShardRig>();
-    rig->loop = std::make_unique<ShardLoop>();
-    rig->sender = std::make_unique<UdpBatchSender>(transport_.get());
-    shard.store = &rig->store;
-    shard.meta = &rig->meta;
-    shard.clock = &clock_;
-    shard.timers = rig->loop.get();
-    shard.transport = rig->sender.get();
-    rigs_.push_back(std::move(rig));
-  }
-  // Shards share the one policy: FixedTermPolicy is immutable and the
-  // clock-health wrapper locks internally.
-  policy_.Wire(&env);
-
-  // Constructing the per-shard LeaseServers before the shard threads exist
-  // is single-threaded and therefore safe: constructor-scheduled timers land
-  // in the still-unstarted timer queues, and thread creation below
-  // happens-after all of it.
-  auto engine = MakeServerEngine(config_, std::move(env));
-  if (!engine.ok()) {
-    return Status(engine.error().code, engine.error().message);
-  }
-  engine_ = std::move(engine.value());
-  Status serving = engine_->Start();
-  if (!serving.ok()) {
-    return serving;
-  }
-  sharded_ = engine_->sharded();
-  store_.SetMirror([this](FileId file, const FileRecord* rec) {
-    sharded_->MirrorRecord(file, rec);
-  });
-  sharded_->AdoptAll(store_);
-
-  for (size_t i = 0; i < rigs_.size(); ++i) {
-    ShardRig* rig = rigs_[i].get();
-    rig->loop->Start(
-        [this, i](const ShardInbound& msg) {
-          sharded_->DeliverToShard(i, msg.from, msg.cls, msg.packet);
-        },
-        [sender = rig->sender.get()]() { sender->Flush(); });
-  }
-
-  // Routing runs as the transport loop's work; only the enqueue touches
-  // shard state, through the SPSC ring. A full ring means the shard is
-  // saturated: shed the packet like the wire would.
-  transport_->SetRawHandler([this](NodeId from, MessageClass cls,
-                                   std::span<const uint8_t> payload) {
-    std::optional<Packet> packet = DecodePacket(payload);
-    if (!packet) {
-      return;  // malformed packets are dropped, as in LeaseServer
-    }
-    sharded_->Route(
-        from, cls, std::move(*packet),
-        [this](size_t shard, NodeId f, MessageClass c, Packet&& p) {
-          if (!rigs_[shard]->loop->Enqueue(
-                  ShardInbound{f, c, std::move(p)})) {
-            dropped_.fetch_add(1, std::memory_order_relaxed);
-          }
-        });
-  });
-  return transport_->Start(port);
-}
-
 void RuntimeServer::Stop() {
   // No receive callback runs once the sockets stop.
   for (UdpTransport* socket : {transport_.get(), authority_.get()}) {
@@ -255,11 +208,7 @@ void RuntimeServer::Stop() {
       socket->Stop();
     }
   }
-  for (auto& rig : rigs_) {
-    rig->loop->Stop();  // joins the shard thread; in-flight input is lost
-  }
-  // Engine teardown cancels its timers against the host that holds them:
-  // the still-running event loop, or the now-quiescent shard loops.
+  // Engine teardown cancels its timers on the still-running loop.
   if (loop_ != nullptr && engine_ != nullptr) {
     loop_->RunSync([this]() { engine_.reset(); });
   }
@@ -267,9 +216,8 @@ void RuntimeServer::Stop() {
     loop_->Stop();
   }
   engine_.reset();
-  sharded_ = nullptr;
   store_.SetMirror(nullptr);
-  rigs_.clear();  // the batch senders go before the socket they send on
+  rigs_.clear();
   authority_.reset();
   transport_.reset();
   loop_.reset();
@@ -277,20 +225,7 @@ void RuntimeServer::Stop() {
 
 void RuntimeServer::WithEngine(const std::function<void(ServerEngine&)>& fn) {
   LEASES_CHECK(engine_ != nullptr);
-  if (loop_ != nullptr) {
-    loop_->RunSync([this, &fn]() { fn(*engine_); });
-    return;
-  }
-  // Sharded: each shard thread, in turn, waits inside a control task for
-  // the next one, so `fn` runs on the last with every shard held.
-  std::function<void(size_t)> hold = [&](size_t i) {
-    if (i == rigs_.size()) {
-      fn(*engine_);
-      return;
-    }
-    rigs_[i]->loop->RunSync([&hold, i]() { hold(i + 1); });
-  };
-  hold(0);
+  loop_->RunSync([this, &fn]() { fn(*engine_); });
 }
 
 ServerStats RuntimeServer::stats() {
@@ -326,8 +261,10 @@ Duration RuntimeServer::last_inherited_bound() {
 
 uint64_t RuntimeServer::processed() const {
   uint64_t total = 0;
-  for (const auto& rig : rigs_) {
-    total += rig->loop->processed();
+  for (const UdpTransport* socket : {transport_.get(), authority_.get()}) {
+    if (socket != nullptr) {
+      total += socket->stats().TotalReceived();
+    }
   }
   return total;
 }

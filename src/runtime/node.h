@@ -7,16 +7,16 @@
 //     journals the recovery state (max term, boot count, optional lease
 //     records) there and replays it before serving, so a restarted process
 //     honors the previous incarnation's grants.
-//   * num_shards > 1: the FileId-partitioned grant plane. One socket, served
-//     by the transport's private event loop, fronts N run-to-completion
-//     ShardLoop threads. That loop decodes each packet straight from its
-//     receive buffer, routes it with the simulator's shard_router.h
-//     functions (ShardedLeaseServer::Route) and pushes it onto the owning
-//     shard's SPSC ring; the shard thread runs its LeaseServer against a
-//     private FileStore partition, timer queue and outbound batch sender,
-//     so the grant path takes no locks. A full ring drops the packet
-//     (counted), which the protocol reads as wire loss and the client
-//     repairs by retransmission.
+//   * num_shards > 1: the FileId-partitioned grant plane, built like the
+//     plain shape: one event loop and one socket host every shard. The
+//     socket's handler is the engine, whose ShardedLeaseServer routes each
+//     packet to its owning shard inline with the simulator's shard_router.h
+//     functions; each shard runs its LeaseServer against a private FileStore
+//     partition and recovery metadata, and shares the loop's timers, the
+//     socket and the host clock. All shards' replies to one client in one
+//     unit of loop work leave in one datagram. Overload fills the socket's
+//     receive buffer, and the kernel drops what does not fit, which the
+//     protocol reads as wire loss and the client repairs by retransmission.
 //   * replica.num_replicas > 0: one replica of the replicated lease
 //     authority (PaxosLease), two sockets on one loop. The authority socket
 //     is bound to the replica's own address (ReplicaAddr(index)) and carries
@@ -27,7 +27,9 @@
 //     retry). With no real VIP on localhost, a client re-points its peer
 //     table for the virtual NodeId at the new holder's serving port after a
 //     takeover. The replica is diskless: safety across process loss comes
-//     from the acceptor warm-up window (see src/replica/authority.h).
+//     from the acceptor warm-up window (see src/replica/authority.h). With
+//     num_shards > 1 the serving engine a holder builds is the sharded one,
+//     its shards on the serving socket.
 // Every shape grants through the one term policy MakeEnginePolicy builds
 // from the config (clock health included), and exposes its engine on the
 // protocol thread through WithEngine.
@@ -43,7 +45,6 @@
 #ifndef SRC_RUNTIME_NODE_H_
 #define SRC_RUNTIME_NODE_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -55,7 +56,6 @@
 #include "src/fs/file_store.h"
 #include "src/net/faulty_transport.h"
 #include "src/runtime/event_loop.h"
-#include "src/runtime/shard_loop.h"
 #include "src/runtime/udp_transport.h"
 
 namespace leases {
@@ -89,8 +89,8 @@ class RuntimeServer {
   RuntimeServer& operator=(const RuntimeServer&) = delete;
 
   // Builds the shape config names and starts serving on 127.0.0.1:`port`
-  // (0 picks one). A shape EngineConfig::Validate refuses, or a replicated
-  // sharded one (which this host does not run), returns kInvalidArgument.
+  // (0 picks one). A shape EngineConfig::Validate refuses returns
+  // kInvalidArgument.
   Status Start(uint16_t port = 0);
   // Start with config.data_dir = `data_dir`.
   Status Start(const std::string& data_dir, uint16_t port = 0);
@@ -122,10 +122,8 @@ class RuntimeServer {
   // The clock-health policy when config.uncertainty_terms is set, else null.
   UncertaintyAwareTermPolicy* clock_health() { return policy_.clock_health; }
 
-  // Runs `fn` against the live engine with no protocol work running beside
-  // it: on the loop thread, or for a sharded engine on the last shard's
-  // thread while every other shard thread waits. Valid between a successful
-  // Start and Stop.
+  // Runs `fn` against the live engine as loop work, so no protocol work runs
+  // beside it. Valid between a successful Start and Stop.
   void WithEngine(const std::function<void(ServerEngine&)>& fn);
   // Engine counters plus the sockets' local send failures.
   ServerStats stats();
@@ -140,26 +138,22 @@ class RuntimeServer {
   bool is_holder();
   Duration last_inherited_bound();
 
-  // Sharded shape: datagrams dropped because a shard's ring was full, and
-  // messages processed across all shards.
-  uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  // Packets the sockets handed to the engine, on the one loop.
   uint64_t processed() const;
+  // Always 0: the socket hands packets to the shards directly, so overload
+  // drops in the kernel's socket buffer, uncounted here. Kept because
+  // loopbench reports it as `ring_drops`.
+  uint64_t dropped() const { return 0; }
 
  private:
-  // Everything one shard owns: its worker loop, its FileStore partition,
-  // its in-memory recovery metadata and its outbound batcher. unique_ptr
-  // keeps addresses stable for the ShardEnv pointers.
+  // One shard's FileStore partition and in-memory recovery metadata.
+  // unique_ptr keeps addresses stable for the ShardEnv pointers.
   struct ShardRig {
-    std::unique_ptr<ShardLoop> loop;
     FileStore store;
     DurableMeta meta;
-    std::unique_ptr<UdpBatchSender> sender;
   };
 
   Status Serve(uint16_t port);
-  Status ServeSharded(uint16_t port);
 
   NodeId id_;
   EngineConfig config_;
@@ -171,14 +165,11 @@ class RuntimeServer {
   DurableMeta meta_;
   SystemClock clock_;
   EnginePolicy policy_;
-  std::unique_ptr<EventLoop> loop_;            // plain and replica shapes
+  std::unique_ptr<EventLoop> loop_;
   std::unique_ptr<UdpTransport> transport_;    // the serving socket
   std::unique_ptr<UdpTransport> authority_;    // replica shape
   std::vector<std::unique_ptr<ShardRig>> rigs_;  // sharded shape
   std::unique_ptr<ServerEngine> engine_;
-  // The sharded engine's concrete type, kept for the routing fast path.
-  ShardedLeaseServer* sharded_ = nullptr;
-  std::atomic<uint64_t> dropped_{0};
 };
 
 // loopbench (a benchmark whose sources stay fixed) still names the sharded

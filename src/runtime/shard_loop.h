@@ -1,5 +1,9 @@
-// ShardLoop: one run-to-completion worker shard of the sharded runtime
-// server.
+// ShardLoop: one run-to-completion worker shard on its own thread.
+//
+// RuntimeServer no longer runs it: its shards are its socket loop's work.
+// ShardLoop stays only because loopbench's traced sharded host
+// (loopbench/trace.cc) and bench_shard (bench/shard_bench.h) still drive
+// shards through it; it goes with them.
 //
 // Each shard owns a thread, an SPSC inbound queue fed by the UDP
 // transport's event loop, and a private timer queue (it implements

@@ -1,11 +1,10 @@
 // Bounded single-producer single-consumer ring queue.
 //
-// The shard engine's inbound path: the UDP transport's event loop (the
-// single producer) routes each decoded packet to its owning shard and
-// pushes it here; the shard's worker thread (the single consumer) drains it
-// and runs the handler to completion. One atomic load plus one store per side, no
-// locks, no CAS -- the queue is the reason the sharded hot path scales
-// linearly instead of serializing on a mutex.
+// ShardLoop's inbound path: a producer thread routes each decoded packet to
+// its owning shard and pushes it here; the shard's worker thread (the single
+// consumer) drains it and runs the handler to completion. One atomic load
+// plus one store per side, no locks, no CAS. RuntimeServer runs no ShardLoop;
+// the queue stays only for loopbench's traced sharded host and bench_shard.
 //
 // Capacity is rounded up to a power of two. A full queue rejects the push:
 // UDP is fire-and-forget, so the caller drops the packet and counts it

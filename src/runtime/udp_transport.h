@@ -41,7 +41,7 @@ class UdpTransport : public Transport {
  public:
   // `handler` is invoked as `loop`'s work for each packet; it may be
   // null until SetHandler is called. When `loop` is null the transport
-  // runs a private EventLoop (the shard engine's SetRawHandler mode).
+  // runs a private EventLoop (the SetRawHandler mode).
   UdpTransport(NodeId self, EventLoop* loop, PacketHandler* handler);
   ~UdpTransport() override;
 
@@ -58,11 +58,10 @@ class UdpTransport : public Transport {
   uint16_t port() const { return port_; }
   void SetHandler(PacketHandler* handler) { handler_ = handler; }
 
-  // Shard-engine dispatch: when set, every packet is handed to `handler`
-  // (sender id + class + raw payload) instead of the PacketHandler. The
-  // handler decodes and routes to the owning shard's queue; run-to-
-  // completion then happens on the shard thread. Must be set before
-  // Start().
+  // Raw dispatch: when set, every packet is handed to `handler` (sender id
+  // + class + raw payload) instead of the PacketHandler. Must be set before
+  // Start(). No runtime host uses it; it stays only because loopbench's
+  // traced sharded host decodes and routes into ShardLoop rings with it.
   using RawHandler = std::function<void(NodeId from, MessageClass cls,
                                         std::span<const uint8_t> payload)>;
   void SetRawHandler(RawHandler handler) { raw_handler_ = std::move(handler); }

@@ -14,6 +14,7 @@
 #include <string>
 #include <thread>
 
+#include "src/core/shard_router.h"
 #include "src/runtime/node.h"
 
 namespace leases {
@@ -316,7 +317,7 @@ TEST(RuntimeMultiClient, TwoCallersBlockOnOneClientAtOnce) {
 }
 
 // The engine shapes one RuntimeServer builds from its EngineConfig.
-enum class Shape { kPlain, kTwoShards, kOneReplica };
+enum class Shape { kPlain, kTwoShards, kOneReplica, kShardedReplica };
 
 class RuntimeShapes : public ::testing::TestWithParam<Shape> {};
 
@@ -324,9 +325,12 @@ class RuntimeShapes : public ::testing::TestWithParam<Shape> {};
 // the same class whatever the shape.
 TEST_P(RuntimeShapes, SharedWriteInvalidatesTheOtherClient) {
   EngineConfig config = TermConfig(Duration::Seconds(5));
-  if (GetParam() == Shape::kTwoShards) {
+  if (GetParam() == Shape::kTwoShards ||
+      GetParam() == Shape::kShardedReplica) {
     config.num_shards = 2;
-  } else if (GetParam() == Shape::kOneReplica) {
+  }
+  if (GetParam() == Shape::kOneReplica ||
+      GetParam() == Shape::kShardedReplica) {
     config.replica.num_replicas = 1;
   }
   RuntimeServer server(NodeId(1), config, ReplicaBoot{.cold_boot = true});
@@ -372,7 +376,8 @@ TEST_P(RuntimeShapes, SharedWriteInvalidatesTheOtherClient) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, RuntimeShapes,
-    ::testing::Values(Shape::kPlain, Shape::kTwoShards, Shape::kOneReplica),
+    ::testing::Values(Shape::kPlain, Shape::kTwoShards, Shape::kOneReplica,
+                      Shape::kShardedReplica),
     [](const ::testing::TestParamInfo<Shape>& param_info) {
       switch (param_info.param) {
         case Shape::kPlain:
@@ -381,6 +386,8 @@ INSTANTIATE_TEST_SUITE_P(
           return "TwoShards";
         case Shape::kOneReplica:
           return "OneReplica";
+        case Shape::kShardedReplica:
+          return "ShardedReplica";
       }
       return "Unknown";
     });
@@ -394,14 +401,11 @@ TEST(RuntimeShapes, RefusedShapeFailsStartAndStopsCleanly) {
   EngineConfig shards_and_dir;
   shards_and_dir.num_shards = 2;
   shards_and_dir.data_dir = dir;
-  EngineConfig replicas_and_shards;
-  replicas_and_shards.replica.num_replicas = 1;
-  replicas_and_shards.num_shards = 2;
   EngineConfig replicas_and_dir;
   replicas_and_dir.replica.num_replicas = 1;
   replicas_and_dir.data_dir = dir;
   for (const EngineConfig& config :
-       {shards_and_dir, replicas_and_shards, replicas_and_dir}) {
+       {shards_and_dir, replicas_and_dir}) {
     SCOPED_TRACE("shards=" + std::to_string(config.num_shards) +
                  " replicas=" + std::to_string(config.replica.num_replicas) +
                  " data_dir=" + config.data_dir);
@@ -416,6 +420,57 @@ TEST(RuntimeShapes, RefusedShapeFailsStartAndStopsCleanly) {
     server.reset();
   }
   std::filesystem::remove_all(dir);
+}
+
+// Every shard of a sharded server runs as its socket's loop work, so the
+// replies to reads one client issued in one loop turn -- one request
+// datagram -- leave in one reply datagram even when the files live on
+// different shards.
+TEST(RuntimeSharded, ReadsOnTwoShardsInOneTurnShareOneReplyDatagram) {
+  EngineConfig config = TermConfig(Duration::Seconds(5));
+  config.num_shards = 2;
+  RuntimeServer server(NodeId(1), config);
+  std::vector<FileId> files;  // one file per shard
+  for (int i = 0; files.size() < 2; ++i) {
+    FileId file = *server.store().CreatePath(
+        "/data/f" + std::to_string(i), FileClass::kNormal, B("v1"));
+    if (files.empty() || ShardIndexOf(file, 2) != ShardIndexOf(files[0], 2)) {
+      files.push_back(file);
+    }
+  }
+  ASSERT_TRUE(server.Start().ok());
+
+  ClientParams params;
+  params.transit_allowance = Duration::Millis(50);
+  params.epsilon = Duration::Millis(50);
+  params.request_timeout = Duration::Seconds(5);  // no retransmission
+  RuntimeClient client(NodeId(2), NodeId(1), server.store().root(), params);
+  ASSERT_TRUE(client.Start(server.port()).ok());
+  server.AddPeer(NodeId(2), client.port());
+
+  const uint64_t before = client.transport().stats().datagrams_received;
+  std::atomic<int> done{0};
+  std::atomic<int> failed{0};
+  client.WithClient([&](CacheClient& cache) {
+    for (FileId file : files) {
+      cache.Read(file, [&](Result<ReadResult> r) {
+        failed.fetch_add(r.ok() ? 0 : 1);
+        done.fetch_add(1);
+      });
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (done.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(done.load(), 2);
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(client.transport().stats().datagrams_received - before, 1u);
+  EXPECT_EQ(server.stats().leases_granted, 2u);
+
+  client.Stop();
+  server.Stop();
 }
 
 // The clock-health plane reaches a socket: with uncertainty_terms set the

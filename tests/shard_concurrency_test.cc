@@ -1,9 +1,11 @@
-// The sharded grant plane under real concurrency: several RuntimeClients
-// hammer a sharded RuntimeServer over UDP, exercising the receiver-thread
-// routing, the SPSC shard queues, the per-shard timer queues and the
-// sendmmsg outbound batchers all at once. Run under TSan in the sanitizer
-// tier (tools/run_sanitizer_tier.sh), this is the proof that the hot path
-// is race-free, not merely lock-free.
+// The sharded grant plane under real concurrency: several RuntimeClients,
+// each on its own threads, hammer a sharded RuntimeServer over UDP. The
+// server runs every shard -- routing, the shards' handlers and timers, the
+// cross-shard extend rendezvous and the sendmmsg flush -- as its one
+// socket loop's work, while the client threads send, lead their own loops
+// and read stats. Run under TSan in the sanitizer tier
+// (tools/run_sanitizer_tier.sh), this is the proof that the client threads
+// and the one server loop do not race.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +15,6 @@
 #include <vector>
 
 #include "src/core/shard_router.h"
-#include "src/runtime/node.h"
 #include "src/runtime/node.h"
 #include "src/runtime/udp_transport.h"
 
@@ -141,7 +142,7 @@ TEST(ShardConcurrency, ClientsHammerAllShardsThroughBatchedUdp) {
 TEST(ShardConcurrency, CrossShardBatchedExtendOverUdp) {
   // Short term so the client's whole working set lapses together; the
   // batched ExtendRequest then spans shards and exercises the split/merge
-  // rendezvous with real per-shard threads replying through real batchers.
+  // rendezvous, each shard replying through the server's one socket.
   constexpr size_t kShards = 8;
   constexpr size_t kFiles = 12;
 

@@ -36,9 +36,11 @@ fi
 # the durable storage plane (raw-fd journal I/O plus the crash-point
 # matrix, which ASan checks for leaks/overflows across injected crashes),
 # and the sharded grant plane -- shard_test covers the routing/split logic,
-# shard_concurrency_test hammers the shard threads, SPSC rings and batched
-# UDP senders (including the lock-free per-shard send counters stats() has
-# to merge mid-storm), which is exactly the surface TSan exists to check.
+# shard_concurrency_test hammers a sharded RuntimeServer, whose shards all
+# run as its one socket loop's work, from several client threads: under
+# TSan it proves the client threads and the one server loop do not race;
+# its batch-sender test still merges the lock-free per-sender send
+# counters stats() reads mid-storm.
 # swarm_test drives the million-client swarm plane's SoA clients, multicast
 # renewal and admission control through ASan for lifetime/indexing bugs.
 # The replica tier (engine_test, replica_test, runtime_replica_test) covers
@@ -46,8 +48,8 @@ fi
 # crash/partition/drift soaks, and the two-socket runtime failover rig --
 # real threads under TSan, serving-engine churn under ASan.
 # runtime_test's RuntimeShapes drives the one RuntimeServer through the
-# plain, sharded and replica shapes and through refused Starts; a sharded
-# stats() (shard_concurrency_test) holds every shard thread at once.
+# plain, sharded, replica and sharded replica shapes and through refused
+# Starts.
 # clock_health_test exercises the clock-error estimator (internally locked,
 # shared across shard threads) and the drift-ramp acceptance soaks.
 # fs_test, cache_client_test and timer_queue_test cover the grant path's
