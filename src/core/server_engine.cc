@@ -8,60 +8,9 @@
 namespace leases {
 namespace {
 
-// The unreplicated single-node engine: a thin lifecycle shell around
-// LeaseServer. Construction order inside Start() matches the historical
-// SimCluster/RuntimeServer paths exactly, so digests are unchanged.
-class PlainEngine : public ServerEngine {
- public:
-  PlainEngine(const EngineConfig& config, EngineEnv env)
-      : config_(config), env_(std::move(env)) {}
-
-  ~PlainEngine() override = default;
-
-  Status Start() override {
-    LEASES_CHECK(server_ == nullptr);
-    server_ = std::make_unique<LeaseServer>(
-        env_.id, env_.store, env_.meta, env_.transport, env_.clock,
-        env_.timers, env_.policy, config_.server, env_.oracle);
-    return Status::Ok();
-  }
-
-  void Stop() override { server_.reset(); }
-
-  Status Recover() override { return env_.meta->Reopen(); }
-
-  bool running() const override { return server_ != nullptr; }
-
-  ServerStats stats() const override {
-    return server_ != nullptr ? server_->stats() : ServerStats{};
-  }
-
-  NodeId id() const override { return env_.id; }
-
-  void RegisterClient(NodeId client) override {
-    if (server_ != nullptr) {
-      server_->RegisterClient(client);
-    }
-  }
-
-  LeaseServer* plain() override { return server_.get(); }
-
-  void HandleTyped(NodeId from, MessageClass cls,
-                   const Packet& packet) override {
-    if (server_ != nullptr) {
-      server_->HandleTyped(from, cls, packet);
-    }
-  }
-
- private:
-  EngineConfig config_;
-  EngineEnv env_;
-  std::unique_ptr<LeaseServer> server_;
-};
-
-// The FileId-sharded engine: lifecycle shell around ShardedLeaseServer.
-// The per-shard environments (stores, metas, timers, transports) are owned
-// by the host and survive Stop/Start, exactly like the plain durable state.
+// The unreplicated engine: lifecycle shell around ShardedLeaseServer. The
+// plain server is its one-shard case. The shard environments (stores,
+// metas, timers, transports) are owned by the host and survive Stop/Start.
 class ShardedEngine : public ServerEngine {
  public:
   ShardedEngine(const EngineConfig& config, EngineEnv env)
@@ -71,9 +20,8 @@ class ShardedEngine : public ServerEngine {
 
   Status Start() override {
     LEASES_CHECK(server_ == nullptr);
-    std::vector<ShardEnv> envs = env_.shards;  // reusable across restarts
-    server_ = std::make_unique<ShardedLeaseServer>(
-        env_.id, std::move(envs), config_.server, env_.oracle);
+    server_ = std::make_unique<ShardedLeaseServer>(env_.id, env_.shards,
+                                                   config_.server, env_.oracle);
     return Status::Ok();
   }
 
@@ -159,48 +107,51 @@ Result<std::unique_ptr<ServerEngine>> MakeServerEngine(
   if (!valid.ok()) {
     return valid.error();
   }
-  // Replication outranks sharding: a sharded-replicated config builds a
-  // ReplicaNode whose holder serves a ShardedLeaseServer behind the VIP.
-  if (config.replica.num_replicas > 0) {
-    if (env.peers.size() != config.replica.num_replicas) {
-      return InvalidEnv(
-          "EngineEnv.peers must list one address per replica")
-          .error();
-    }
-    if (env.replica_index >= env.peers.size()) {
-      return InvalidEnv("EngineEnv.replica_index out of range").error();
-    }
-    if (env.serve_transport == nullptr) {
-      return InvalidEnv(
-          "replicated engines need a serve_transport bound to the virtual "
-          "address")
-          .error();
-    }
-    if (config.num_shards > 1 && env.shards.size() != config.num_shards) {
-      return InvalidEnv(
-          "sharded-replicated engines need one ShardEnv per shard")
-          .error();
-    }
-    return std::unique_ptr<ServerEngine>(
-        std::make_unique<ReplicaNode>(config, std::move(env)));
+  const bool replicated = config.replica.num_replicas > 0;
+  if (env.shards.empty() && config.num_shards == 1) {
+    // The plain server is the one-shard case: its partition is the
+    // namespace store itself. A replica serves it on the virtual address.
+    env.shards.push_back(ShardEnv{
+        env.store, env.meta, env.clock, env.timers,
+        replicated ? env.serve_transport : env.transport, env.policy});
   }
-  if (config.num_shards > 1) {
-    if (env.shards.size() != config.num_shards) {
-      return InvalidEnv(
-          "EngineEnv.shards must carry exactly num_shards environments")
+  if (env.shards.size() != config.num_shards) {
+    return InvalidEnv(
+        "EngineEnv.shards must carry exactly num_shards environments")
+        .error();
+  }
+  for (const ShardEnv& shard : env.shards) {
+    if (shard.store == nullptr || shard.meta == nullptr ||
+        shard.clock == nullptr || shard.timers == nullptr ||
+        shard.transport == nullptr || shard.policy == nullptr) {
+      return InvalidEnv("every shard needs store/meta/clock/timers/"
+                        "transport/policy")
           .error();
     }
+  }
+  if (!replicated) {
     return std::unique_ptr<ServerEngine>(
         std::make_unique<ShardedEngine>(config, std::move(env)));
   }
-  if (env.store == nullptr || env.meta == nullptr || env.transport == nullptr ||
-      env.clock == nullptr || env.timers == nullptr || env.policy == nullptr) {
-    return InvalidEnv("plain engines need store/meta/transport/clock/timers/"
-                      "policy")
+  // A replicated config builds a ReplicaNode whose holder serves the
+  // ShardedLeaseServer behind the virtual address.
+  if (env.peers.size() != config.replica.num_replicas) {
+    return InvalidEnv("EngineEnv.peers must list one address per replica")
+        .error();
+  }
+  if (env.replica_index >= env.peers.size()) {
+    return InvalidEnv("EngineEnv.replica_index out of range").error();
+  }
+  if (env.serve_transport == nullptr || env.meta == nullptr ||
+      env.transport == nullptr || env.clock == nullptr ||
+      env.timers == nullptr || env.policy == nullptr) {
+    return InvalidEnv(
+        "replicated engines need meta/transport/clock/timers/policy and a "
+        "serve_transport bound to the virtual address")
         .error();
   }
   return std::unique_ptr<ServerEngine>(
-      std::make_unique<PlainEngine>(config, std::move(env)));
+      std::make_unique<ReplicaNode>(config, std::move(env)));
 }
 
 }  // namespace leases

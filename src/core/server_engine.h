@@ -1,11 +1,10 @@
 // ServerEngine: one construction and lifecycle API for every server shape.
 //
-// The codebase grew three server variants -- the plain LeaseServer, the
-// FileId-sharded ShardedLeaseServer, and the replicated authority
-// (src/replica/authority.h) -- each historically built through its own
-// bespoke code path in SimCluster, the runtime nodes and the benches.
-// MakeServerEngine collapses those paths: callers describe *what* they want
-// in an EngineConfig, supply the environment (stores, transports, clocks,
+// There are two engines: the unreplicated one, a ShardedLeaseServer over
+// num_shards FileId partitions (the plain server is its one-shard case),
+// and the replicated authority (src/replica/authority.h), whose holder
+// serves the same ShardedLeaseServer. Callers describe *what* they want in
+// an EngineConfig, supply the environment (stores, transports, clocks,
 // timers) in an EngineEnv, and get back an engine they Start/Stop/Recover
 // uniformly. Invalid configurations fail here, at construction, with a
 // descriptive Status.
@@ -34,9 +33,11 @@ namespace leases {
 
 class ReplicaNode;
 
-// Everything an engine needs from its host. Plain engines use the scalar
-// fields; sharded engines use `shards`; replicated engines additionally use
-// the replica block. Pointers must outlive the engine (and, for the durable
+// Everything an engine needs from its host. With num_shards == 1 the
+// scalar fields may stand in for `shards`: the factory builds the one shard
+// from them (serving on serve_transport when replicated). Replicated
+// engines also use the scalar fields for the authority plane, and the
+// replica block. Pointers must outlive the engine (and, for the durable
 // pieces, survive its Stop/Recover/Start cycles).
 struct EngineEnv {
   // Client-facing address the engine serves on. For a replicated engine
@@ -58,8 +59,8 @@ struct EngineEnv {
   // margins. Null means the configured constant stands alone.
   std::function<Duration(Duration horizon)> epsilon_bound;
 
-  // Sharded engine: one environment per shard; size must equal
-  // config.num_shards when > 1.
+  // One environment per shard; size must equal config.num_shards (empty
+  // for the one-shard engine built from the scalar fields).
   std::vector<ShardEnv> shards;
 
   // Replicated engine (config.replica.num_replicas > 0): this node's slot
@@ -100,14 +101,12 @@ class ServerEngine : public PacketHandler {
   virtual NodeId id() const = 0;
 
   // Pre-registers a client for installed-file multicasts. Forwarded when
-  // running; engines do not replay registrations across Start cycles (the
-  // host decides -- matching the historical per-variant restart behavior).
+  // running; engines do not replay registrations across Start cycles
+  // (clients re-announce through traffic).
   virtual void RegisterClient(NodeId client) = 0;
 
-  // Shape introspection for tests and harnesses; null when the engine (or
-  // its current role, for a replica that is not the holder) is not that
-  // shape.
-  virtual LeaseServer* plain() { return nullptr; }
+  // Introspection for tests and harnesses: the serving server (null while
+  // stopped, or on a replica that is not the holder) and the replica.
   virtual ShardedLeaseServer* sharded() { return nullptr; }
   virtual ReplicaNode* replica() { return nullptr; }
 };

@@ -2,11 +2,11 @@
 //
 // The lease protocol keeps per-file state with no cross-file ordering
 // requirement (every grant, approval and write is scoped to one cover key),
-// so the server hot path partitions cleanly: shard = Mix(FileId) % N. Both
-// worlds route through this header -- ShardedLeaseServer dispatches with it
-// inline in the simulator, and the runtime shard engine uses the identical
-// functions to pick the SPSC queue a datagram is pushed onto -- so a routing
-// bug cannot hide in one backend only.
+// so the server hot path partitions cleanly: shard = Mix(FileId) % N.
+// ShardedLeaseServer dispatches with it inline, in the simulator and on the
+// runtime server's socket loop alike, and the hosts place namespace
+// records into partitions with the same ShardIndexOf -- so a routing bug
+// cannot hide in one backend only.
 //
 // Routing invariant: every message that touches the state of file F (its
 // record, its cover key, its lease holders, its pending writes) is handled

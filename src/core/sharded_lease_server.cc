@@ -5,6 +5,21 @@
 #include "src/common/check.h"
 
 namespace leases {
+namespace {
+
+// The one placement of namespace records into FileId partitions: upserts
+// (rec != null) or drops (rec == null) `file` in its owning partition.
+void PlaceRecord(std::span<FileStore* const> partitions, FileId file,
+                 const FileRecord* rec) {
+  FileStore* store = partitions[ShardIndexOf(file, partitions.size())];
+  if (rec != nullptr) {
+    store->Adopt(*rec);
+  } else {
+    store->Drop(file);
+  }
+}
+
+}  // namespace
 
 ShardedLeaseServer::ShardedLeaseServer(NodeId id, std::vector<ShardEnv> envs,
                                        ServerParams params, Oracle* oracle)
@@ -17,7 +32,6 @@ ShardedLeaseServer::ShardedLeaseServer(NodeId id, std::vector<ShardEnv> envs,
   shards_.reserve(envs.size());
   for (size_t i = 0; i < envs.size(); ++i) {
     auto shard = std::make_unique<Shard>();
-    shard->env = envs[i];
     shard->tap = std::make_unique<ReplyTap>(this, i, envs[i].transport);
     ServerParams shard_params = params;
     shard_params.shard_seq_salt = static_cast<uint32_t>(i);
@@ -25,6 +39,7 @@ ShardedLeaseServer::ShardedLeaseServer(NodeId id, std::vector<ShardEnv> envs,
         id, envs[i].store, envs[i].meta, shard->tap.get(), envs[i].clock,
         envs[i].timers, envs[i].policy, shard_params, oracle);
     shards_.push_back(std::move(shard));
+    partitions_.push_back(envs[i].store);
   }
 }
 
@@ -181,25 +196,30 @@ void ShardedLeaseServer::ReplyTap::Send(NodeId dst, MessageClass cls,
   inner_->Send(dst, cls, std::move(packet));
 }
 
+void PartitionNamespace(FileStore& ns, std::vector<FileStore*> partitions) {
+  for (FileId file : ns.AllFiles()) {
+    PlaceRecord(partitions, file, ns.Find(file));
+  }
+  ns.SetMirror([partitions = std::move(partitions)](FileId file,
+                                                   const FileRecord* rec) {
+    PlaceRecord(partitions, file, rec);
+  });
+}
+
 void ShardedLeaseServer::AdoptAll(const FileStore& namespace_store) {
   for (FileId file : namespace_store.AllFiles()) {
     const FileRecord* rec = namespace_store.Find(file);
     LEASES_CHECK(rec != nullptr);
-    shards_[ShardOf(file)]->env.store->Adopt(*rec);
+    PlaceRecord(partitions_, file, rec);
   }
 }
 
 void ShardedLeaseServer::MirrorRecord(FileId file, const FileRecord* rec) {
-  FileStore* store = shards_[ShardOf(file)]->env.store;
-  if (rec != nullptr) {
-    store->Adopt(*rec);
-  } else {
-    store->Drop(file);
-  }
+  PlaceRecord(partitions_, file, rec);
 }
 
 const FileRecord* ShardedLeaseServer::FindRecord(FileId file) const {
-  return shards_[ShardIndexOf(file, shards_.size())]->env.store->Find(file);
+  return partitions_[ShardOf(file)]->Find(file);
 }
 
 void MergeServerStats(ServerStats* into, const ServerStats& from) {

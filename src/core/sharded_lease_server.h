@@ -1,4 +1,5 @@
-// ShardedLeaseServer: the FileId-partitioned grant plane.
+// ShardedLeaseServer: the FileId-partitioned grant plane, and the one
+// unreplicated server engine: the plain server is its one-shard case.
 //
 // N independent LeaseServer shards stand behind one NodeId. Shard i owns
 // the files whose id hashes to it (shard_router.h): its own FileStore
@@ -28,7 +29,11 @@
 // (ServerParams::shard_seq_salt), so ApproveRequests from different shards
 // can never collide at a client that keys approval state by seq.
 //
-// Constraints in sharded mode (checked):
+// With one shard every message routes to shard 0, no batch is split, the
+// seq salt is 0 and the reply tap only forwards: the server behaves as the
+// bare LeaseServer does (ChaosGoldenDigestTest pins this).
+//
+// Constraints with more than one shard (checked):
 //   * installed_optimization is refused -- a directory cover key spanning
 //     many files breaks the key==file routing invariant;
 //   * stats() merges per-shard counters (sums; maxima for the max/window
@@ -56,10 +61,16 @@ namespace leases {
 // the maximum across shards.
 void MergeServerStats(ServerStats* into, const ServerStats& from);
 
-// Everything one shard needs from its environment. In the simulator every
-// shard shares the server node's clock/timers/transport (one simulated
-// host); in the runtime engine each shard gets its own timer host and a
-// per-shard batching sender, so nothing is contended.
+// Seeds `partitions` with every record of `ns` and mirrors each later
+// change of `ns` into its owner, ShardIndexOf(file, partitions.size())
+// (replacing any mirror `ns` had). AdoptAll and MirrorRecord place records
+// the same way.
+void PartitionNamespace(FileStore& ns, std::vector<FileStore*> partitions);
+
+// Everything one shard needs from its environment. Every host runs its
+// shards on one thread: they share the node's clock, timer host and
+// transport (the simulated node, or the runtime server's event loop and
+// serving socket) and each owns its partition store and metadata.
 struct ShardEnv {
   FileStore* store = nullptr;
   DurableMeta* meta = nullptr;
@@ -170,7 +181,6 @@ class ShardedLeaseServer : public PacketHandler {
   };
 
   struct Shard {
-    ShardEnv env;
     std::unique_ptr<ReplyTap> tap;
     std::unique_ptr<LeaseServer> server;
   };
@@ -189,6 +199,7 @@ class ShardedLeaseServer : public PacketHandler {
   NodeId id_;
   ServerParams params_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<FileStore*> partitions_;  // shard i's store at index i
 
   // Extend-split rendezvous. Only batched extensions that span shards touch
   // this; the single-shard fast path checks the atomic and moves on.

@@ -100,21 +100,11 @@ void SimCluster::BuildShardPlane() {
         std::make_unique<DurableMeta>(shard_storages_.back().get()));
     LEASES_CHECK(shard_metas_.back()->Reopen().ok());
   }
-  store_.SetMirror([this](FileId file, const FileRecord* rec) {
-    FileStore& partition =
-        *shard_stores_[ShardIndexOf(file, options_.num_shards)];
-    if (rec != nullptr) {
-      partition.Adopt(*rec);
-    } else {
-      partition.Drop(file);
-    }
-  });
-  // Seed the partitions with whatever the namespace store already holds
-  // (at minimum the root directory).
-  for (FileId file : store_.AllFiles()) {
-    shard_stores_[ShardIndexOf(file, options_.num_shards)]->Adopt(
-        *store_.Find(file));
+  std::vector<FileStore*> partitions;
+  for (const auto& partition : shard_stores_) {
+    partitions.push_back(partition.get());
   }
+  PartitionNamespace(store_, std::move(partitions));
 }
 
 std::vector<ShardEnv> SimCluster::MakeShardEnvs(Clock* clock,
@@ -137,17 +127,14 @@ void SimCluster::BuildEngine() {
   EngineEnv env;
   env.id = server_id_;
   env.oracle = &oracle_;
+  env.store = &store_;
+  env.meta = &meta_;
+  env.transport = server_node_.transport;
+  env.clock = server_node_.clock.get();
+  env.timers = server_node_.timers.get();
   if (options_.num_shards > 1) {
     BuildShardPlane();
-    env.shards = MakeShardEnvs(server_node_.clock.get(),
-                               server_node_.timers.get(),
-                               server_node_.transport);
-  } else {
-    env.store = &store_;
-    env.meta = &meta_;
-    env.transport = server_node_.transport;
-    env.clock = server_node_.clock.get();
-    env.timers = server_node_.timers.get();
+    env.shards = MakeShardEnvs(env.clock, env.timers, env.transport);
   }
   policy_.Wire(&env);
   Result<std::unique_ptr<ServerEngine>> engine =
@@ -333,20 +320,6 @@ std::unique_ptr<CacheClient> SimCluster::MakeClient(size_t i) {
   return std::make_unique<CacheClient>(
       client_id(i), server_id_, store_.root(), rig.transport, rig.clock.get(),
       rig.timers.get(), options_.client, &oracle_, incarnation);
-}
-
-LeaseServer& SimCluster::server() {
-  LeaseServer* plain = nullptr;
-  if (engine_ != nullptr) {
-    plain = engine_->plain();
-  } else {
-    int h = holder_index();
-    if (h >= 0) {
-      plain = replicas_[h]->plain();
-    }
-  }
-  LEASES_CHECK(plain != nullptr);
-  return *plain;
 }
 
 ShardedLeaseServer& SimCluster::sharded_server() {
@@ -551,14 +524,6 @@ void SimCluster::RestartServer() {
   LEASES_CHECK(engine_->Recover().ok());
   LEASES_CHECK(engine_->Start().ok());
   network_->ReplaceHandler(server_id_, engine_.get());
-  if (sharded()) {
-    // The sharded restart path has always re-registered the client set;
-    // the plain path has always not (clients re-announce via traffic).
-    // Preserved as-is so deterministic digests are unchanged.
-    for (size_t i = 0; i < clients_.size(); ++i) {
-      engine_->RegisterClient(client_id(i));
-    }
-  }
 }
 
 void SimCluster::CrashClient(size_t i) {

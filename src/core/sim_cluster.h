@@ -8,7 +8,7 @@
 // seed.
 //
 // The service side is built through the ServerEngine factory: the same
-// ClusterOptions (an EngineConfig) selects the plain server, the
+// ClusterOptions (an EngineConfig) selects the plain (one-shard) server, the
 // FileId-sharded server, or the replicated lease authority. In replicated
 // mode the cluster runs one ReplicaNode per authority replica on its own
 // simulated host (NodeId 900+r, its own clock model), plus a virtual
@@ -78,12 +78,11 @@ class SimCluster {
 
   // The engine behind the service (plain and sharded modes).
   ServerEngine& engine() { return *engine_; }
-  // Plain-server accessor; valid when an (unsharded) server is up -- in
-  // replicated mode it resolves to the current holder's serving plane.
-  LeaseServer& server();
-  // Sharded-server accessor; valid when num_shards > 1 and up -- in
-  // replicated mode it resolves to the current holder's sharded plane.
+  // The serving server; valid while it is up -- in replicated mode it
+  // resolves to the current holder's serving plane.
   ShardedLeaseServer& sharded_server();
+  // Its first shard: the whole server when num_shards == 1.
+  LeaseServer& server() { return sharded_server().shard(0); }
   bool sharded() const { return options_.num_shards > 1; }
   bool replicated() const { return options_.replica.num_replicas > 0; }
   // Merged counters regardless of mode (replicated: summed over replicas,

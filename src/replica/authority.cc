@@ -135,7 +135,8 @@ Status ReplicaNode::Start() {
     // messages, no capping, no warm-up -- behavior is bit-identical to the
     // unreplicated engine.
     ever_started_ = true;
-    return StartServing();
+    StartServing();
+    return Status::Ok();
   }
 
   // A replica that may have voted in a lost incarnation stays silent for a
@@ -175,9 +176,6 @@ void ReplicaNode::Stop() {
   // A crash loses the serving incarnation and its counters, exactly like
   // the plain server's crash model. The authority_* counters live on the
   // engine object so harnesses can count takeovers across injected faults.
-  if (serving_ != nullptr && serving_->running()) {
-    serving_->Stop();
-  }
   serving_.reset();
   capped_policy_.reset();
   accumulated_ = ServerStats{};
@@ -185,13 +183,19 @@ void ReplicaNode::Stop() {
   phase_ = 0;
 }
 
-Status ReplicaNode::Recover() {
-  Status s = env_.meta->Reopen();
-  if (!s.ok()) {
-    return s;
-  }
+std::vector<DurableMeta*> ReplicaNode::Metas() const {
+  std::vector<DurableMeta*> metas{env_.meta};
   for (const ShardEnv& shard : env_.shards) {
-    s = shard.meta->Reopen();
+    if (shard.meta != env_.meta) {
+      metas.push_back(shard.meta);
+    }
+  }
+  return metas;
+}
+
+Status ReplicaNode::Recover() {
+  for (DurableMeta* meta : Metas()) {
+    Status s = meta->Reopen();
     if (!s.ok()) {
       return s;
     }
@@ -235,22 +239,9 @@ Duration ReplicaNode::confirmed_remaining() const {
 // Serving plane
 // --------------------------------------------------------------------
 
-Status ReplicaNode::StartServing() {
-  EngineConfig sub = config_;
-  sub.replica.num_replicas = 0;
-
-  EngineEnv sub_env;
-  sub_env.id = env_.id;
-  sub_env.store = env_.store;
-  sub_env.meta = env_.meta;
-  sub_env.transport = env_.serve_transport;
-  sub_env.clock = env_.clock;
-  sub_env.timers = env_.timers;
-  sub_env.oracle = env_.oracle;
-  sub_env.shards = env_.shards;
-  if (n_ == 1) {
-    sub_env.policy = env_.policy;
-  } else {
+void ReplicaNode::StartServing() {
+  std::vector<ShardEnv> shards = env_.shards;
+  if (n_ > 1) {
     capped_policy_ = std::make_unique<CappedTermPolicy>(
         env_.policy, [this]() -> Duration {
           if (role_ != Role::kHolder) {
@@ -260,27 +251,14 @@ Status ReplicaNode::StartServing() {
           TimePoint now = env_.clock->Now();
           return limit > now ? limit - now : Duration::Zero();
         });
-    sub_env.policy = capped_policy_.get();
-    // A sharded holder folds the authority-lease ceiling into *every*
-    // shard's term policy -- no shard may grant past the confirmed expiry.
-    for (ShardEnv& shard : sub_env.shards) {
+    // The authority-lease ceiling folds into *every* shard's term policy:
+    // no shard may grant past the confirmed expiry.
+    for (ShardEnv& shard : shards) {
       shard.policy = capped_policy_.get();
     }
   }
-
-  Result<std::unique_ptr<ServerEngine>> engine =
-      MakeServerEngine(sub, std::move(sub_env));
-  if (!engine.ok()) {
-    capped_policy_.reset();
-    return Status(engine.error().code, engine.error().message);
-  }
-  serving_ = std::move(*engine);
-  Status started = serving_->Start();
-  if (!started.ok()) {
-    serving_.reset();
-    capped_policy_.reset();
-    return started;
-  }
+  serving_ = std::make_unique<ShardedLeaseServer>(env_.id, std::move(shards),
+                                                  config_.server, env_.oracle);
   if (n_ > 1) {
     // A successor inherits the installed-multicast client set; the n == 1
     // shell matches the plain server's restart behavior instead (no
@@ -292,59 +270,37 @@ Status ReplicaNode::StartServing() {
   if (env_.on_takeover) {
     env_.on_takeover(self_addr());
   }
-  return Status::Ok();
 }
 
 void ReplicaNode::Takeover() {
-  // Seed the plain server's existing crash-recovery machinery with the
-  // quorum-inherited grant bound: the embedded LeaseServer then defers
+  // Seed the server's existing crash-recovery machinery with the
+  // quorum-inherited grant bound: every shard LeaseServer then defers
   // write approvals for `inherited_bound_` -- the replicated replacement
-  // for waiting out the durable max granted term.
+  // for waiting out the durable max granted term. The winning ballot
+  // becomes the boot-counter floor, so the serving write sequence range is
+  // disjoint from every previous holder's. Each shard reads both from its
+  // own meta at construction.
   inherited_bound_ = round_bound_ + Epsilon();
-  if (!env_.meta->Save(kMaxTermMetaKey, inherited_bound_.ToMicros()).ok()) {
-    role_ = Role::kFollower;
-    return;
-  }
-  // The winning ballot becomes the boot-counter floor, so the embedded
-  // server's write sequence range is disjoint from every previous holder's.
-  int64_t boot = env_.meta->Load(kBootCountMetaKey).value_or(0);
-  if (static_cast<int64_t>(ballot_) > boot &&
-      !env_.meta->Save(kBootCountMetaKey, static_cast<int64_t>(ballot_))
-           .ok()) {
-    role_ = Role::kFollower;
-    return;
-  }
-  // A sharded holder seeds every shard's meta the same way: each shard
-  // LeaseServer reads its own recovery window and boot counter at
-  // construction.
-  for (const ShardEnv& shard : env_.shards) {
-    if (!shard.meta->Save(kMaxTermMetaKey, inherited_bound_.ToMicros())
-             .ok()) {
+  for (DurableMeta* meta : Metas()) {
+    if (!meta->Save(kMaxTermMetaKey, inherited_bound_.ToMicros()).ok()) {
       role_ = Role::kFollower;
       return;
     }
-    int64_t shard_boot = shard.meta->Load(kBootCountMetaKey).value_or(0);
-    if (static_cast<int64_t>(ballot_) > shard_boot &&
-        !shard.meta->Save(kBootCountMetaKey, static_cast<int64_t>(ballot_))
-             .ok()) {
+    int64_t boot = meta->Load(kBootCountMetaKey).value_or(0);
+    if (static_cast<int64_t>(ballot_) > boot &&
+        !meta->Save(kBootCountMetaKey, static_cast<int64_t>(ballot_)).ok()) {
       role_ = Role::kFollower;
       return;
     }
   }
   role_ = Role::kHolder;
-  if (!StartServing().ok()) {
-    role_ = Role::kFollower;
-    return;
-  }
+  StartServing();
   ++authority_acquisitions_;
 }
 
 void ReplicaNode::StepDown(bool count) {
   if (serving_ != nullptr) {
     AccumulateServingStats();
-    if (serving_->running()) {
-      serving_->Stop();
-    }
     serving_.reset();
     capped_policy_.reset();
   }
@@ -480,15 +436,8 @@ void ReplicaNode::BeginPropose() {
   if (config_.replica.standby_reads && serving_ != nullptr) {
     // Files a write might be racing: standbys must refuse them for the
     // whole delegated window this propose opens.
-    if (serving_->plain() != nullptr) {
-      serving_->plain()->CollectWriteLocked(kWriteLockedCap,
-                                            &propose.write_locked,
-                                            &propose.write_locked_overflow);
-    } else if (serving_->sharded() != nullptr) {
-      serving_->sharded()->CollectWriteLocked(kWriteLockedCap,
-                                              &propose.write_locked,
-                                              &propose.write_locked_overflow);
-    }
+    serving_->CollectWriteLocked(kWriteLockedCap, &propose.write_locked,
+                                 &propose.write_locked_overflow);
   }
   BroadcastAuth(Packet(propose));
   if (AcceptorReady()) {
@@ -507,13 +456,7 @@ Duration ReplicaNode::ServingGrantHorizon() {
     return Duration::Zero();
   }
   TimePoint now = Now();
-  if (serving_->plain() != nullptr) {
-    return serving_->plain()->lease_table().GlobalMaxExpiry(now) - now;
-  }
-  if (serving_->sharded() != nullptr) {
-    return serving_->sharded()->GlobalMaxExpiry(now) - now;
-  }
-  return Duration::Zero();
+  return serving_->GlobalMaxExpiry(now) - now;
 }
 
 void ReplicaNode::ObserveBallot(uint64_t ballot) {
@@ -1004,13 +947,17 @@ void ReplicaNode::ServeStandbyRead(NodeId from, const ReadRequest& m) {
                          m.file.value())) {
     return;  // a write may be racing this file at the holder
   }
-  // Serve from the shared store with a zero-term grant: no caching rights,
-  // so the standby never creates a leaseholder the holder cannot see. The
-  // data is write-through fresh -- every committed write already applied.
+  // Serve from the file's shared partition (where the holder commits; the
+  // namespace store's data copy goes stale once there is more than one)
+  // with a zero-term grant: no caching rights, so the standby never creates
+  // a leaseholder the holder cannot see. The data is write-through fresh --
+  // every committed write already applied.
   ReadReply reply;
   reply.req = m.req;
   reply.file = m.file;
-  const FileRecord* rec = env_.store->Find(m.file);
+  const FileRecord* rec =
+      env_.shards[ShardIndexOf(m.file, env_.shards.size())].store->Find(
+          m.file);
   if (rec == nullptr) {
     reply.status = ErrorCode::kNotFound;
   } else if (!FileStore::CanRead(*rec, from)) {

@@ -45,9 +45,10 @@
 // down -- destroying its serving engine so no stale grant or write
 // approval can escape after a new holder may exist.
 //
-// num_replicas == 1 degenerates to a transparent shell around the plain
-// LeaseServer: no messages, no capping, no meta seeding -- byte-identical
-// behavior to the unreplicated server (pinned by the differential test).
+// num_replicas == 1 degenerates to a transparent shell around the serving
+// ShardedLeaseServer: no messages, no capping, no meta seeding --
+// byte-identical behavior to the unreplicated server (pinned by the
+// differential test).
 //
 // Hardening legs layered on the PR 8 protocol (DESIGN.md §7.7):
 //  * Live membership change: joint-quorum (old AND new majority)
@@ -60,9 +61,9 @@
 //    reads for files with no write in flight, under a bound delegated
 //    from the holder's confirmed authority expiry minus epsilon, with
 //    zero-term grants (no caching rights, so no holder-invisible leases).
-//  * Sharded serving: with num_shards > 1 the elected holder runs a
-//    ShardedLeaseServer behind the virtual address, the grant cap folded
-//    into every shard's term policy.
+//  * Sharded serving: the elected holder runs a ShardedLeaseServer (one
+//    shard unless num_shards > 1) behind the virtual address, the grant
+//    cap folded into every shard's term policy.
 #ifndef SRC_REPLICA_AUTHORITY_H_
 #define SRC_REPLICA_AUTHORITY_H_
 
@@ -118,8 +119,8 @@ class CappedTermPolicy : public TermPolicy {
 
 // One replica of the replicated lease authority. Every replica embeds a
 // PaxosLease acceptor; each is also a candidate proposer, and the current
-// holder runs the embedded plain LeaseServer (via the same ServerEngine
-// factory) against the virtual serving address.
+// holder runs a ShardedLeaseServer over the environment's shards against
+// the virtual serving address.
 class ReplicaNode : public ServerEngine {
  public:
   ReplicaNode(const EngineConfig& config, EngineEnv env);
@@ -143,16 +144,9 @@ class ReplicaNode : public ServerEngine {
                    const Packet& packet) override;
 
   ReplicaNode* replica() override { return this; }
-  // The embedded plain server while this replica holds the authority (or
-  // always, for the single-replica shell); null otherwise.
-  LeaseServer* plain() override {
-    return serving_ != nullptr ? serving_->plain() : nullptr;
-  }
-  // The embedded sharded server when config.num_shards > 1 and this
-  // replica holds the authority; null otherwise.
-  ShardedLeaseServer* sharded() override {
-    return serving_ != nullptr ? serving_->sharded() : nullptr;
-  }
+  // The serving server while this replica holds the authority (or always,
+  // for the single-replica shell); null otherwise.
+  ShardedLeaseServer* sharded() override { return serving_.get(); }
 
   // Live membership change (holder only). `new_members` must differ from
   // the committed member set by exactly one replica -- one add or one
@@ -186,7 +180,10 @@ class ReplicaNode : public ServerEngine {
   enum class Role { kFollower, kAcquiring, kHolder };
 
   // --- role / lifecycle ----------------------------------------------
-  Status StartServing();
+  void StartServing();
+  // This replica's own meta, then each shard meta that is not the same
+  // store (the one-shard plain shape serves from the replica's own meta).
+  std::vector<DurableMeta*> Metas() const;
   void Takeover();
   void StepDown(bool count);
   void AccumulateServingStats();
@@ -300,9 +297,8 @@ class ReplicaNode : public ServerEngine {
   TimerId tick_timer_;
   TimerId stepdown_timer_;
 
-  // Serving plane: a plain-engine shell built through the same factory,
-  // alive only while holder (or always when n_ == 1).
-  std::unique_ptr<ServerEngine> serving_;
+  // Serving plane: alive only while holder (or always when n_ == 1).
+  std::unique_ptr<ShardedLeaseServer> serving_;
   std::unique_ptr<CappedTermPolicy> capped_policy_;
   std::set<NodeId> clients_;
 

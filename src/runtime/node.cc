@@ -7,7 +7,6 @@
 #include <optional>
 
 #include "src/common/check.h"
-#include "src/core/shard_router.h"
 #include "src/fs/journal.h"
 #include "src/replica/authority.h"
 
@@ -136,6 +135,7 @@ Status RuntimeServer::Serve(uint16_t port) {
     // the serving socket and the clock, and owns its partition and
     // metadata. The namespace store mirrors each record into its owner.
     env.shards.resize(config_.num_shards);
+    std::vector<FileStore*> partitions;
     for (ShardEnv& shard : env.shards) {
       ShardRig& rig = *rigs_.emplace_back(std::make_unique<ShardRig>());
       shard.store = &rig.store;
@@ -143,19 +143,9 @@ Status RuntimeServer::Serve(uint16_t port) {
       shard.clock = &clock_;
       shard.timers = loop_.get();
       shard.transport = transport_.get();
+      partitions.push_back(&rig.store);
     }
-    store_.SetMirror([this](FileId file, const FileRecord* rec) {
-      FileStore& partition = rigs_[ShardIndexOf(file, rigs_.size())]->store;
-      if (rec != nullptr) {
-        partition.Adopt(*rec);
-      } else {
-        partition.Drop(file);
-      }
-    });
-    for (FileId file : store_.AllFiles()) {
-      rigs_[ShardIndexOf(file, rigs_.size())]->store.Adopt(
-          *store_.Find(file));
-    }
+    PartitionNamespace(store_, std::move(partitions));
   }
   if (config_.replica.num_replicas > 0) {
     authority_ = std::make_unique<UdpTransport>(ReplicaAddr(boot_.index),

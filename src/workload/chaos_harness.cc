@@ -110,21 +110,7 @@ class ChaosRun {
     report.sim_time = sim.Now() - start;
     report.hit_time_cap = !Finished() && sim.Now() >= cap;
     if (cluster_->ServerUp()) {  // quiesce restarts it; belt and braces
-      // Merged across shards/replicas; identical to the plain server's own
-      // stats in the single-engine shapes.
-      ServerStats s = cluster_->server_stats();
-      report.journal_appends = s.journal_appends;
-      report.journal_replays = s.journal_replays;
-      report.journal_truncated_tails = s.journal_truncated_tails;
-      report.journal_corrupt_dropped = s.journal_corrupt_dropped;
-      report.recovery_shed_writes = s.recovery_shed_writes;
-      report.authority_acquisitions = s.authority_acquisitions;
-      report.authority_stepdowns = s.authority_stepdowns;
-      report.recovery_window = s.recovery_window;
-      report.clock_samples = s.clock_samples;
-      report.authority_warmup_waits = s.authority_warmup_waits;
-      report.grant_cap_hits = s.grant_cap_hits;
-      report.standby_reads_served = s.standby_reads_served;
+      report.server = cluster_->server_stats();
     }
     for (size_t r = 0; r < cluster_->num_replicas(); ++r) {
       if (cluster_->num_replicas() > 1) {

@@ -59,8 +59,7 @@ struct ChaosOptions {
   // Replica-plane hardening knobs, forwarded to EngineConfig::replica.
   // durable_acceptors persists promises/accepts so a crash-restarted
   // replica rejoins without the warm-up wait; standby_reads lets
-  // non-holder replicas answer reads under the holder's delegated bound
-  // (requires write-through clients).
+  // non-holder replicas answer reads under the holder's delegated bound.
   bool durable_acceptors = false;
   bool standby_reads = false;
   // Scripted holder isolation (replicated runs only): at `at`, partition
@@ -101,38 +100,23 @@ struct ChaosReport {
   Duration sim_time;
   bool hit_time_cap = false;
 
-  // Durability-plane counters from the final server incarnation's stats
-  // (cumulative across the run; the storage backend outlives crashes).
-  uint64_t journal_appends = 0;
-  uint64_t journal_replays = 0;
-  uint64_t journal_truncated_tails = 0;
-  uint64_t journal_corrupt_dropped = 0;
-  uint64_t recovery_shed_writes = 0;
-  uint64_t unavailable_retries = 0;  // summed over surviving clients
+  // The final server stats, merged across shards and replicas (zero when
+  // the server is down at the end). The journal counters are cumulative
+  // across the run (the storage backend outlives crashes); the authority
+  // counters count election activity, and recovery_window is the merged
+  // write-hold window -- for a replicated run the inherited grant bound the
+  // successors imposed instead of the max-granted-term recovery wait.
+  ServerStats server;
 
-  // Replicated-authority counters (zero for single-server runs): election
-  // activity plus the merged write-hold window -- for a replicated run the
-  // inherited grant bound the successors imposed instead of the
-  // max-granted-term recovery wait.
-  uint64_t authority_acquisitions = 0;
-  uint64_t authority_stepdowns = 0;
-  Duration recovery_window = Duration::Zero();
-  // Replica hardening plane: warm-up waits skipped/served by durable
-  // acceptors show up as a LOW authority_warmup_waits; grant_cap_hits
-  // counts grants clamped to the confirmed authority horizon;
-  // standby_reads_served counts reads answered by non-holder replicas;
-  // membership_epoch is the highest committed member-set epoch any
-  // replica reached (0 = no reconfiguration committed).
-  uint64_t authority_warmup_waits = 0;
-  uint64_t grant_cap_hits = 0;
-  uint64_t standby_reads_served = 0;
+  // Summed over surviving clients.
+  uint64_t unavailable_retries = 0;
+  // The highest committed member-set epoch any replica reached (0 = no
+  // reconfiguration committed).
   uint64_t membership_epoch = 0;
 
-  // Clock-health plane. clock_samples counts stamped requests the server
-  // fed to the estimator; the uncertainty_* counters are zero unless
+  // Clock-health plane: the uncertainty_* counters are zero unless
   // uncertainty_terms was set. extend_requests (summed over surviving
   // clients) is the load metric the adaptive-vs-fixed comparison uses.
-  uint64_t clock_samples = 0;
   uint64_t uncertainty_capped_grants = 0;
   uint64_t uncertainty_zero_grants = 0;
   uint64_t extend_requests = 0;

@@ -431,6 +431,23 @@ TEST(ChaosRegressionTest, OvertakenGrantAfterRelinquishStaysSuspect) {
       << "overtaken-grant race regressed: " << report.plan_line;
 }
 
+// A standby answers reads from the file's shard partition, where the holder
+// commits writes. Served from the namespace store, whose data copy stops
+// following writes once there are two partitions, these reads returned
+// stale versions after the holder crash (this seed's plan).
+TEST(ChaosRegressionTest, ShardedStandbyReadsServeThePartition) {
+  ChaosOptions options;
+  options.seed = 3;
+  options.total_ops = 2000;
+  options.num_shards = 2;
+  options.num_replicas = 3;
+  options.standby_reads = true;
+  options.durable_acceptors = true;
+  ChaosReport report = RunChaos(options);
+  EXPECT_GT(report.server.standby_reads_served, 0u);
+  EXPECT_EQ(report.violations, 0u) << report.plan_line;
+}
+
 // Dial reorder jitter high enough and approvals routinely overtake grants;
 // the poisoned-grant counter proves the defense actually fires while the
 // Oracle proves it suffices.
@@ -504,6 +521,68 @@ TEST(ChaosHarnessTest, ExtensionJitterChangesDigestsOnlyWhenEnabled) {
   EXPECT_NE(moved.digest, lockstep.digest);
   EXPECT_EQ(lockstep.violations, 0u);
   EXPECT_EQ(moved.violations, 0u);
+}
+
+// --- Golden digests -----------------------------------------------------
+
+// Absolute trace digests for a few seeds of every engine shape the chaos
+// plane drives. The other digest pins compare two runs of one build; these
+// compare against fixed values, so a change that moves any event of a run
+// -- an extra timer, a reordered send, a re-registered client -- fails here
+// even when it is deterministic. A change that is meant to alter behaviour
+// re-pins the table and says why.
+ChaosOptions GoldenOptions(uint64_t seed) {
+  ChaosOptions options;  // the leases_chaos defaults
+  options.seed = seed;
+  options.total_ops = 2000;
+  return options;
+}
+
+struct GoldenShape {
+  const char* name;
+  void (*apply)(ChaosOptions*);
+  uint64_t digests[3];  // seeds 1, 2, 3
+};
+
+const GoldenShape kGoldenShapes[] = {
+    {"plain",
+     [](ChaosOptions*) {},
+     {0x6300c79709142985, 0x245fe1d1d8b10774, 0xf300e99f47c67d72}},
+    {"storage",
+     [](ChaosOptions* o) { o->plan_options.allow_storage_fault = true; },
+     {0xee9bc0502885fd61, 0x5a6a4fc002f81f0c, 0x82651246c85627bc}},
+    {"shards2",
+     [](ChaosOptions* o) { o->num_shards = 2; },
+     {0xb6df301f23f9d101, 0x245fe1d1d8b10774, 0x42d0468d5240c883}},
+    {"replicas3",
+     [](ChaosOptions* o) { o->num_replicas = 3; },
+     {0xa753daa090efd1a3, 0x1a3f15d6b43b1f42, 0xdfd2ef84975fc5a4}},
+    {"shards2_replicas3",
+     [](ChaosOptions* o) {
+       o->num_shards = 2;
+       o->num_replicas = 3;
+     },
+     {0xa753daa090efd1a3, 0x1a3f15d6b43b1f42, 0xdfd2ef84975fc5a4}},
+    {"clock",
+     [](ChaosOptions* o) {
+       o->plan_options.allow_server_drift = true;
+       o->uncertainty_terms = true;
+     },
+     {0xf51c381aa1529b97, 0x28a85239a8acc5de, 0xef5c5a5f008b1b44}},
+};
+
+TEST(ChaosGoldenDigestTest, EveryShapeReproducesItsPinnedDigests) {
+  for (const GoldenShape& shape : kGoldenShapes) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      ChaosOptions options = GoldenOptions(seed);
+      shape.apply(&options);
+      ChaosReport report = RunChaos(options);
+      EXPECT_EQ(report.violations, 0u) << shape.name << " seed " << seed;
+      EXPECT_EQ(report.digest, shape.digests[seed - 1])
+          << shape.name << " seed " << seed << ": got 0x" << std::hex
+          << report.digest;
+    }
+  }
 }
 
 }  // namespace

@@ -109,6 +109,66 @@ TEST(EngineFactoryTest, RejectsEnvShapeMismatches) {
   EXPECT_EQ(plain.code(), ErrorCode::kInvalidArgument);
 }
 
+// Keeps every packet the engine sends.
+class RecordingTransport : public Transport {
+ public:
+  NodeId local_node() const override { return NodeId(1); }
+  void Send(NodeId, MessageClass, Packet packet) override {
+    sent.push_back(std::move(packet));
+  }
+  void Multicast(std::span<const NodeId>, MessageClass,
+                 Packet packet) override {
+    sent.push_back(std::move(packet));
+  }
+  std::vector<Packet> sent;
+};
+
+// The contract a host with one store relies on: an EngineEnv with only the
+// scalar fields set builds the one-shard engine, which serves the store and
+// meta it was given, with no partition copy in between.
+TEST(EngineFactoryTest, ScalarFieldsBuildTheOneShardEngine) {
+  Simulator sim;
+  SimClock clock(&sim, ClockModel::Perfect());
+  SimTimerHost timers(&sim, &clock);
+  FileStore store;
+  MemoryBackend backend;
+  DurableMeta meta(&backend);
+  ASSERT_TRUE(meta.Reopen().ok());
+  FixedTermPolicy policy(Duration::Seconds(5));
+  RecordingTransport out;
+  FileId f = *store.CreatePath("/x", FileClass::kNormal, Bytes("v0"));
+
+  EngineEnv env;
+  env.id = NodeId(1);
+  env.store = &store;
+  env.meta = &meta;
+  env.transport = &out;
+  env.clock = &clock;
+  env.timers = &timers;
+  env.policy = &policy;
+  auto built = MakeServerEngine(EngineConfig{}, std::move(env));
+  ASSERT_TRUE(built.ok());
+  std::unique_ptr<ServerEngine> engine = std::move(built.value());
+  ASSERT_TRUE(engine->Start().ok());
+  ShardedLeaseServer* server = engine->sharded();
+  ASSERT_NE(server, nullptr);
+  EXPECT_EQ(server->num_shards(), 1u);
+  EXPECT_EQ(server->FindRecord(f), store.Find(f));  // the store's own record
+  EXPECT_EQ(meta.Load(kBootCountMetaKey), 1);       // booted from this meta
+
+  ReadRequest read;
+  read.req = RequestId(7);
+  read.file = f;
+  engine->HandleTyped(NodeId(2), MessageClass::kData, Packet(read));
+  ASSERT_EQ(out.sent.size(), 1u);
+  const auto* reply = std::get_if<ReadReply>(&out.sent[0]);
+  ASSERT_NE(reply, nullptr);
+  EXPECT_EQ(reply->status, ErrorCode::kOk);
+  EXPECT_EQ(Text(reply->data), "v0");
+  EXPECT_EQ(server->ActiveLeaseCount(store.Find(f)->cover), 1u);
+  engine->Stop();
+}
+
 // Every cluster shape comes up through the same factory and serves.
 TEST(EngineFactoryTest, AllShapesServeThroughTheFactory) {
   struct Case {

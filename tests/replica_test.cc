@@ -183,8 +183,8 @@ TEST(ReplicaTest, FailoverInheritsGrantBoundBeforeApprovingWrites) {
   ReplicaNode& node = cluster.replica(static_cast<size_t>(holder));
   EXPECT_GT(node.last_inherited_bound().ToMicros(), 0);
   EXPECT_LT(node.last_inherited_bound().ToSeconds(), 2.5);
-  ASSERT_NE(node.plain(), nullptr);
-  EXPECT_GT(node.plain()->stats().recovery_window.ToMicros(), 0);
+  ASSERT_NE(node.sharded(), nullptr);
+  EXPECT_GT(node.sharded()->stats().recovery_window.ToMicros(), 0);
 }
 
 TEST(ReplicaTest, RestartedHolderRejoinsAsStandby) {

@@ -554,8 +554,9 @@ TEST(RuntimeDurability, RestartedServerRecoversGrantWindowFromDataDir) {
   EXPECT_GE(stats.journal_replays, 1u);
   EXPECT_GT(stats.journal_replayed_records, 0u);
   bool in_recovery = false;
-  reborn.WithEngine(
-      [&](ServerEngine& e) { in_recovery = e.plain()->InRecovery(); });
+  reborn.WithEngine([&](ServerEngine& e) {
+    in_recovery = e.sharded()->shard(0).InRecovery();
+  });
   EXPECT_TRUE(in_recovery);
 
   // A write during the window is held, not lost: it commits once the

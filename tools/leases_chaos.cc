@@ -108,37 +108,38 @@ void PrintReport(const ChaosOptions& options, const ChaosReport& report) {
   }
   // Durability plane: only chatty when storage actually did something
   // (recoveries, tail repairs, shed writes) -- zero counters stay silent.
+  const ServerStats& server = report.server;
   CounterBag storage;
-  storage.Set("journal_appends", report.journal_appends);
-  storage.Set("journal_replays", report.journal_replays);
-  storage.Set("truncated_tails", report.journal_truncated_tails);
-  storage.Set("corrupt_dropped", report.journal_corrupt_dropped);
-  storage.Set("shed_writes", report.recovery_shed_writes);
+  storage.Set("journal_appends", server.journal_appends);
+  storage.Set("journal_replays", server.journal_replays);
+  storage.Set("truncated_tails", server.journal_truncated_tails);
+  storage.Set("corrupt_dropped", server.journal_corrupt_dropped);
+  storage.Set("shed_writes", server.recovery_shed_writes);
   storage.Set("unavailable_retries", report.unavailable_retries);
   // The cluster's initial Reopen counts as one replay; anything beyond it
   // is a real crash recovery.
-  if (report.journal_replays > 1) {
+  if (server.journal_replays > 1) {
     std::printf("  storage: %s\n", storage.Summary().c_str());
   }
   if (options.num_replicas > 1) {
     std::printf("  authority: acquisitions=%llu stepdowns=%llu "
                 "warmup_waits=%llu cap_hits=%llu write_hold=%.3fs "
                 "(term %.1fs)\n",
-                static_cast<unsigned long long>(report.authority_acquisitions),
-                static_cast<unsigned long long>(report.authority_stepdowns),
-                static_cast<unsigned long long>(report.authority_warmup_waits),
-                static_cast<unsigned long long>(report.grant_cap_hits),
-                report.recovery_window.ToSeconds(),
+                static_cast<unsigned long long>(server.authority_acquisitions),
+                static_cast<unsigned long long>(server.authority_stepdowns),
+                static_cast<unsigned long long>(server.authority_warmup_waits),
+                static_cast<unsigned long long>(server.grant_cap_hits),
+                server.recovery_window.ToSeconds(),
                 options.term.ToSeconds());
-    if (report.membership_epoch > 0 || report.standby_reads_served > 0) {
+    if (report.membership_epoch > 0 || server.standby_reads_served > 0) {
       std::printf("  hardening: member_epoch=%llu standby_reads=%llu\n",
                   static_cast<unsigned long long>(report.membership_epoch),
-                  static_cast<unsigned long long>(report.standby_reads_served));
+                  static_cast<unsigned long long>(server.standby_reads_served));
     }
   }
   if (options.uncertainty_terms) {
     std::printf("  clock: samples=%llu capped=%llu zero=%llu extends=%llu\n",
-                static_cast<unsigned long long>(report.clock_samples),
+                static_cast<unsigned long long>(server.clock_samples),
                 static_cast<unsigned long long>(
                     report.uncertainty_capped_grants),
                 static_cast<unsigned long long>(report.uncertainty_zero_grants),
@@ -273,21 +274,23 @@ int RunSmoke() {
         static_cast<unsigned long long>(f.digest));
     return 1;
   }
-  if (e.authority_acquisitions < 3) {
+  if (e.server.authority_acquisitions < 3) {
     std::printf("SMOKE FAIL: expected >= 3 authority acquisitions, saw %llu\n",
-                static_cast<unsigned long long>(e.authority_acquisitions));
+                static_cast<unsigned long long>(
+                    e.server.authority_acquisitions));
     return 1;
   }
-  if (e.recovery_window.ToSeconds() > replicated.term.ToSeconds() * 0.5) {
+  const double hold_s = e.server.recovery_window.ToSeconds();
+  if (hold_s > replicated.term.ToSeconds() * 0.5) {
     std::printf(
         "SMOKE FAIL: failover write hold %.3fs not << max granted term %.1fs\n",
-        e.recovery_window.ToSeconds(), replicated.term.ToSeconds());
+        hold_s, replicated.term.ToSeconds());
     return 1;
   }
   std::printf("smoke ok: replicated failover digest stable 0x%016llx "
               "(write hold %.3fs vs %.1fs term)\n",
-              static_cast<unsigned long long>(e.digest),
-              e.recovery_window.ToSeconds(), replicated.term.ToSeconds());
+              static_cast<unsigned long long>(e.digest), hold_s,
+              replicated.term.ToSeconds());
 
   // Replica-hardening pass: durable acceptors + standby reads + a scripted
   // membership change sequence (grow to four, shrink away replica 0, then
@@ -327,7 +330,7 @@ int RunSmoke() {
                 static_cast<unsigned long long>(m1.membership_epoch));
     return 1;
   }
-  if (m1.standby_reads_served == 0) {
+  if (m1.server.standby_reads_served == 0) {
     std::printf("SMOKE FAIL: standby replicas never served a read\n");
     return 1;
   }
@@ -335,8 +338,9 @@ int RunSmoke() {
               "(epoch=%llu standby_reads=%llu warmup_waits=%llu)\n",
               static_cast<unsigned long long>(m1.digest),
               static_cast<unsigned long long>(m1.membership_epoch),
-              static_cast<unsigned long long>(m1.standby_reads_served),
-              static_cast<unsigned long long>(m1.authority_warmup_waits));
+              static_cast<unsigned long long>(m1.server.standby_reads_served),
+              static_cast<unsigned long long>(
+                  m1.server.authority_warmup_waits));
 
   // Random-membership pass: plans may now grow and shrink the member set
   // on their own (plus the usual crashes and partitions); the oracle bar
