@@ -476,9 +476,11 @@ void LeaseServer::ActivateWrite(QueuedWrite write) {
 
   // One lookup serves holder enumeration and the expiry deadline below; the
   // pointer stays valid because nothing mutates the table until then.
-  static const std::vector<LeaseHolder> kNoHolders;
-  const std::vector<LeaseHolder>* live = table_.PruneExpired(pending.key, now);
-  const std::vector<LeaseHolder>& holders = live ? *live : kNoHolders;
+  const LeaseTable::Holders* live = table_.PruneExpired(pending.key, now);
+  std::span<const LeaseHolder> holders;
+  if (live != nullptr) {
+    holders = *live;
+  }
   LEASES_DEBUG("server: activate write file=%llu writer=%u holders=%zu",
                (unsigned long long)pending.file.value(), pending.writer.value(),
                holders.size());

@@ -7,7 +7,7 @@
 namespace leases {
 
 void LeaseTable::Grant(LeaseKey key, NodeId node, TimePoint expiry) {
-  std::vector<LeaseHolder>& holders = keys_[key];
+  Holders& holders = keys_[key];
   for (LeaseHolder& h : holders) {
     if (h.node == node) {
       h.expiry = std::max(h.expiry, expiry);
@@ -22,26 +22,18 @@ void LeaseTable::Remove(LeaseKey key, NodeId node) {
   if (it == keys_.end()) {
     return;
   }
-  auto& holders = it->second;
-  holders.erase(std::remove_if(holders.begin(), holders.end(),
-                               [node](const LeaseHolder& h) {
-                                 return h.node == node;
-                               }),
-                holders.end());
-  if (holders.empty()) {
+  std::erase_if(it->second,
+                [node](const LeaseHolder& h) { return h.node == node; });
+  if (it->second.empty()) {
     keys_.erase(it);
   }
 }
 
 void LeaseTable::RemoveAll(NodeId node) {
   for (auto it = keys_.begin(); it != keys_.end();) {
-    auto& holders = it->second;
-    holders.erase(std::remove_if(holders.begin(), holders.end(),
-                                 [node](const LeaseHolder& h) {
-                                   return h.node == node;
-                                 }),
-                  holders.end());
-    if (holders.empty()) {
+    std::erase_if(it->second,
+                  [node](const LeaseHolder& h) { return h.node == node; });
+    if (it->second.empty()) {
       it = keys_.erase(it);
     } else {
       ++it;
@@ -54,38 +46,31 @@ std::vector<LeaseHolder> LeaseTable::ActiveHolders(LeaseKey key,
   // The allocation-free counter iterates the unpruned list with the same
   // liveness predicate PruneExpired applies; they must agree.
   [[maybe_unused]] const size_t counted = ActiveHolderCount(key, now);
-  const std::vector<LeaseHolder>* live = PruneExpired(key, now);
+  const Holders* live = PruneExpired(key, now);
   if (live == nullptr) {
     LEASES_DCHECK(counted == 0);
     return {};
   }
   LEASES_DCHECK(counted == live->size());
-  std::vector<LeaseHolder> result;
-  result.reserve(live->size());
-  result.assign(live->begin(), live->end());
-  return result;
+  return {live->begin(), live->end()};
 }
 
-const std::vector<LeaseHolder>* LeaseTable::PruneExpired(LeaseKey key,
-                                                         TimePoint now) {
+const LeaseTable::Holders* LeaseTable::PruneExpired(LeaseKey key,
+                                                    TimePoint now) {
   auto it = keys_.find(key);
   if (it == keys_.end()) {
     return nullptr;
   }
-  auto& holders = it->second;
-  holders.erase(std::remove_if(holders.begin(), holders.end(),
-                               [now](const LeaseHolder& h) {
-                                 return h.expiry <= now;
-                               }),
-                holders.end());
-  if (holders.empty()) {
+  std::erase_if(it->second,
+                [now](const LeaseHolder& h) { return h.expiry <= now; });
+  if (it->second.empty()) {
     keys_.erase(it);
     return nullptr;
   }
-  return &holders;
+  return &it->second;
 }
 
-TimePoint LeaseTable::MaxExpiryOf(const std::vector<LeaseHolder>& holders,
+TimePoint LeaseTable::MaxExpiryOf(std::span<const LeaseHolder> holders,
                                   TimePoint now) {
   TimePoint max = now;
   for (const LeaseHolder& h : holders) {
@@ -96,22 +81,13 @@ TimePoint LeaseTable::MaxExpiryOf(const std::vector<LeaseHolder>& holders,
 
 TimePoint LeaseTable::MaxExpiry(LeaseKey key, TimePoint now) const {
   auto it = keys_.find(key);
-  TimePoint max = now;
-  if (it == keys_.end()) {
-    return max;
-  }
-  for (const LeaseHolder& h : it->second) {
-    max = std::max(max, h.expiry);
-  }
-  return max;
+  return it == keys_.end() ? now : MaxExpiryOf(it->second, now);
 }
 
 TimePoint LeaseTable::GlobalMaxExpiry(TimePoint now) const {
   TimePoint max = now;
   for (const auto& [key, holders] : keys_) {
-    for (const LeaseHolder& h : holders) {
-      max = std::max(max, h.expiry);
-    }
+    max = MaxExpiryOf(holders, max);
   }
   return max;
 }

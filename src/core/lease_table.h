@@ -4,9 +4,15 @@
 // the *server's* clock. The paper sizes this state at "a couple of pointers"
 // per lease and ~1 KB per client holding a hundred leases; ApproxBytes lets
 // the tests check we stay in that regime.
+//
+// The key map's nodes, its bucket array and the holder lists come from a
+// pool the table owns, so once it has warmed up a grant and the relinquish
+// that later drops it reuse freed blocks instead of calling malloc.
 #ifndef SRC_CORE_LEASE_TABLE_H_
 #define SRC_CORE_LEASE_TABLE_H_
 
+#include <memory_resource>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -22,6 +28,12 @@ struct LeaseHolder {
 
 class LeaseTable {
  public:
+  using Holders = std::pmr::vector<LeaseHolder>;
+
+  LeaseTable() = default;
+  LeaseTable(const LeaseTable&) = delete;
+  LeaseTable& operator=(const LeaseTable&) = delete;
+
   // Grants or extends `node`'s lease on `key` to `expiry`. An extension
   // never shortens an existing lease (the server must honour what it already
   // promised).
@@ -42,12 +54,12 @@ class LeaseTable {
   // (nullptr if no live holders) instead of copying it. One hash lookup
   // serves the whole write-activation path; the pointer is valid until the
   // next mutating call on this table.
-  const std::vector<LeaseHolder>* PruneExpired(LeaseKey key, TimePoint now);
+  const Holders* PruneExpired(LeaseKey key, TimePoint now);
 
   // Latest expiry among `holders`, or `now` if the list is empty. Lets a
   // caller that already fetched the holder list (PruneExpired) compute the
   // write deadline without re-hashing the key via MaxExpiry.
-  static TimePoint MaxExpiryOf(const std::vector<LeaseHolder>& holders,
+  static TimePoint MaxExpiryOf(std::span<const LeaseHolder> holders,
                                TimePoint now);
 
   // Latest expiry among current holders of `key`, or `now` if none. This is
@@ -73,7 +85,9 @@ class LeaseTable {
   void Clear() { keys_.clear(); }
 
  private:
-  std::unordered_map<LeaseKey, std::vector<LeaseHolder>> keys_;
+  // Declared first: the map gives its blocks back before the pool goes.
+  std::pmr::unsynchronized_pool_resource pool_;
+  std::pmr::unordered_map<LeaseKey, Holders> keys_{&pool_};
 };
 
 }  // namespace leases

@@ -7,7 +7,8 @@
 namespace leases {
 namespace {
 
-// The one placement of namespace records into FileId partitions: upserts
+// The one placement of namespace records into FileId partitions (for
+// AdoptAll and MirrorRecord): upserts
 // (rec != null) or drops (rec == null) `file` in its owning partition.
 void PlaceRecord(std::span<FileStore* const> partitions, FileId file,
                  const FileRecord* rec) {
@@ -194,16 +195,6 @@ void ShardedLeaseServer::ReplyTap::Send(NodeId dst, MessageClass cls,
     }
   }
   inner_->Send(dst, cls, std::move(packet));
-}
-
-void PartitionNamespace(FileStore& ns, std::vector<FileStore*> partitions) {
-  for (FileId file : ns.AllFiles()) {
-    PlaceRecord(partitions, file, ns.Find(file));
-  }
-  ns.SetMirror([partitions = std::move(partitions)](FileId file,
-                                                   const FileRecord* rec) {
-    PlaceRecord(partitions, file, rec);
-  });
 }
 
 void ShardedLeaseServer::AdoptAll(const FileStore& namespace_store) {

@@ -2,14 +2,15 @@
 // unreplicated server engine: the plain server is its one-shard case.
 //
 // N independent LeaseServer shards stand behind one NodeId. Shard i owns
-// the files whose id hashes to it (shard_router.h): its own FileStore
-// partition, LeaseTable, pending-write machinery, DurableMeta and timer
-// host. Because the paper's protocol has no cross-file ordering requirement,
-// the grant/extend/relinquish/write path of one shard never reads or writes
-// another shard's state -- there are no locks and no shared cache lines on
-// the hot path. The only cross-shard structure is the extend-split
-// rendezvous below, touched solely by batched extensions that happen to
-// span shards.
+// the files whose id hashes to it (shard_router.h): their leases
+// (LeaseTable), pending writes and recovery metadata (DurableMeta). It
+// reads and commits their records in the FileStore its host hands it --
+// on every host in src/ the one store all shards share, where no other
+// shard touches those records. Because the paper's protocol has no
+// cross-file ordering requirement, the grant/extend/relinquish/write path
+// of one shard never reads or writes another shard's state. The only
+// cross-shard structure is the extend-split rendezvous below, touched
+// solely by batched extensions that happen to span shards.
 //
 // The same routing runs in both worlds:
 //   * simulator -- SimCluster installs a ShardedLeaseServer as the server
@@ -61,16 +62,11 @@ namespace leases {
 // the maximum across shards.
 void MergeServerStats(ServerStats* into, const ServerStats& from);
 
-// Seeds `partitions` with every record of `ns` and mirrors each later
-// change of `ns` into its owner, ShardIndexOf(file, partitions.size())
-// (replacing any mirror `ns` had). AdoptAll and MirrorRecord place records
-// the same way.
-void PartitionNamespace(FileStore& ns, std::vector<FileStore*> partitions);
-
-// Everything one shard needs from its environment. Every host runs its
-// shards on one thread: they share the node's clock, timer host and
-// transport (the simulated node, or the runtime server's event loop and
-// serving socket) and each owns its partition store and metadata.
+// Everything one shard needs from its environment. Every host in src/ runs
+// its shards on one thread against one store: they share the node's
+// clock, timer host, transport (the simulated node, or the runtime server's
+// event loop and serving socket) and FileStore, and each owns its recovery
+// metadata.
 struct ShardEnv {
   FileStore* store = nullptr;
   DurableMeta* meta = nullptr;
@@ -117,6 +113,9 @@ class ShardedLeaseServer : public PacketHandler {
                       const Packet& packet);
 
   // --- Partition maintenance ---
+  // Only for a host whose shards hold private partition stores, which no
+  // host in src/ does: loopbench's traced sharded host, whose shards run on
+  // threads of their own, and bench/shard_bench.h.
   // Copies every record of the namespace store into its owning shard's
   // partition (setup / recovery).
   void AdoptAll(const FileStore& namespace_store);
@@ -125,8 +124,7 @@ class ShardedLeaseServer : public PacketHandler {
   //   ns.SetMirror([&s](FileId f, const FileRecord* r){ s.MirrorRecord(f,r); });
   void MirrorRecord(FileId file, const FileRecord* rec);
 
-  // Looks the record up in its owning shard (partitions are authoritative
-  // once traffic runs; the namespace store's data copy goes stale).
+  // Looks the record up in its owning shard's store.
   const FileRecord* FindRecord(FileId file) const;
 
   // Merged per-shard counters (see the header comment for semantics).

@@ -88,23 +88,15 @@ SimCluster::SimCluster(ClusterOptions options)
 }
 
 void SimCluster::BuildShardPlane() {
-  // Sharded grant plane: one FileStore partition plus one recovery-
-  // metadata store per shard, all durable across server incarnations. The
-  // namespace store stays authoritative for ids and directory structure;
-  // its mirror hook replicates every touched record into the owning
-  // partition, where protocol traffic then commits.
+  // Sharded grant plane: every shard serves from the cluster's one store;
+  // each owns a recovery-metadata store, durable across server
+  // incarnations.
   for (size_t s = 0; s < options_.num_shards; ++s) {
-    shard_stores_.push_back(std::make_unique<FileStore>());
     shard_storages_.push_back(std::make_unique<MemoryBackend>());
     shard_metas_.push_back(
         std::make_unique<DurableMeta>(shard_storages_.back().get()));
     LEASES_CHECK(shard_metas_.back()->Reopen().ok());
   }
-  std::vector<FileStore*> partitions;
-  for (const auto& partition : shard_stores_) {
-    partitions.push_back(partition.get());
-  }
-  PartitionNamespace(store_, std::move(partitions));
 }
 
 std::vector<ShardEnv> SimCluster::MakeShardEnvs(Clock* clock,
@@ -112,7 +104,7 @@ std::vector<ShardEnv> SimCluster::MakeShardEnvs(Clock* clock,
                                                 Transport* transport) {
   std::vector<ShardEnv> envs(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
-    envs[s].store = shard_stores_[s].get();
+    envs[s].store = &store_;
     envs[s].meta = shard_metas_[s].get();
     // One simulated host: shards share the node's clock, timer host,
     // transport and term policy (single-threaded, so sharing is safe).
@@ -178,8 +170,8 @@ EngineEnv SimCluster::MakeReplicaEnv(size_t r, std::vector<NodeId> peers) {
     }
   }
   if (options_.num_shards > 1) {
-    // Sharded-replicated: the shard partitions and their recovery metadata
-    // are the shared data plane; clocks and timers are this host's own,
+    // Sharded-replicated: the store and the shards' recovery metadata are
+    // the shared data plane; clocks and timers are this host's own,
     // and replies leave through the virtual serving address.
     env.shards = MakeShardEnvs(env.clock, env.timers, server_node_.transport);
   }

@@ -178,12 +178,11 @@ class SimCluster {
   std::unique_ptr<CacheClient> MakeClient(size_t i);
   void BuildEngine();
   void BuildReplicas();
-  // Builds the durable shard plane (partition stores, per-shard recovery
-  // metadata, the namespace mirror hook) once; shared by the sharded and
-  // the sharded-replicated construction paths.
+  // Builds the durable shard plane (per-shard recovery metadata) once;
+  // shared by the sharded and the sharded-replicated construction paths.
   void BuildShardPlane();
-  // Per-shard environments over the shared plane for one host: the shard
-  // stores/metas are the cluster's (data plane shared across replicas),
+  // Per-shard environments over the shared plane for one host: the store
+  // and shard metas are the cluster's (data plane shared across replicas),
   // the clock/timers/transport are the host's own.
   std::vector<ShardEnv> MakeShardEnvs(Clock* clock, TimerHost* timers,
                                       Transport* transport);
@@ -202,13 +201,12 @@ class SimCluster {
   NodeRig server_node_;  // the (virtual, in replicated mode) serving host
   std::unique_ptr<ServerEngine> engine_;  // plain and sharded modes
 
-  // Sharded modes (plain and replicated). Partition stores and per-shard
-  // recovery metadata are durable: they outlive server incarnations
-  // (CrashServer/RestartServer), exactly like store_/meta_ do for the plain
-  // server. In sharded-replicated mode they model the shared data plane
-  // behind the VIP -- replicas replicate the authority to serve, so a
-  // replica crash never power-cuts them.
-  std::vector<std::unique_ptr<FileStore>> shard_stores_;
+  // Sharded modes (plain and replicated). Every shard serves from store_;
+  // the per-shard recovery metadata is durable: it outlives server
+  // incarnations (CrashServer/RestartServer), exactly like meta_ does for
+  // the plain server. In sharded-replicated mode it belongs to the shared
+  // data plane behind the VIP -- replicas replicate the authority to serve,
+  // so a replica crash never power-cuts it.
   std::vector<std::unique_ptr<StorageBackend>> shard_storages_;
   std::vector<std::unique_ptr<DurableMeta>> shard_metas_;
 

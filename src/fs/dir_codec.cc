@@ -21,11 +21,11 @@ void StoreU32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
 }  // namespace
 
 std::vector<uint8_t> EncodeDirectory(const std::vector<DirEntry>& entries) {
-  std::vector<uint8_t> datum(kDirCountBytes, 0);
+  SharedBytes datum(std::vector<uint8_t>(kDirCountBytes, 0));
   for (const DirEntry& e : entries) {
-    AppendDirEntry(datum, e.name, e.file, e.mode, e.file_class);
+    AppendDirEntry(datum, datum.size(), e.name, e.file, e.mode, e.file_class);
   }
-  return datum;
+  return {datum.begin(), datum.end()};
 }
 
 std::optional<std::vector<DirEntry>> DecodeDirectory(
@@ -88,34 +88,38 @@ std::optional<DirEntryView> DirWalker::Find(std::string_view name) {
   return match;
 }
 
-void AppendDirEntry(std::vector<uint8_t>& datum, std::string_view name,
+void AppendDirEntry(SharedBytes& datum, size_t end, std::string_view name,
                     FileId file, uint32_t mode, FileClass file_class) {
-  Writer w(&datum);
-  w.WriteString(name);
-  w.WriteId(file);
-  w.WriteU32(mode);
-  w.WriteU8(static_cast<uint8_t>(file_class));
-  StoreU32(datum.data(), LoadU32(datum.data()) + 1);
+  const size_t length = name.size();
+  uint8_t* p = datum.Edit(
+      end, end, 0, kDirNameLengthBytes + length + kDirEntryTailBytes);
+  uint8_t* entry = p + end;
+  StoreU32(entry, static_cast<uint32_t>(length));
+  std::memcpy(entry + kDirNameLengthBytes, name.data(), length);
+  entry += kDirNameLengthBytes + length;
+  const uint64_t id = file.value();
+  std::memcpy(entry, &id, sizeof(id));
+  StoreU32(entry + sizeof(id), mode);
+  entry[sizeof(id) + sizeof(mode)] = static_cast<uint8_t>(file_class);
+  StoreU32(p, LoadU32(p) + 1);
 }
 
-void EraseDirEntry(std::vector<uint8_t>& datum, const DirEntryView& entry) {
-  datum.erase(datum.begin() + static_cast<ptrdiff_t>(entry.begin),
-              datum.begin() + static_cast<ptrdiff_t>(entry.end));
-  StoreU32(datum.data(), LoadU32(datum.data()) - 1);
+void EraseDirEntry(SharedBytes& datum, size_t end, const DirEntryView& entry) {
+  uint8_t* p = datum.Edit(end, entry.begin, entry.end - entry.begin, 0);
+  StoreU32(p, LoadU32(p) - 1);
 }
 
-void RenameDirEntry(std::vector<uint8_t>& datum, const DirEntryView& entry,
+void RenameDirEntry(SharedBytes& datum, size_t end, const DirEntryView& entry,
                     std::string_view name) {
-  auto first = datum.begin() +
-               static_cast<ptrdiff_t>(entry.begin + kDirNameLengthBytes);
-  first = datum.erase(first, first + static_cast<ptrdiff_t>(entry.name.size()));
-  datum.insert(first, name.begin(), name.end());
-  StoreU32(datum.data() + entry.begin, static_cast<uint32_t>(name.size()));
+  const size_t at = entry.begin + kDirNameLengthBytes;
+  uint8_t* p = datum.Edit(end, at, entry.name.size(), name.size());
+  std::memcpy(p + at, name.data(), name.size());
+  StoreU32(p + entry.begin, static_cast<uint32_t>(name.size()));
 }
 
-void SetDirEntryMode(std::vector<uint8_t>& datum, const DirEntryView& entry,
+void SetDirEntryMode(SharedBytes& datum, const DirEntryView& entry,
                      uint32_t mode) {
-  StoreU32(datum.data() + entry.end - kModeFromEnd, mode);
+  StoreU32(datum.Edit(datum.size()) + entry.end - kModeFromEnd, mode);
 }
 
 }  // namespace leases

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "src/common/ids.h"
+#include "src/common/shared_bytes.h"
 #include "src/proto/messages.h"
 
 namespace leases {
@@ -145,17 +146,19 @@ class DirWalker {
   DirEntryView entry_;
 };
 
-// In-place edits of a well-formed datum. Each expects the datum to end at
-// its last entry (cut it to DirWalker::offset() first: EncodeDirectory
-// never writes trailing bytes) and leaves it byte-identical to
-// EncodeDirectory of the edited entry list. `entry` comes from a walk of
-// the datum as it is now.
-void AppendDirEntry(std::vector<uint8_t>& datum, std::string_view name,
+// In-place edits of a well-formed datum whose entries end at `end` (the
+// DirWalker::offset() of a full walk): each drops the bytes after `end`
+// (EncodeDirectory never writes trailing bytes) and leaves the datum
+// byte-identical to EncodeDirectory of the edited entry list. `entry` comes
+// from a walk of the datum as it is now. A datum another holder shares is
+// copied first (SharedBytes::Edit).
+void AppendDirEntry(SharedBytes& datum, size_t end, std::string_view name,
                     FileId file, uint32_t mode, FileClass file_class);
-void EraseDirEntry(std::vector<uint8_t>& datum, const DirEntryView& entry);
-void RenameDirEntry(std::vector<uint8_t>& datum, const DirEntryView& entry,
+void EraseDirEntry(SharedBytes& datum, size_t end, const DirEntryView& entry);
+void RenameDirEntry(SharedBytes& datum, size_t end, const DirEntryView& entry,
                     std::string_view name);
-void SetDirEntryMode(std::vector<uint8_t>& datum, const DirEntryView& entry,
+// Patches one entry's mode and keeps every byte else.
+void SetDirEntryMode(SharedBytes& datum, const DirEntryView& entry,
                      uint32_t mode);
 
 }  // namespace leases

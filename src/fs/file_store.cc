@@ -28,20 +28,22 @@ FileStore::FileStore() {
 }
 
 void FileStore::Insert(FileRecord rec) {
-  size_t index = rec.id.value();
-  if (index >= records_.size()) {
-    records_.resize(index + 1);
+  const size_t index = rec.id.value();
+  while (index >= slot_count()) {
+    slabs_.push_back(std::make_unique<FileRecord[]>(kSlabRecords));
   }
-  LEASES_CHECK(records_[index] == nullptr);
-  records_[index] = std::make_unique<FileRecord>(std::move(rec));
+  FileRecord& slot = slabs_[index / kSlabRecords][index % kSlabRecords];
+  LEASES_CHECK(!slot.id.valid());
+  slot = std::move(rec);
   ++file_count_;
 }
 
 void FileStore::Drop(FileId file) {
-  if (MutableRecord(file) == nullptr) {
+  FileRecord* rec = MutableRecord(file);
+  if (rec == nullptr) {
     return;
   }
-  records_[file.value()].reset();
+  *rec = FileRecord();
   --file_count_;
 }
 
@@ -108,9 +110,7 @@ Result<FileId> FileStore::Create(FileId dir, const std::string& name,
   rec.name = name;
   Insert(std::move(rec));
 
-  std::vector<uint8_t>& datum = parent->data.Mutable();
-  datum.resize(match.end);
-  AppendDirEntry(datum, name, id, mode, cls);
+  AppendDirEntry(parent->data, match.end, name, id, mode, cls);
   parent->version++;
   Mirror(id);
   Mirror(dir);
@@ -176,9 +176,7 @@ Status FileStore::Rename(FileId dir, const std::string& from,
     return Status(ErrorCode::kNotFound, "dangling entry: " + from);
   }
   rec->name = to;
-  std::vector<uint8_t>& datum = parent->data.Mutable();
-  datum.resize(match.end);
-  RenameDirEntry(datum, *match.entry, to);
+  RenameDirEntry(parent->data, match.end, *match.entry, to);
   parent->version++;
   Mirror(file);
   Mirror(dir);
@@ -210,9 +208,7 @@ Status FileStore::Remove(FileId dir, const std::string& name, NodeId who) {
     }
   }
   Drop(victim);
-  std::vector<uint8_t>& datum = parent->data.Mutable();
-  datum.resize(match.end);
-  EraseDirEntry(datum, *match.entry);
+  EraseDirEntry(parent->data, match.end, *match.entry);
   parent->version++;
   Mirror(victim);  // record gone: mirrors with a null rec
   Mirror(dir);
@@ -295,9 +291,9 @@ Status FileStore::Chmod(FileId file, uint32_t mode, NodeId who) {
   if (rec.parent.valid()) {
     FileRecord* parent = MutableRecord(rec.parent);
     LEASES_CHECK(parent != nullptr);
-    // Each patch lands inside an entry the walk has already passed, so
-    // the walk's view of the bytes stays valid.
-    std::vector<uint8_t>& datum = parent->data.Mutable();
+    // A patch that copies the datum leaves the walk on the old bytes, which
+    // the other holder keeps alive and whose layout the patch keeps.
+    SharedBytes& datum = parent->data;
     DirWalker walk(datum);
     while (walk.Next()) {
       if (walk.entry().file == file) {
@@ -305,7 +301,7 @@ Status FileStore::Chmod(FileId file, uint32_t mode, NodeId who) {
       }
     }
     LEASES_CHECK(walk.ok());
-    datum.resize(walk.offset());
+    datum.Edit(walk.offset());
     parent->version++;
     Mirror(rec.parent);
   }
@@ -356,32 +352,26 @@ Status FileStore::CoverDirectory(FileId dir) {
 
 std::vector<FileId> FileStore::FilesCovered(LeaseKey key) const {
   std::vector<FileId> files;
-  for (const auto& rec : records_) {
-    if (rec != nullptr && rec->cover == key) {
-      files.push_back(rec->id);
+  ForEachRecord([&](const FileRecord& rec) {
+    if (rec.cover == key) {
+      files.push_back(rec.id);
     }
-  }
+  });
   return files;
 }
 
 std::vector<FileId> FileStore::AllFiles() const {
   std::vector<FileId> out;
   out.reserve(file_count_);
-  for (const auto& rec : records_) {
-    if (rec != nullptr) {
-      out.push_back(rec->id);
-    }
-  }
+  ForEachRecord([&](const FileRecord& rec) { out.push_back(rec.id); });
   return out;
 }
 
 size_t FileStore::ApproxBytes() const {
   size_t total = 0;
-  for (const auto& rec : records_) {
-    if (rec != nullptr) {
-      total += sizeof(FileRecord) + rec->data.size() + rec->name.size();
-    }
-  }
+  ForEachRecord([&](const FileRecord& rec) {
+    total += sizeof(FileRecord) + rec.data.size() + rec.name.size();
+  });
   return total;
 }
 

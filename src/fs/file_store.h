@@ -39,18 +39,21 @@
 
 namespace leases {
 
-struct FileRecord {
-  FileId id;
-  FileClass file_class = FileClass::kNormal;
+// One file's slot in the store. A grant reads the first cache line only:
+// the id, version, data handle, cover key, owner, mode and class sit there,
+// and the name and parent (namespace operations only) after them.
+struct alignas(64) FileRecord {
+  FileId id;  // invalid in a slot the store holds no record in
   uint64_t version = 1;
   // Shared with every reply, cache entry and partition that holds this
-  // version; namespace edits go through SharedBytes::Mutable, so a holder
+  // version; namespace edits go through SharedBytes::Edit, so a holder
   // never sees a later edit.
   SharedBytes data;
-  uint32_t mode = kModeRead | kModeWrite;
+  LeaseKey cover;  // lease cover key
   NodeId owner;
-  FileId parent;    // containing directory; invalid for the root
-  LeaseKey cover;   // lease cover key
+  uint32_t mode = kModeRead | kModeWrite;
+  FileClass file_class = FileClass::kNormal;
+  FileId parent;     // containing directory; invalid for the root
   std::string name;  // name within parent (diagnostics and rename support)
 };
 
@@ -82,11 +85,15 @@ class FileStore {
 
   // --- Data operations ---
 
-  // Null for an id the store does not hold. Records keep their addresses
-  // until removed, so a pointer stays valid across further store calls.
+  // Null for an id the store does not hold. Records never move: a pointer
+  // stays valid across further store calls until its record is removed.
   const FileRecord* Find(FileId file) const {
-    return file.value() < records_.size() ? records_[file.value()].get()
-                                          : nullptr;
+    const uint64_t v = file.value();
+    if (v >= slot_count()) {
+      return nullptr;
+    }
+    const FileRecord& rec = slabs_[v / kSlabRecords][v % kSlabRecords];
+    return rec.id.valid() ? &rec : nullptr;
   }
   // Whether `who` may read `rec`; the owner always may.
   static bool CanRead(const FileRecord& rec, NodeId who) {
@@ -112,17 +119,19 @@ class FileStore {
   std::vector<FileId> FilesCovered(LeaseKey key) const;
 
   size_t file_count() const { return file_count_; }
+  // Record slots allocated, held or not: the largest id held, rounded up to
+  // a whole slab.
+  size_t slot_count() const { return slabs_.size() * kSlabRecords; }
   // Deterministic iteration order (by id) for tests and snapshots.
   std::vector<FileId> AllFiles() const;
 
-  // --- Shard partitioning (sharded grant plane) ---
+  // --- Shard partitioning (loopbench's traced sharded host only) ---
   //
-  // A sharded server keeps one FileStore per shard, holding exactly the
-  // records whose FileId hashes to it. Namespace mutations still run against
-  // a single namespace store (the id allocator and directory data live
-  // there); the mirror hook replicates each touched record into the owning
-  // shard's partition via Adopt/Drop. Protocol data writes then commit in
-  // the shard partitions only.
+  // Every server host in src/ serves all its shards from one store. The
+  // traced sharded host of loopbench (whose sources stay fixed) still runs
+  // each shard on its own thread against a private partition store, which
+  // these calls keep filled: the namespace store's mirror hook copies each
+  // touched record into the owning partition via Adopt/Drop.
 
   // Invoked after every namespace/data mutation with the touched FileId;
   // `rec` is null when the file was removed. Replaces any previous hook.
@@ -143,8 +152,7 @@ class FileStore {
 
  private:
   FileRecord* MutableRecord(FileId file) {
-    return file.value() < records_.size() ? records_[file.value()].get()
-                                          : nullptr;
+    return const_cast<FileRecord*>(Find(file));
   }
   // Inserts `rec` under its id, growing the table to reach it.
   void Insert(FileRecord rec);
@@ -159,15 +167,29 @@ class FileStore {
   };
   static DirMatch FindName(const FileRecord& dir, std::string_view name);
   bool CanWrite(const FileRecord& rec, NodeId who) const;
+  // Calls `fn` on every record, in id order.
+  template <typename Fn>
+  void ForEachRecord(Fn&& fn) const {
+    for (const auto& slab : slabs_) {
+      for (size_t i = 0; i < kSlabRecords; ++i) {
+        if (slab[i].id.valid()) {
+          fn(slab[i]);
+        }
+      }
+    }
+  }
   void Mirror(FileId file) const;
   static LeaseKey PrivateKey(FileId file) { return LeaseKey(file.value()); }
 
+  // Records per slab: 32 KiB of slots per allocation.
+  static constexpr size_t kSlabRecords = 256;
+
   IdGenerator<FileId> ids_;
-  // Records by id value; null where the store holds no record. Ids are
-  // dense (ids_ on the namespace store, whose ids the shard partitions
-  // adopt), so the table is as long as the largest id held and a lookup is
-  // one index step.
-  std::vector<std::unique_ptr<FileRecord>> records_;
+  // Record slots by id value, in slabs that never move once allocated, so
+  // a lookup is one index step and a held record keeps its address. Ids
+  // are dense (a partition adopts the namespace store's), so the table is
+  // as long as the largest id held.
+  std::vector<std::unique_ptr<FileRecord[]>> slabs_;
   size_t file_count_ = 0;
   FileId root_;
   MirrorHook mirror_;

@@ -947,17 +947,14 @@ void ReplicaNode::ServeStandbyRead(NodeId from, const ReadRequest& m) {
                          m.file.value())) {
     return;  // a write may be racing this file at the holder
   }
-  // Serve from the file's shared partition (where the holder commits; the
-  // namespace store's data copy goes stale once there is more than one)
-  // with a zero-term grant: no caching rights, so the standby never creates
-  // a leaseholder the holder cannot see. The data is write-through fresh --
-  // every committed write already applied.
+  // Serve from the store every shard commits to, with a zero-term grant: no
+  // caching rights, so the standby never creates a leaseholder the holder
+  // cannot see. The data is write-through fresh -- every committed write
+  // already applied.
   ReadReply reply;
   reply.req = m.req;
   reply.file = m.file;
-  const FileRecord* rec =
-      env_.shards[ShardIndexOf(m.file, env_.shards.size())].store->Find(
-          m.file);
+  const FileRecord* rec = env_.store->Find(m.file);
   if (rec == nullptr) {
     reply.status = ErrorCode::kNotFound;
   } else if (!FileStore::CanRead(*rec, from)) {

@@ -131,21 +131,14 @@ Status RuntimeServer::Serve(uint16_t port) {
   env.clock = &clock_;
   env.timers = loop_.get();
   if (config_.num_shards > 1) {
-    // One host, as in the simulator: every shard shares the loop's timers,
-    // the serving socket and the clock, and owns its partition and
-    // metadata. The namespace store mirrors each record into its owner.
-    env.shards.resize(config_.num_shards);
-    std::vector<FileStore*> partitions;
-    for (ShardEnv& shard : env.shards) {
-      ShardRig& rig = *rigs_.emplace_back(std::make_unique<ShardRig>());
-      shard.store = &rig.store;
-      shard.meta = &rig.meta;
-      shard.clock = &clock_;
-      shard.timers = loop_.get();
-      shard.transport = transport_.get();
-      partitions.push_back(&rig.store);
+    // One host, as in the simulator: every shard serves from the one store
+    // and shares the loop's timers, the serving socket and the clock; each
+    // owns its recovery metadata.
+    shard_metas_ = std::vector<DurableMeta>(config_.num_shards);
+    for (size_t s = 0; s < config_.num_shards; ++s) {
+      env.shards.push_back(ShardEnv{&store_, &shard_metas_[s], &clock_,
+                                    loop_.get(), transport_.get(), nullptr});
     }
-    PartitionNamespace(store_, std::move(partitions));
   }
   if (config_.replica.num_replicas > 0) {
     authority_ = std::make_unique<UdpTransport>(ReplicaAddr(boot_.index),
@@ -206,8 +199,7 @@ void RuntimeServer::Stop() {
     loop_->Stop();
   }
   engine_.reset();
-  store_.SetMirror(nullptr);
-  rigs_.clear();
+  shard_metas_.clear();
   authority_.reset();
   transport_.reset();
   loop_.reset();

@@ -11,12 +11,13 @@
 //     plain shape: one event loop and one socket host every shard. The
 //     socket's handler is the engine, whose ShardedLeaseServer routes each
 //     packet to its owning shard inline with the simulator's shard_router.h
-//     functions; each shard runs its LeaseServer against a private FileStore
-//     partition and recovery metadata, and shares the loop's timers, the
-//     socket and the host clock. All shards' replies to one client in one
-//     unit of loop work leave in one datagram. Overload fills the socket's
-//     receive buffer, and the kernel drops what does not fit, which the
-//     protocol reads as wire loss and the client repairs by retransmission.
+//     functions; each shard runs its LeaseServer against the server's one
+//     FileStore and its own recovery metadata, and shares the loop's
+//     timers, the socket and the host clock. All shards' replies to one
+//     client in one unit of loop work leave in one datagram. Overload fills
+//     the socket's receive buffer, and the kernel drops what does not fit,
+//     which the protocol reads as wire loss and the client repairs by
+//     retransmission.
 //   * replica.num_replicas > 0: one replica of the replicated lease
 //     authority (PaxosLease), two sockets on one loop. The authority socket
 //     is bound to the replica's own address (ReplicaAddr(index)) and carries
@@ -113,9 +114,8 @@ class RuntimeServer {
   // The serving socket (valid between Start and Stop).
   UdpTransport& transport() { return *transport_; }
 
-  // Namespace store for pre-start setup (CreatePath etc.); not thread-safe
-  // once serving. A sharded Start copies every record into its owning
-  // partition, and the partitions are authoritative from then on. Replica
+  // The store every shard serves from; set it up before Start (CreatePath
+  // etc.), and touch it only through WithEngine once serving. Replica
   // stores are independent copies (the plane replicates authority, not file
   // data): seed them identically.
   FileStore& store() { return store_; }
@@ -146,13 +146,6 @@ class RuntimeServer {
   uint64_t dropped() const { return 0; }
 
  private:
-  // One shard's FileStore partition and in-memory recovery metadata.
-  // unique_ptr keeps addresses stable for the ShardEnv pointers.
-  struct ShardRig {
-    FileStore store;
-    DurableMeta meta;
-  };
-
   Status Serve(uint16_t port);
 
   NodeId id_;
@@ -168,7 +161,9 @@ class RuntimeServer {
   std::unique_ptr<EventLoop> loop_;
   std::unique_ptr<UdpTransport> transport_;    // the serving socket
   std::unique_ptr<UdpTransport> authority_;    // replica shape
-  std::vector<std::unique_ptr<ShardRig>> rigs_;  // sharded shape
+  // Sharded shape: each shard's in-memory recovery metadata, sized once
+  // per Start (the shards hold pointers into it).
+  std::vector<DurableMeta> shard_metas_;
   std::unique_ptr<ServerEngine> engine_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -38,23 +39,35 @@ void AppendU32(uint32_t v, std::vector<uint8_t>* out) {
 
 }  // namespace
 
-// The recvmmsg headers and their buffers. The buffers are left
-// uninitialized, so only pages the kernel writes a datagram into become
-// resident -- a few KiB per slot, not the 60 KiB each slot reserves.
+// The recvmmsg headers and their buffers. The buffers are a private
+// anonymous mapping of their own, so only pages the kernel writes a datagram
+// into become resident -- a few KiB per slot, not the 60 KiB each slot
+// reserves. (From malloc they would land, once glibc's dynamic mmap
+// threshold has risen past their size, on heap pages an earlier owner
+// already dirtied, and count in full.)
 struct UdpTransport::ReceiveBatch {
-  ReceiveBatch() : data(new uint8_t[kRecvBatch * kMaxDatagram]) {
+  static constexpr size_t kBytes = kRecvBatch * kMaxDatagram;
+
+  ReceiveBatch()
+      : data(static_cast<uint8_t*>(::mmap(nullptr, kBytes,
+                                          PROT_READ | PROT_WRITE,
+                                          MAP_PRIVATE | MAP_ANONYMOUS, -1,
+                                          0))) {
+    LEASES_CHECK(data != MAP_FAILED);
     for (unsigned i = 0; i < kRecvBatch; ++i) {
-      iovs[i] = {data.get() + i * kMaxDatagram, kMaxDatagram};
+      iovs[i] = {data + i * kMaxDatagram, kMaxDatagram};
       std::memset(&msgs[i], 0, sizeof(msgs[i]));
       msgs[i].msg_hdr.msg_iov = &iovs[i];
       msgs[i].msg_hdr.msg_iovlen = 1;
     }
   }
-  const uint8_t* frame(unsigned i) const {
-    return data.get() + i * kMaxDatagram;
-  }
+  ~ReceiveBatch() { ::munmap(data, kBytes); }
+  ReceiveBatch(const ReceiveBatch&) = delete;
+  ReceiveBatch& operator=(const ReceiveBatch&) = delete;
 
-  std::unique_ptr<uint8_t[]> data;
+  const uint8_t* frame(unsigned i) const { return data + i * kMaxDatagram; }
+
+  uint8_t* data;
   mmsghdr msgs[kRecvBatch];
   iovec iovs[kRecvBatch];
 };

@@ -1,15 +1,48 @@
 // Unit tests for the common substrate: time types, strong ids, Result,
-// binary codec and path splitting.
+// binary codec, path splitting and the shared byte buffer (whose
+// allocations are counted by replacing global operator new).
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "src/common/codec.h"
 #include "src/common/ids.h"
 #include "src/common/path.h"
 #include "src/common/result.h"
+#include "src/common/shared_bytes.h"
 #include "src/common/time.h"
+
+namespace {
+std::atomic<uint64_t> g_allocs{0};
+}  // namespace
+
+// The replacements stay out of line, so the compiler does not pair an
+// inlined malloc() or free() with a new or delete expression and warn of a
+// mismatch.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(n);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace leases {
 namespace {
+
+uint64_t Allocs() { return g_allocs.load(std::memory_order_relaxed); }
 
 TEST(DurationTest, ConstructionAndConversion) {
   EXPECT_EQ(Duration::Seconds(1.5).ToMicros(), 1500000);
@@ -206,6 +239,69 @@ TEST(PathTest, SplitAbsPath) {
   auto trailing = SplitAbsPath("/a/b/");
   ASSERT_TRUE(trailing.has_value());
   EXPECT_EQ(*trailing, (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(SharedBytesTest, ABufferBuiltFromASpanIsOneAllocation) {
+  const std::vector<uint8_t> bytes(256, 0x5a);
+  const uint64_t before = Allocs();
+  SharedBytes buffer{std::span<const uint8_t>(bytes)};
+  EXPECT_EQ(Allocs() - before, 1u) << "count and bytes share one block";
+  EXPECT_EQ(buffer, bytes);
+  SharedBytes copy = buffer;
+  EXPECT_EQ(Allocs() - before, 1u) << "a copy only counts a holder";
+  EXPECT_EQ(copy.data(), buffer.data());
+  EXPECT_EQ(buffer.use_count(), 2);
+  EXPECT_EQ(SharedBytes(std::span<const uint8_t>()).data(), nullptr);
+}
+
+TEST(SharedBytesTest, EditOfASharedBufferLeavesTheOtherHolderUnchanged) {
+  const std::vector<uint8_t> original = {1, 2, 3, 4, 5, 6};
+  SharedBytes held{std::span<const uint8_t>(original)};
+  SharedBytes edited = held;
+  // Cut to 5, then replace bytes [1, 3) with three new ones.
+  uint8_t* p = edited.Edit(5, 1, 2, 3);
+  p[1] = 7;
+  p[2] = 8;
+  p[3] = 9;
+  EXPECT_EQ(held, original);
+  EXPECT_EQ(held.use_count(), 1);
+  EXPECT_EQ(edited, (std::vector<uint8_t>{1, 7, 8, 9, 4, 5}));
+  EXPECT_EQ(edited.use_count(), 1);
+
+  // Sole holder: the edit lands in place, without a copy.
+  const uint8_t* before = edited.data();
+  edited.Edit(4, 0, 1, 0)[0] = 0;
+  EXPECT_EQ(edited.data(), before);
+  EXPECT_EQ(edited, (std::vector<uint8_t>{0, 8, 9}));
+  EXPECT_EQ(held, original);
+
+  // An empty handle edits into a buffer of its own.
+  SharedBytes empty;
+  empty.Edit(0, 0, 0, 2)[1] = 4;
+  EXPECT_EQ(empty.size(), 2u);
+  EXPECT_EQ(empty.data()[1], 4);
+}
+
+TEST(SharedBytesTest, AppendsToASoleHolderReallocateLogarithmically) {
+  SharedBytes buffer;
+  const uint64_t before = Allocs();
+  size_t moves = 0;
+  const uint8_t* at = buffer.data();
+  constexpr size_t kAppends = 4096;
+  for (size_t i = 0; i < kAppends; ++i) {
+    const size_t size = buffer.size();
+    buffer.Edit(size, size, 0, 1)[size] = static_cast<uint8_t>(i);
+    if (buffer.data() != at) {
+      ++moves;
+      at = buffer.data();
+    }
+  }
+  ASSERT_EQ(buffer.size(), kAppends);
+  for (size_t i = 0; i < kAppends; ++i) {
+    ASSERT_EQ(buffer.data()[i], static_cast<uint8_t>(i)) << i;
+  }
+  EXPECT_LE(moves, 14u) << "log2(4096) + 2: capacity at least doubles";
+  EXPECT_EQ(Allocs() - before, moves);
 }
 
 }  // namespace

@@ -4,9 +4,10 @@
 // whether a shard's batcher or UdpTransport::Send from loop work, with
 // several records coalesced per datagram, nor arming and cancelling an
 // EventLoop timer, nor a file-store lookup that hits in a large directory,
-// nor a warm RuntimeClient read hit; and a simulated grant hands the
-// store's buffer to the caller without allocating a block the payload's
-// size -- counted by replacing global operator new/delete.
+// nor a warm RuntimeClient read hit, nor a warm server grant and the
+// relinquish of an evicted lease; and a simulated grant hands the store's
+// buffer to the caller without allocating a block the payload's size --
+// counted by replacing global operator new/delete.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -20,7 +21,11 @@
 #include <thread>
 #include <vector>
 
+#include "src/clock/sim_clock.h"
+#include "src/clock/sim_timer_host.h"
+#include "src/core/lease_server.h"
 #include "src/core/sim_cluster.h"
+#include "src/core/term_policy.h"
 #include "src/fs/file_store.h"
 #include "src/net/sim_network.h"
 #include "src/runtime/event_loop.h"
@@ -317,6 +322,77 @@ TEST(FastPathAllocTest, RuntimeReadHitDoesNotAllocate) {
   EXPECT_EQ(client.stats().remote_fetches, 1u);
   client.Stop();
   server.Stop();
+}
+
+// Drops every reply: a server driven by hand, with no network behind it.
+class DropTransport : public Transport {
+ public:
+  NodeId local_node() const override { return NodeId(1); }
+  void Send(NodeId, MessageClass, Packet) override { ++sent; }
+  void Multicast(std::span<const NodeId>, MessageClass, Packet) override {}
+  using Transport::Multicast;
+  using Transport::Send;
+
+  uint64_t sent = 0;
+};
+
+TEST(FastPathAllocTest, WarmGrantAndEvictionRelinquishDoNotAllocate) {
+  // The server's work per read of a client whose cache is full: a grant on
+  // the file read, and the relinquish of the lease its cache evicted for
+  // it. The lease table draws its key nodes and holder lists from its own
+  // pool, so once warm the pair allocates nothing; with a plain map and
+  // holder vector it cost two allocations (and two frees) per pair.
+  Simulator sim;
+  SimClock clock(&sim, ClockModel::Perfect());
+  SimTimerHost timers(&sim, &clock);
+  DropTransport transport;
+  FileStore store;
+  DurableMeta meta;
+  FixedTermPolicy policy(Duration::Seconds(10));
+  constexpr size_t kFiles = 256;
+  constexpr size_t kCached = 64;
+  std::vector<FileId> files;
+  for (size_t i = 0; i < kFiles; ++i) {
+    files.push_back(*store.CreatePath("/f" + std::to_string(i),
+                                      FileClass::kNormal,
+                                      std::vector<uint8_t>(256, 0x5a)));
+  }
+  LeaseServer server(NodeId(1), &store, &meta, &transport, &clock, &timers,
+                     &policy, ServerParams{}, /*oracle=*/nullptr);
+  // Every request is built before the count starts; the client's misses
+  // walk the files in order, each evicting the lease it took kCached
+  // reads earlier.
+  constexpr size_t kRounds = 8;
+  std::vector<Packet> reads;
+  std::vector<Packet> relinquishes;
+  for (size_t i = 0; i < kRounds * kFiles; ++i) {
+    ReadRequest read;
+    read.req = RequestId(i + 1);
+    read.file = files[i % kFiles];
+    reads.emplace_back(std::move(read));
+    const FileId evicted = files[(i + kFiles - kCached) % kFiles];
+    relinquishes.emplace_back(
+        Relinquish{{store.Find(evicted)->cover}});
+  }
+  const NodeId client(2);
+  auto serve = [&](size_t i) {
+    server.HandleTyped(client, MessageClass::kData, reads[i]);
+    server.HandleTyped(client, MessageClass::kConsistency, relinquishes[i]);
+  };
+  for (size_t i = 0; i < kFiles; ++i) {  // warm: one pass over every file
+    serve(i);
+  }
+  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (size_t i = kFiles; i < reads.size(); ++i) {
+    serve(i);
+  }
+  const uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u) << "per warm grant: "
+                        << static_cast<double>(allocs) /
+                               static_cast<double>(reads.size() - kFiles);
+  EXPECT_EQ(transport.sent, reads.size());
+  EXPECT_EQ(server.stats().leases_granted, reads.size());
+  EXPECT_EQ(server.lease_table().KeyCount(), kCached);
 }
 
 TEST(FastPathAllocTest, SimulatedGrantAllocatesNoPayloadSizedBlock) {

@@ -254,6 +254,44 @@ TEST(FileStoreTest, FindOfAnIdNotHeldIsNull) {
             ErrorCode::kNotFound);
 }
 
+TEST(FileStoreTest, RecordAddressesSurviveSlabGrowth) {
+  // Handlers hold a record across store calls that add records, so a
+  // record must never move while the table grows under it.
+  FileStore store;
+  FileId dir = *store.Mkdir(store.root(), "d", NodeId());
+  FileId file = *store.Create(dir, "f", FileClass::kNormal, B("contents"),
+                              kModeRead, NodeId(7));
+  const FileRecord* dir_rec = store.Find(dir);
+  const FileRecord* file_rec = store.Find(file);
+  const size_t slots = store.slot_count();
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(store
+                    .Create(store.root(), "g" + std::to_string(i),
+                            FileClass::kNormal, B("x"), kModeRead, NodeId())
+                    .ok());
+  }
+  EXPECT_GT(store.slot_count(), slots);
+  ASSERT_EQ(store.Find(dir), dir_rec);
+  ASSERT_EQ(store.Find(file), file_rec);
+  EXPECT_EQ(dir_rec->id, dir);
+  EXPECT_EQ(dir_rec->file_class, FileClass::kDirectory);
+  EXPECT_EQ(dir_rec->name, "d");
+  EXPECT_EQ(file_rec->id, file);
+  EXPECT_EQ(file_rec->parent, dir);
+  EXPECT_EQ(file_rec->name, "f");
+  EXPECT_EQ(file_rec->owner, NodeId(7));
+  EXPECT_EQ(file_rec->mode, kModeRead);
+  EXPECT_EQ(file_rec->version, 1u);
+  EXPECT_EQ(file_rec->data, B("contents"));
+  EXPECT_EQ(*store.Lookup(dir, "f"), file);
+
+  // A lookup past the end finds nothing and allocates no slot.
+  const size_t grown = store.slot_count();
+  EXPECT_EQ(store.Find(FileId(grown)), nullptr);
+  EXPECT_EQ(store.Find(FileId(uint64_t{1} << 40)), nullptr);
+  EXPECT_EQ(store.slot_count(), grown);
+}
+
 TEST(FileStoreTest, PartitionAdoptsAndDropsSparseIds) {
   // A shard partition holds every other record of the namespace store,
   // under the namespace store's ids.

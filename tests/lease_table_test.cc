@@ -1,7 +1,37 @@
-// Unit tests for the server-side lease table.
+// Unit tests for the server-side lease table. Allocations are counted by
+// replacing global operator new.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "src/core/lease_table.h"
+
+namespace {
+std::atomic<uint64_t> g_allocs{0};
+}  // namespace
+
+// The replacements stay out of line, so the compiler does not pair an
+// inlined malloc() or free() with a new or delete expression and warn of a
+// mismatch.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(n);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace leases {
 namespace {
@@ -121,6 +151,31 @@ TEST(LeaseTableTest, PerClientStorageMatchesPaperEstimate) {
   size_t bytes = table.ApproxBytesFor(NodeId(1));
   EXPECT_GE(bytes, 100 * 16u);   // at least two pointers' worth per lease
   EXPECT_LE(bytes, 4 * 1024u);   // and comfortably around a kilobyte
+}
+
+TEST(LeaseTableTest, SteadyStateGrantAndRemoveDoNotAllocate) {
+  // A cache that evicts one lease per miss: every grant adds a key and a
+  // holder, and the eviction's relinquish removes an older one. Once the
+  // pool has blocks for the working set, neither calls the allocator.
+  LeaseTable table;
+  constexpr uint64_t kCached = 64;
+  auto step = [&table](uint64_t i) {
+    table.Grant(LeaseKey(i), NodeId(1 + i % 2), At(10));
+    if (i >= kCached) {
+      table.Remove(LeaseKey(i - kCached), NodeId(1 + i % 2));
+    }
+  };
+  uint64_t i = 1;
+  for (; i <= 4 * kCached; ++i) {  // warm: the pool and the bucket array
+    step(i);
+  }
+  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (; i <= 64 * kCached; ++i) {
+    step(i);
+  }
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(table.KeyCount(), kCached);
+  EXPECT_TRUE(table.Holds(LeaseKey(i - 1), NodeId(1 + (i - 1) % 2), At(5)));
 }
 
 }  // namespace

@@ -473,6 +473,48 @@ TEST(RuntimeSharded, ReadsOnTwoShardsInOneTurnShareOneReplyDatagram) {
   server.Stop();
 }
 
+// Every shard serves from the server's one store, so a write a shard
+// commits is what store() holds: there is no per-shard copy for the store
+// to fall behind.
+TEST(RuntimeSharded, ProtocolWriteShowsInTheServersStore) {
+  EngineConfig config = TermConfig(Duration::Seconds(5));
+  config.num_shards = 2;
+  RuntimeServer server(NodeId(1), config);
+  std::vector<FileId> files;  // one file per shard
+  for (int i = 0; files.size() < 2; ++i) {
+    FileId file = *server.store().CreatePath(
+        "/data/f" + std::to_string(i), FileClass::kNormal, B("v1"));
+    if (files.empty() || ShardIndexOf(file, 2) != ShardIndexOf(files[0], 2)) {
+      files.push_back(file);
+    }
+  }
+  ASSERT_TRUE(server.Start().ok());
+  ClientParams params;
+  params.transit_allowance = Duration::Millis(50);
+  params.epsilon = Duration::Millis(50);
+  RuntimeClient client(NodeId(2), NodeId(1), server.store().root(), params);
+  ASSERT_TRUE(client.Start(server.port()).ok());
+  server.AddPeer(NodeId(2), client.port());
+
+  for (FileId file : files) {
+    Result<WriteResult> written =
+        client.Write(file, B("v2"), Duration::Seconds(10));
+    ASSERT_TRUE(written.ok()) << written.error().ToString();
+    uint64_t version = 0;
+    std::vector<uint8_t> data;
+    server.WithEngine([&](ServerEngine&) {
+      const FileRecord* rec = server.store().Find(file);
+      version = rec->version;
+      data.assign(rec->data.begin(), rec->data.end());
+    });
+    EXPECT_EQ(version, 2u) << "shard " << ShardIndexOf(file, 2);
+    EXPECT_EQ(data, B("v2"));
+  }
+
+  client.Stop();
+  server.Stop();
+}
+
 // The clock-health plane reaches a socket: with uncertainty_terms set the
 // server grants through the uncertainty-aware policy, which learns from
 // the clock stamps on the client's requests.

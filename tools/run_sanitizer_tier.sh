@@ -66,11 +66,18 @@ fi
 # the cache entry that shared them, so ASan would see an early free and
 # TSan a racy count; fs_test's EditsCopyADirectoryDatumAReplyStillHolds
 # covers the copy-on-write directory edits.
+# A buffer is one allocation, a header with its bytes placed after it:
+# common_test's SharedBytesTest cases edit, splice and grow those trailing
+# bytes, so ASan checks every write stays inside the block. fs_test's
+# RecordAddressesSurviveSlabGrowth holds records across slab growth, and
+# lease_table_test drives the table's pooled nodes and holder lists
+# through grants and removals.
 targets=(scheduler_test sim_test net_test proto_test fastpath_alloc_test
          runtime_test event_loop_test timer_queue_test storage_test
          journal_crash_test shard_test shard_concurrency_test swarm_test
          engine_test replica_test runtime_replica_test clock_health_test
-         fs_test dir_codec_test cache_client_test)
+         fs_test dir_codec_test cache_client_test common_test
+         lease_table_test)
 
 cmake --preset "$preset"
 cmake --build --preset "$preset" -j"${LEASES_SANITIZER_JOBS:-$(nproc)}" \
