@@ -109,8 +109,8 @@ Result<std::unique_ptr<ServerEngine>> MakeServerEngine(
   }
   const bool replicated = config.replica.num_replicas > 0;
   if (env.shards.empty() && config.num_shards == 1) {
-    // The plain server is the one-shard case: its partition is the
-    // namespace store itself. A replica serves it on the virtual address.
+    // The plain server is the one-shard case, serving from the store as
+    // every shard does. A replica serves it on the virtual address.
     env.shards.push_back(ShardEnv{
         env.store, env.meta, env.clock, env.timers,
         replicated ? env.serve_transport : env.transport, env.policy});

@@ -1,7 +1,7 @@
 // ServerEngine: one construction and lifecycle API for every server shape.
 //
-// There are two engines: the unreplicated one, a ShardedLeaseServer over
-// num_shards FileId partitions (the plain server is its one-shard case),
+// There are two engines: the unreplicated one, a ShardedLeaseServer of
+// num_shards FileId shards (the plain server is its one-shard case),
 // and the replicated authority (src/replica/authority.h), whose holder
 // serves the same ShardedLeaseServer. Callers describe *what* they want in
 // an EngineConfig, supply the environment (stores, transports, clocks,

@@ -8,8 +8,8 @@ namespace leases {
 namespace {
 
 // The one placement of namespace records into FileId partitions (for
-// AdoptAll and MirrorRecord): upserts
-// (rec != null) or drops (rec == null) `file` in its owning partition.
+// AdoptAll and MirrorRecord): upserts (rec != null) or drops (rec == null)
+// `file` in its owning partition.
 void PlaceRecord(std::span<FileStore* const> partitions, FileId file,
                  const FileRecord* rec) {
   FileStore* store = partitions[ShardIndexOf(file, partitions.size())];

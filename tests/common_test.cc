@@ -1,11 +1,8 @@
 // Unit tests for the common substrate: time types, strong ids, Result,
 // binary codec, path splitting and the shared byte buffer (whose
-// allocations are counted by replacing global operator new).
+// allocations are counted by replacing global operator new, in
+// tests/alloc_counter.h).
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <cstdlib>
-#include <new>
 
 #include "src/common/codec.h"
 #include "src/common/ids.h"
@@ -13,31 +10,7 @@
 #include "src/common/result.h"
 #include "src/common/shared_bytes.h"
 #include "src/common/time.h"
-
-namespace {
-std::atomic<uint64_t> g_allocs{0};
-}  // namespace
-
-// The replacements stay out of line, so the compiler does not pair an
-// inlined malloc() or free() with a new or delete expression and warn of a
-// mismatch.
-[[gnu::noinline]] void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(n);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
+#include "tests/alloc_counter.h"
 
 namespace leases {
 namespace {

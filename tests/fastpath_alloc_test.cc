@@ -7,7 +7,7 @@
 // nor a warm RuntimeClient read hit, nor a warm server grant and the
 // relinquish of an evicted lease; and a simulated grant hands the store's
 // buffer to the caller without allocating a block the payload's size --
-// counted by replacing global operator new/delete.
+// counted by replacing global operator new/delete (tests/alloc_counter.h).
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -15,9 +15,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include <thread>
 #include <vector>
 
@@ -32,34 +29,7 @@
 #include "src/runtime/node.h"
 #include "src/runtime/udp_transport.h"
 #include "src/sim/simulator.h"
-
-namespace {
-
-std::atomic<uint64_t> g_allocs{0};
-// Allocations of at least kPayloadBytes: a copy of a datum that size.
-constexpr std::size_t kPayloadBytes = 4096;
-std::atomic<uint64_t> g_payload_allocs{0};
-
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (n >= kPayloadBytes) {
-    g_payload_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(n);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* operator new[](std::size_t n) { return ::operator new(n); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/alloc_counter.h"
 
 namespace leases {
 namespace {

@@ -1,37 +1,9 @@
 // Unit tests for the server-side lease table. Allocations are counted by
-// replacing global operator new.
+// replacing global operator new (tests/alloc_counter.h).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "src/core/lease_table.h"
-
-namespace {
-std::atomic<uint64_t> g_allocs{0};
-}  // namespace
-
-// The replacements stay out of line, so the compiler does not pair an
-// inlined malloc() or free() with a new or delete expression and warn of a
-// mismatch.
-[[gnu::noinline]] void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(n);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
+#include "tests/alloc_counter.h"
 
 namespace leases {
 namespace {
