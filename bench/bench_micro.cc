@@ -75,6 +75,29 @@ void BM_LeaseTableGrant(benchmark::State& state) {
 }
 BENCHMARK(BM_LeaseTableGrant);
 
+// grant-miss's churn: two clients with 64-lease caches read uniformly over
+// 16384 files, so each grant adds a key and the eviction's relinquish drops
+// an older one.
+void BM_LeaseTableGrantAndEvict(benchmark::State& state) {
+  LeaseTable table;
+  const TimePoint expiry = TimePoint() + Duration::Seconds(10);
+  std::vector<uint64_t> cached(128, 0);  // the ring of both caches
+  uint64_t file = 0;
+  uint64_t i = 0;
+  for (auto _ : state) {
+    const NodeId node(static_cast<uint32_t>(1 + i % 2));
+    uint64_t& slot = cached[i % cached.size()];
+    if (slot != 0) {
+      table.Remove(LeaseKey(slot), node);
+    }
+    file = (file + 7919) % 16384;  // a stride prime to the file count
+    slot = file + 1;
+    table.Grant(LeaseKey(slot), node, expiry);
+    ++i;
+  }
+}
+BENCHMARK(BM_LeaseTableGrantAndEvict);
+
 void BM_LeaseTableActiveHolders(benchmark::State& state) {
   LeaseTable table;
   TimePoint now;

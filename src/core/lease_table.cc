@@ -7,7 +7,15 @@
 namespace leases {
 
 void LeaseTable::Grant(LeaseKey key, NodeId node, TimePoint expiry) {
-  Holders& holders = keys_[key];
+  auto it = keys_.find(key);
+  if (it == keys_.end() && spare_.empty()) {
+    it = keys_.try_emplace(key).first;
+  } else if (it == keys_.end()) {
+    spare_.back().key() = key;
+    it = keys_.insert(std::move(spare_.back())).position;
+    spare_.pop_back();
+  }
+  Holders& holders = it->second;
   for (LeaseHolder& h : holders) {
     if (h.node == node) {
       h.expiry = std::max(h.expiry, expiry);
@@ -17,27 +25,26 @@ void LeaseTable::Grant(LeaseKey key, NodeId node, TimePoint expiry) {
   holders.push_back(LeaseHolder{node, expiry});
 }
 
+template <typename Pred>
+bool LeaseTable::Prune(Map::iterator it, Pred drop) {
+  std::erase_if(it->second, drop);
+  if (!it->second.empty()) {
+    return true;
+  }
+  spare_.push_back(keys_.extract(it));
+  return false;
+}
+
 void LeaseTable::Remove(LeaseKey key, NodeId node) {
   auto it = keys_.find(key);
-  if (it == keys_.end()) {
-    return;
-  }
-  std::erase_if(it->second,
-                [node](const LeaseHolder& h) { return h.node == node; });
-  if (it->second.empty()) {
-    keys_.erase(it);
+  if (it != keys_.end()) {
+    Prune(it, [node](const LeaseHolder& h) { return h.node == node; });
   }
 }
 
 void LeaseTable::RemoveAll(NodeId node) {
   for (auto it = keys_.begin(); it != keys_.end();) {
-    std::erase_if(it->second,
-                  [node](const LeaseHolder& h) { return h.node == node; });
-    if (it->second.empty()) {
-      it = keys_.erase(it);
-    } else {
-      ++it;
-    }
+    Prune(it++, [node](const LeaseHolder& h) { return h.node == node; });
   }
 }
 
@@ -58,13 +65,8 @@ std::vector<LeaseHolder> LeaseTable::ActiveHolders(LeaseKey key,
 const LeaseTable::Holders* LeaseTable::PruneExpired(LeaseKey key,
                                                     TimePoint now) {
   auto it = keys_.find(key);
-  if (it == keys_.end()) {
-    return nullptr;
-  }
-  std::erase_if(it->second,
-                [now](const LeaseHolder& h) { return h.expiry <= now; });
-  if (it->second.empty()) {
-    keys_.erase(it);
+  if (it == keys_.end() ||
+      !Prune(it, [now](const LeaseHolder& h) { return h.expiry <= now; })) {
     return nullptr;
   }
   return &it->second;

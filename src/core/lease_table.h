@@ -5,13 +5,12 @@
 // per lease and ~1 KB per client holding a hundred leases; ApproxBytes lets
 // the tests check we stay in that regime.
 //
-// The key map's nodes, its bucket array and the holder lists come from a
-// pool the table owns, so once it has warmed up a grant and the relinquish
-// that later drops it reuse freed blocks instead of calling malloc.
+// A key whose last holder goes keeps its map node, holder list included, for
+// the next new key, so once the table has warmed up a grant and the
+// relinquish that later drops it never call the allocator.
 #ifndef SRC_CORE_LEASE_TABLE_H_
 #define SRC_CORE_LEASE_TABLE_H_
 
-#include <memory_resource>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -28,11 +27,7 @@ struct LeaseHolder {
 
 class LeaseTable {
  public:
-  using Holders = std::pmr::vector<LeaseHolder>;
-
-  LeaseTable() = default;
-  LeaseTable(const LeaseTable&) = delete;
-  LeaseTable& operator=(const LeaseTable&) = delete;
+  using Holders = std::vector<LeaseHolder>;
 
   // Grants or extends `node`'s lease on `key` to `expiry`. An extension
   // never shortens an existing lease (the server must honour what it already
@@ -85,9 +80,17 @@ class LeaseTable {
   void Clear() { keys_.clear(); }
 
  private:
-  // Declared first: the map gives its blocks back before the pool goes.
-  std::pmr::unsynchronized_pool_resource pool_;
-  std::pmr::unordered_map<LeaseKey, Holders> keys_{&pool_};
+  using Map = std::unordered_map<LeaseKey, Holders>;
+
+  // Drops the holders `drop` matches from `it`'s list. A key left with none
+  // leaves the map, and its node goes to spare_. Returns whether it stays.
+  template <typename Pred>
+  bool Prune(Map::iterator it, Pred drop);
+
+  Map keys_;
+  // Nodes of dropped keys, each with an empty holder list that keeps its
+  // capacity; Grant reuses one for a new key before it allocates.
+  std::vector<Map::node_type> spare_;
 };
 
 }  // namespace leases

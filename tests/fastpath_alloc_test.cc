@@ -309,9 +309,9 @@ class DropTransport : public Transport {
 TEST(FastPathAllocTest, WarmGrantAndEvictionRelinquishDoNotAllocate) {
   // The server's work per read of a client whose cache is full: a grant on
   // the file read, and the relinquish of the lease its cache evicted for
-  // it. The lease table draws its key nodes and holder lists from its own
-  // pool, so once warm the pair allocates nothing; with a plain map and
-  // holder vector it cost two allocations (and two frees) per pair.
+  // it. The lease table keeps a dropped key's node and holder list for the
+  // next new key, so once warm the pair allocates nothing; freeing them cost
+  // two allocations (and two frees) per pair.
   Simulator sim;
   SimClock clock(&sim, ClockModel::Perfect());
   SimTimerHost timers(&sim, &clock);

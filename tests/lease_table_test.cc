@@ -128,7 +128,7 @@ TEST(LeaseTableTest, PerClientStorageMatchesPaperEstimate) {
 TEST(LeaseTableTest, SteadyStateGrantAndRemoveDoNotAllocate) {
   // A cache that evicts one lease per miss: every grant adds a key and a
   // holder, and the eviction's relinquish removes an older one. Once the
-  // pool has blocks for the working set, neither calls the allocator.
+  // dropped keys' nodes cover the working set, neither calls the allocator.
   LeaseTable table;
   constexpr uint64_t kCached = 64;
   auto step = [&table](uint64_t i) {
@@ -138,7 +138,7 @@ TEST(LeaseTableTest, SteadyStateGrantAndRemoveDoNotAllocate) {
     }
   };
   uint64_t i = 1;
-  for (; i <= 4 * kCached; ++i) {  // warm: the pool and the bucket array
+  for (; i <= 4 * kCached; ++i) {  // warm: spare nodes and the bucket array
     step(i);
   }
   const uint64_t before = g_allocs.load(std::memory_order_relaxed);
