@@ -8,12 +8,14 @@ namespace leases {
 
 void LeaseTable::Grant(LeaseKey key, NodeId node, TimePoint expiry) {
   auto it = keys_.find(key);
-  if (it == keys_.end() && spare_.empty()) {
-    it = keys_.try_emplace(key).first;
-  } else if (it == keys_.end()) {
-    spare_.back().key() = key;
-    it = keys_.insert(std::move(spare_.back())).position;
-    spare_.pop_back();
+  if (it == keys_.end()) {
+    if (spare_.empty()) {
+      it = keys_.try_emplace(key).first;
+    } else {
+      spare_.back().key() = key;
+      it = keys_.insert(std::move(spare_.back())).position;
+      spare_.pop_back();
+    }
   }
   Holders& holders = it->second;
   for (LeaseHolder& h : holders) {
